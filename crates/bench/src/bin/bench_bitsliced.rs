@@ -1,14 +1,16 @@
-//! Scalar vs Sliced64 kernel-backend timings on the structural PE grid,
+//! Scalar vs Sliced64 kernel-engine timings on the structural PE grid,
 //! written as machine-readable JSON to `BENCH_bitsliced.json` at the repo
 //! root.
 //!
-//! Both backends are timed on `Accelerator::multiply_sequential` — one
-//! host thread, no rayon dispatch — so the reported speedup measures the
-//! bitslicing transform alone (64 bitflow steps per u64 word op) and
-//! nothing else, mirroring the `parallel_effective` honesty of
-//! `bench_json`: the JSON carries `single_threaded: true` and the modeled
-//! cycle counts of both backends, which must be identical (the cycle
-//! model is host-independent; a divergence aborts the run).
+//! The Scalar side is the §IV-B reference `Accelerator::multiply_scalar`,
+//! the Sliced64 side `Accelerator::multiply_sequential` on the default
+//! configuration (which selects Sliced64). Both run on one host thread,
+//! no rayon dispatch, so the reported speedup measures the bitslicing
+//! transform (64 bitflow steps per u64 word op) and nothing else,
+//! mirroring the `parallel_effective` honesty of `bench_json`: the JSON
+//! carries `single_threaded: true` and the modeled cycle counts of both
+//! engines, which must be identical (the cycle model is
+//! host-independent; a divergence aborts the run).
 
 use apc_bench::{fmt_seconds, header, time_best};
 use apc_bignum::Nat;
@@ -65,9 +67,8 @@ impl Row {
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(64);
-    let cfg = ArchConfig::default();
-    let scalar = Accelerator::with_backend(cfg.clone(), KernelBackend::Scalar);
-    let sliced = Accelerator::with_backend(cfg, KernelBackend::Sliced64);
+    let acc = Accelerator::new(ArchConfig::default());
+    assert_eq!(acc.effective_backend(), KernelBackend::Sliced64);
 
     header("Accelerator::multiply_sequential — Scalar vs Sliced64 kernels (1 host thread)");
     println!(
@@ -78,12 +79,12 @@ fn main() {
     for bits in [1024u64, 2048, 4096, 8192, 16384] {
         let a = Nat::random_exact_bits(bits, &mut rng);
         let b = Nat::random_exact_bits(bits, &mut rng);
-        let s = scalar.multiply_sequential(&a, &b);
-        let v = sliced.multiply_sequential(&a, &b);
+        let s = acc.multiply_scalar(&a, &b);
+        let v = acc.multiply_sequential(&a, &b);
         let row = Row {
             bits,
-            scalar_seconds: time_best(5, 10.0, || scalar.multiply_sequential(&a, &b)),
-            sliced_seconds: time_best(20, 10.0, || sliced.multiply_sequential(&a, &b)),
+            scalar_seconds: time_best(5, 10.0, || acc.multiply_scalar(&a, &b)),
+            sliced_seconds: time_best(20, 10.0, || acc.multiply_sequential(&a, &b)),
             cycles: s.cycles,
             cycles_identical: s.cycles == v.cycles
                 && s.pe_passes == v.pe_passes

@@ -10,10 +10,11 @@
 //!   `apc_bignum::par::set_parallel_enabled`.
 //!
 //! A third table (`kernel_backend_compare`) times the Scalar oracle
-//! against the Sliced64 word-parallel kernels on the same sequential PE
-//! grid, and the header records which `kernel_backend` produced the two
-//! tables above; the full sliced sweep with cycle-identity checks lives
-//! in `bench_bitsliced` / `BENCH_bitsliced.json`.
+//! (`Accelerator::multiply_scalar`) against the configured Sliced64
+//! word-parallel engine on the same sequential PE grid, and the header
+//! records which `kernel_backend` produced the two tables above; the
+//! full sliced sweep with cycle-identity checks lives in
+//! `bench_bitsliced` / `BENCH_bitsliced.json`.
 //!
 //! Build with `--features parallel` for a real comparison; without the
 //! feature both columns time the same sequential path and the JSON says so
@@ -27,7 +28,7 @@
 
 use apc_bench::{fmt_seconds, header, time_best};
 use apc_bignum::Nat;
-use cambricon_p::accelerator::{Accelerator, KernelBackend};
+use cambricon_p::accelerator::Accelerator;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
@@ -158,24 +159,21 @@ fn main() {
         accel_rows.push(row);
     }
 
-    // Kernel backends: Scalar oracle vs Sliced64 on the same sequential
-    // PE grid (the sliced table proper, with cycle-identity checks, lives
-    // in bench_bitsliced / BENCH_bitsliced.json).
-    header("Accelerator::multiply_sequential — Scalar vs Sliced64 kernels");
-    let scalar_acc =
-        Accelerator::with_backend(acc.config().clone(), KernelBackend::Scalar);
-    let sliced_acc =
-        Accelerator::with_backend(acc.config().clone(), KernelBackend::Sliced64);
+    // Kernel engines: the Scalar oracle (`multiply_scalar`) vs the
+    // configured engine on the same sequential PE grid (the sliced table
+    // proper, with cycle-identity checks, lives in bench_bitsliced /
+    // BENCH_bitsliced.json).
+    header("Accelerator::multiply_scalar vs multiply_sequential — Scalar vs Sliced64 kernels");
     let mut backend_rows = Vec::new();
     for bits in [1024u64, 4096] {
         let a = Nat::random_exact_bits(bits, &mut rng);
         let b = Nat::random_exact_bits(bits, &mut rng);
-        let s = scalar_acc.multiply_sequential(&a, &b);
-        let v = sliced_acc.multiply_sequential(&a, &b);
+        let s = acc.multiply_scalar(&a, &b);
+        let v = acc.multiply_sequential(&a, &b);
         let row = BackendRow {
             bits,
-            scalar_seconds: time_best(5, 10.0, || scalar_acc.multiply_sequential(&a, &b)),
-            sliced_seconds: time_best(20, 10.0, || sliced_acc.multiply_sequential(&a, &b)),
+            scalar_seconds: time_best(5, 10.0, || acc.multiply_scalar(&a, &b)),
+            sliced_seconds: time_best(20, 10.0, || acc.multiply_sequential(&a, &b)),
             identical: s.product == v.product && s.cycles == v.cycles && s.tally == v.tally,
         };
         row.print();

@@ -133,13 +133,6 @@ fn main() {
     let parallel_feature = cfg!(feature = "parallel");
     let pool_threads = apc_bignum::par::pool_threads();
     let parallel_effective = parallel_feature && pool_threads > 1;
-    // Both sides of the wire-overhead comparison (the router's shard
-    // devices and the in-process reference service) construct their
-    // `Device`s through the same environment-driven selector; record it
-    // once and re-assert after the runs so the comparison can never mix
-    // backends.
-    let kernel_backend = cambricon_p::KernelBackend::from_env();
-
     let router = Router::start(SHARDS, serve_config());
     let server = NetServer::start(
         "127.0.0.1:0",
@@ -184,7 +177,7 @@ fn main() {
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"bench\": \"net_throughput\",");
     let _ = writeln!(json, "  \"operand_bits\": {OPERAND_BITS},");
-    let _ = writeln!(json, "  \"kernel_backend\": \"{}\",", kernel_backend.name());
+    let _ = writeln!(json, "  \"device_path\": \"analytic Device::mul\",");
     let _ = writeln!(json, "  \"shards\": {SHARDS},");
     let _ = writeln!(json, "  \"workers_per_shard\": {WORKERS_PER_SHARD},");
     let _ = writeln!(json, "  \"conn_workers\": {CONN_WORKERS},");
@@ -212,11 +205,6 @@ fn main() {
     let _ = writeln!(json, "}}");
 
     server.shutdown();
-    assert_eq!(
-        cambricon_p::KernelBackend::from_env(),
-        kernel_backend,
-        "backend changed mid-run: the wire-overhead comparison would mix backends"
-    );
 
     let out: PathBuf = [env!("CARGO_MANIFEST_DIR"), "..", "..", "BENCH_net_throughput.json"]
         .iter()

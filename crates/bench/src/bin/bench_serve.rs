@@ -24,7 +24,7 @@ use apc_bench::{fmt_seconds, header};
 use apc_bignum::Nat;
 use apc_serve::{Job, JobSpec, MetricsSnapshot, ServeConfig, ServeHandle};
 use apc_trace::export::histogram_json;
-use cambricon_p::{pattern_cache, KernelBackend};
+use cambricon_p::pattern_cache;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
@@ -165,18 +165,8 @@ fn main() {
         .collect();
 
     // Reference ceiling: the same multiplies straight on a private device,
-    // no queue, no threads. Every device in this binary (this one and the
-    // serve workers, which use the same `Device::new` constructor) picks
-    // its kernel backend from the environment; pin the one this process
-    // resolved so both sides of the serial-vs-batched and
-    // serve-vs-direct comparisons are known to match.
-    let kernel_backend = KernelBackend::from_env();
+    // no queue, no threads.
     let device = cambricon_p::mpapca::Device::new_default();
-    assert_eq!(
-        device.kernel_backend(),
-        kernel_backend,
-        "direct-device side must run the recorded backend"
-    );
     let t0 = Instant::now();
     let direct_jobs = 300usize;
     for i in 0..direct_jobs {
@@ -273,7 +263,7 @@ fn main() {
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"bench\": \"serve_throughput\",");
     let _ = writeln!(json, "  \"operand_bits\": {OPERAND_BITS},");
-    let _ = writeln!(json, "  \"kernel_backend\": \"{}\",", kernel_backend.name());
+    let _ = writeln!(json, "  \"device_path\": \"analytic Device::mul\",");
     let _ = writeln!(json, "  \"workers\": {WORKERS},");
     let _ = writeln!(json, "  \"pool_threads\": {pool_threads},");
     let _ = writeln!(json, "  \"parallel_feature\": {parallel_feature},");
@@ -328,11 +318,6 @@ fn main() {
         peak.mean_batch_size,
         points[1].clients,
         points[1].mean_batch_size
-    );
-    assert_eq!(
-        KernelBackend::from_env(),
-        kernel_backend,
-        "backend changed mid-run: the recorded comparisons would mix backends"
     );
     assert!(
         hit_rate > 0.9,

@@ -5,7 +5,6 @@
 //! so that zero-padding (which costs real cycles in hardware) is visible to
 //! the timing model.
 
-use apc_bignum::limb::{extract_bits, Limb, LIMB_BITS};
 use apc_bignum::Nat;
 
 /// A finite bit-serial stream, LSB first (§V-B3).
@@ -69,19 +68,6 @@ impl Bitflow {
     /// (§V-B3).
     pub fn bit(&self, t: u64) -> bool {
         t < self.len && self.value.bit(t)
-    }
-
-    /// The 64 wire bits of cycles `[t, t+64)` packed LSB-first into one
-    /// machine word — the Sliced64 backend's view of the §V-B3 stream
-    /// (64 bitflow steps per word op). Bits past the end of the stream
-    /// are zeros, matching [`Bitflow::bit`].
-    pub fn word(&self, t: u64) -> Limb {
-        if t >= self.len {
-            return 0;
-        }
-        let live = (self.len - t).min(u64::from(LIMB_BITS));
-        let width = u32::try_from(live).unwrap_or(LIMB_BITS);
-        extract_bits(self.value.limbs(), t, width)
     }
 
     /// Iterates the stream bits in §V-B3 transmission order (LSB first).
@@ -172,19 +158,6 @@ mod tests {
         assert_eq!(vals, [0xDD, 0xCC, 0xBB, 0xAA]);
         for p in &parts {
             assert_eq!(p.len(), 8);
-        }
-    }
-
-    #[test]
-    fn word_packs_sixty_four_wire_bits() {
-        let n = &Nat::from(0xDEAD_BEEF_CAFE_F00Du64) * &Nat::from(0x1234_5678u64);
-        let f = Bitflow::from_nat(n, 100);
-        for t in [0u64, 1, 17, 36, 63, 64, 90, 99, 100, 200] {
-            let word = f.word(t);
-            for i in 0..64u64 {
-                let expect = f.bit(t + i);
-                assert_eq!((word >> i) & 1 == 1, expect, "t={t} i={i}");
-            }
         }
     }
 

@@ -9,7 +9,6 @@
 //! are the reproduction's stand-in for the paper's Verilog RTL, and every
 //! one is validated against the oracle bit-for-bit.
 
-use apc_bignum::limb::{adc, sbb, Limb};
 use apc_bignum::Nat;
 use std::collections::VecDeque;
 
@@ -50,18 +49,6 @@ impl SerialAdder {
         sum
     }
 
-    /// 64 consecutive Fig. 10 clock edges collapsed into one word op —
-    /// the Sliced64 view of the FA: consumes one LSB-first 64-bit chunk
-    /// of each operand flow, emits the matching 64 sum bits. The carry
-    /// flip-flop state before and after equals 64 [`SerialAdder::step`]
-    /// calls exactly (a ripple-carry add *is* the carry recurrence).
-    #[inline]
-    pub fn step64(&mut self, a: Limb, b: Limb) -> Limb {
-        let (sum, carry_out) = adc(a, b, Limb::from(self.carry));
-        self.carry = carry_out != 0;
-        sum
-    }
-
     /// The Fig. 10 carry flip-flop's current state.
     pub fn carry(&self) -> bool {
         self.carry
@@ -94,18 +81,6 @@ impl SerialSubtractor {
     pub fn step(&mut self, a: bool, b: bool) -> bool {
         let diff = a ^ b ^ self.borrow;
         self.borrow = (!a && b) || (!(a ^ b) && self.borrow);
-        diff
-    }
-
-    /// 64 consecutive §V-C clock edges collapsed into one word op — the
-    /// Sliced64 view of the full subtractor: consumes one LSB-first
-    /// 64-bit chunk of each operand flow, emits the matching 64
-    /// difference bits, with the borrow flip-flop tracking 64
-    /// [`SerialSubtractor::step`] calls exactly.
-    #[inline]
-    pub fn step64(&mut self, a: Limb, b: Limb) -> Limb {
-        let (diff, borrow_out) = sbb(a, b, Limb::from(self.borrow));
-        self.borrow = borrow_out != 0;
         diff
     }
 
@@ -424,50 +399,6 @@ mod tests {
             fs.step(stream_value(2, 4)[i], stream_value(5, 4)[i]);
         }
         assert!(fs.borrow());
-    }
-
-    #[test]
-    fn step64_equals_sixty_four_adder_steps() {
-        let words = [
-            (0xDEAD_BEEF_CAFE_F00Du64, 0xFFFF_FFFF_FFFF_FFFFu64),
-            (0x8000_0000_0000_0000, 0x8000_0000_0000_0001),
-            (0x0123_4567_89AB_CDEF, 0xFEDC_BA98_7654_3210),
-        ];
-        let mut sliced = SerialAdder::new();
-        let mut serial = SerialAdder::new();
-        for (a, b) in words {
-            let word = sliced.step64(a, b);
-            let mut bits = 0u64;
-            for i in 0..64 {
-                if serial.step((a >> i) & 1 == 1, (b >> i) & 1 == 1) {
-                    bits |= 1 << i;
-                }
-            }
-            assert_eq!(word, bits, "a={a:#x} b={b:#x}");
-            assert_eq!(sliced.carry(), serial.carry());
-        }
-    }
-
-    #[test]
-    fn step64_equals_sixty_four_subtractor_steps() {
-        let words = [
-            (0x0123_4567_89AB_CDEFu64, 0xFEDC_BA98_7654_3210u64),
-            (0xFFFF_FFFF_FFFF_FFFF, 0x0000_0000_0000_0001),
-            (0x0000_0000_0000_0000, 0xFFFF_FFFF_FFFF_FFFF),
-        ];
-        let mut sliced = SerialSubtractor::new();
-        let mut serial = SerialSubtractor::new();
-        for (a, b) in words {
-            let word = sliced.step64(a, b);
-            let mut bits = 0u64;
-            for i in 0..64 {
-                if serial.step((a >> i) & 1 == 1, (b >> i) & 1 == 1) {
-                    bits |= 1 << i;
-                }
-            }
-            assert_eq!(word, bits, "a={a:#x} b={b:#x}");
-            assert_eq!(sliced.borrow(), serial.borrow());
-        }
     }
 
     #[test]

@@ -61,21 +61,6 @@ pub fn optimal_q(p_y: f64, max_q: u32) -> u32 {
     best
 }
 
-/// Analytic host word-op count of one **bitsliced** q-element inner
-/// product: the Sliced64 backend packs the `index_bits` bitflow steps of
-/// §IV-B into whole-word AND/AND-NOT indicator updates. Splitting the
-/// indicator set on index flow `i` costs `2·2^i` word ops per 64-bit
-/// chunk of the index stream, so one IPU costs
-/// `2·(2^q − 1)·⌈index_bits/64⌉` indicator ops plus at most `2^q − 1`
-/// multiply-accumulate word ops (the `2^q − q − 1` Converter adds of
-/// §IV-B are shared across IPUs and excluded here).
-pub fn sliced_word_ops(q: u32, index_bits: u64) -> u64 {
-    let index_chunks = index_bits.div_ceil(64).max(1);
-    let indicator = 2 * ((1u64 << q) - 1) * index_chunks;
-    let mac = (1u64 << q) - 1;
-    indicator + mac
-}
-
 /// Running bops tally, accumulated by the functional units while they
 /// execute so that measured redundancy elimination can be compared with
 /// the analytic §IV-B bound.
@@ -148,16 +133,6 @@ mod tests {
         let approx = lambda(q, py as f64);
         assert!(ratio <= approx + 1e-9, "ratio={ratio} approx={approx}");
         assert!((ratio - approx).abs() < 0.05, "ratio={ratio} approx={approx}");
-    }
-
-    #[test]
-    fn sliced_word_ops_beats_bit_serial_by_the_word_width() {
-        // q = 4, L = 32: 2·15·1 + 15 = 45 word ops stand in for
-        // 4·32·32 = 4096 bit-serial bops — the 64-steps-per-op win.
-        assert_eq!(sliced_word_ops(4, 32), 45);
-        assert!(bit_serial_bops(4, 32, 32) / sliced_word_ops(4, 32) > 64);
-        // Wider index streams scale the indicator DP by 64-bit chunks.
-        assert_eq!(sliced_word_ops(4, 128), 2 * 15 * 2 + 15);
     }
 
     #[test]

@@ -139,7 +139,7 @@ pub fn converter_adder_count(q: u32) -> u64 {
 ///
 /// The caller guarantees the sliced-support envelope (`q ≤ 16` and
 /// `element_bits + ⌈log₂ q⌉ ≤ 64`, see
-/// [`crate::accelerator::KernelBackend::supports`]), under which no
+/// [`crate::accelerator::Accelerator::effective_backend`]), under which no
 /// subset sum can carry out of one limb.
 pub fn generate_patterns_sliced(xs: &[Limb], element_bits: u64) -> (Vec<Limb>, u64) {
     let q = xs.len();

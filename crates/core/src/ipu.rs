@@ -102,7 +102,7 @@ pub fn bit_indexed_inner_product(patterns: &Patterns, ys: &[Nat], index_bits: u6
 /// AND/NOT half of the carry-save rewrite; the carries reappear only in
 /// the final per-mask MACs, which are exact in 128-bit arithmetic under
 /// the sliced-support envelope —
-/// [`crate::accelerator::KernelBackend::supports`]).
+/// [`crate::accelerator::Accelerator::effective_backend`]).
 ///
 /// Returns the inner product and a [`BopsTally`] **bit-identical** to the
 /// scalar pass: `skipped_zero` is `popcount(I[0])`, and the per-cycle

@@ -15,7 +15,7 @@
 //! [`crate::accelerator`] is validated against), while cycles/energy come
 //! from the calibrated analytic model.
 
-use crate::accelerator::KernelBackend;
+use crate::accelerator::Accelerator;
 use crate::config::ArchConfig;
 use crate::stats::{DeviceStats, OpClass, SharedDeviceStats};
 use apc_bignum::nat::mont::MontgomeryCtx;
@@ -99,18 +99,16 @@ impl MpapcaThresholds {
 pub struct Device {
     config: ArchConfig,
     thresholds: MpapcaThresholds,
-    backend: KernelBackend,
     stats: SharedDeviceStats,
 }
 
 impl Device {
-    /// A device with the given configuration (§VII-A), default thresholds,
-    /// and the environment-selected structural [`KernelBackend`].
+    /// A device with the given configuration (§VII-A) and default
+    /// thresholds.
     pub fn new(config: ArchConfig) -> Device {
         Device {
             config,
             thresholds: MpapcaThresholds::default(),
-            backend: KernelBackend::from_env(),
             stats: SharedDeviceStats::default(),
         }
     }
@@ -124,20 +122,6 @@ impl Device {
     pub fn with_thresholds(mut self, thresholds: MpapcaThresholds) -> Device {
         self.thresholds = thresholds;
         self
-    }
-
-    /// Pins the structural-path [`KernelBackend`] (Fig. 9a host kernels),
-    /// overriding the `APC_KERNEL_BACKEND` selection — both backends
-    /// produce bit-identical results, cycles and statistics; only host
-    /// wall time differs.
-    pub fn with_kernel_backend(mut self, backend: KernelBackend) -> Device {
-        self.backend = backend;
-        self
-    }
-
-    /// The structural-path [`KernelBackend`] in use (§IV-B kernels).
-    pub fn kernel_backend(&self) -> KernelBackend {
-        self.backend
     }
 
     /// The architecture configuration (§VII-A).
@@ -250,8 +234,7 @@ impl Device {
     /// Much slower than [`Device::mul`]; intended for calibration and
     /// observability runs, not application-scale workloads.
     pub fn mul_structural(&self, a: &Nat, b: &Nat) -> Nat {
-        let acc = crate::accelerator::Accelerator::with_backend(self.config.clone(), self.backend);
-        let out = acc.multiply(a, b);
+        let out = Accelerator::new(self.config.clone()).multiply(a, b);
         self.stats.record_stages(&out.stages, out.pe_passes, out.pe_slots);
         self.record(
             OpClass::Mul,
@@ -375,7 +358,6 @@ impl Device {
         let e = exp.bit_len().max(1);
         let mont_mul = 2 * self.mul_cycles(n, n);
         let cycles = e * mont_mul + (e / 4 + 1) * mont_mul;
-        self.record(OpClass::Div, 0, 0); // REDC bookkeeping rides on Div class ops count
         self.record(OpClass::Mul, cycles, (2 * n + e) / 8);
         r
     }
@@ -701,6 +683,49 @@ mod tests {
         let r = d.pow_mod(&Nat::from(2u64), &Nat::from(100u64), &m);
         assert_eq!(r.to_u64(), Some(976_371_285));
         assert!(d.stats().cycles > 0);
+    }
+
+    #[test]
+    fn every_operator_call_counts_as_one_op_of_its_class() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // ModExp is accounted as a multiplication (as `apc_serve::Job`
+        // classifies it); no operator may record a second, hidden op.
+        let d = Device::new_default();
+        let mut rng = StdRng::seed_from_u64(0x0B5C);
+        let mut calls = Vec::new();
+        for _ in 0..40 {
+            let a = Nat::random_exact_bits(rng.gen_range(64..2048), &mut rng);
+            let b = Nat::random_exact_bits(rng.gen_range(64..1024), &mut rng);
+            let class = match rng.gen_range(0..4u32) {
+                0 => {
+                    assert_eq!(d.mul(&a, &b), &a * &b);
+                    OpClass::Mul
+                }
+                1 => {
+                    let (q, r) = d.divrem(&a, &b);
+                    assert_eq!(&(&q * &b) + &r, a);
+                    OpClass::Div
+                }
+                2 => {
+                    let (s, r) = d.sqrt_rem(&a);
+                    assert_eq!(&(&s * &s) + &r, a);
+                    OpClass::Sqrt
+                }
+                _ => {
+                    let modulus = b.with_bit(0, true);
+                    let exp = Nat::random_exact_bits(64, &mut rng);
+                    let _ = d.pow_mod(&a, &exp, &modulus);
+                    OpClass::Mul
+                }
+            };
+            calls.push(class);
+        }
+        let stats = d.stats();
+        for class in OpClass::ALL {
+            let made = calls.iter().filter(|&&c| c == class).count() as u64;
+            assert_eq!(stats.ops_for(class), made, "{}", class.name());
+        }
     }
 
     #[test]

@@ -8,7 +8,11 @@
 //! memoizes the per-block tables of [`crate::accelerator::Accelerator::
 //! multiply`] behind an operand digest, with `apc_sim::Lru` replacement.
 //!
-//! **The cache is host-side only.** Like the Sliced64 backend, it changes
+//! It serves only the Sliced64 engine; the Scalar engine is the §IV-B
+//! oracle and always regenerates. The (q, L) pair in the key already
+//! decides the engine, so the key carries no engine tag.
+//!
+//! **The cache is host-side only.** Like the Sliced64 engine, it changes
 //! which host instructions run, never the modeled machine: every executed
 //! PE pass still charges the full Fig. 9b pattern-generation bops to its
 //! tally (the hardware Converter streams on every pass), so cached and
@@ -16,17 +20,13 @@
 //! StageCycles`] and [`crate::bops::BopsTally`] — enforced by the tier-1
 //! `tests/cache_gate.rs`.
 //!
-//! Runtime control: the `APC_PATTERN_CACHE` environment variable seeds
-//! the switch (`off`/`0`/`false` disables; anything else — including
-//! unset — enables), `APC_PATTERN_CACHE_CAP` the entry capacity, and
-//! [`set_enabled`] flips it at runtime (tests compare both states in one
-//! process). Hit/miss/insert/eviction counters are recorded only while
+//! The cache starts enabled and holds at most 64 operands; [`set_enabled`]
+//! flips it at runtime (tests compare both states in one process).
+//! Hit/miss/insert/eviction counters are recorded only while
 //! `apc_trace::enabled()` is set — the observability layer's
 //! zero-perturbation contract extends to the cache: with tracing off the
 //! hot path performs no shared-cacheline writes.
 
-use crate::accelerator::KernelBackend;
-use crate::converter::Patterns;
 use apc_bignum::limb::Limb;
 use apc_sim::lru::Lru;
 use apc_trace::export::Metric;
@@ -34,32 +34,27 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-/// Per-block Converter tables for one operand under one (q, L, backend)
-/// configuration — the hoisted Fig. 9b outputs one [`crate::accelerator::
-/// Accelerator::multiply`] call replays across its output windows.
-///
-/// `None` marks an all-zero pattern block: the pass-skip predicate
-/// (§VII sparsity) never executes a pass on it, so no table exists —
-/// matching the uncached path, which never generates one either.
-#[derive(Debug)]
-pub enum BlockTables {
-    /// Scalar-backend tables: one [`Patterns`] (value + generation tally)
-    /// per non-zero block.
-    Scalar(Vec<Option<Patterns>>),
-    /// Sliced64-backend tables: per non-zero block, the 2^q pattern words
-    /// and the recorded generation bops (Fig. 9b reuse-tree cost).
-    Sliced(Vec<Option<(Vec<Limb>, u64)>>),
-}
+/// Per-block Sliced64 Converter tables for one operand: the 2^q pattern
+/// words and the recorded generation bops of each pattern block, or
+/// `None` for an all-zero block (the pass-skip predicate, §VII sparsity,
+/// never executes a pass on it, so no table exists — matching the
+/// uncached path, which never generates one either).
+pub type PatternTables = Vec<Option<(Vec<Limb>, u64)>>;
+
+/// Entry capacity in operands — sized for serving working sets (a few
+/// tenants' moduli/bases), not for unbounded churn.
+const CAPACITY: usize = 64;
 
 /// One resident cache entry: the digest's key material (verified on every
 /// hit — a digest collision must never alias two operands, bit-exactness
-/// is the §IV-B contract) plus the shared tables.
+/// is the §IV-B contract) plus the shared tables — the hoisted Fig. 9b
+/// outputs one [`crate::accelerator::Accelerator::multiply`] call replays
+/// across its output windows.
 struct Entry {
     q: u32,
     limb_bits: u32,
-    backend: KernelBackend,
     operand: Vec<Limb>,
-    tables: Arc<BlockTables>,
+    tables: Arc<PatternTables>,
 }
 
 struct CacheInner {
@@ -110,55 +105,30 @@ fn record(counter: &AtomicU64) {
     }
 }
 
-/// The process-wide cache switch. Seeded once from `APC_PATTERN_CACHE`;
-/// Acquire/Release because the flag gates whether lookups touch the
-/// shared table state at all (L12: this is a gate, not a statistic).
-fn switch() -> &'static AtomicBool {
-    static CACHE_SWITCH: OnceLock<AtomicBool> = OnceLock::new();
-    CACHE_SWITCH.get_or_init(|| {
-        let on = !matches!(
-            std::env::var("APC_PATTERN_CACHE")
-                .map(|v| v.to_ascii_lowercase())
-                .as_deref(),
-            Ok("off") | Ok("0") | Ok("false")
-        );
-        AtomicBool::new(on)
-    })
-}
+/// The process-wide cache switch, enabled at start. Acquire/Release
+/// because the flag gates whether lookups touch the shared table state at
+/// all (L12: this is a gate, not a statistic).
+static CACHE_SWITCH: AtomicBool = AtomicBool::new(true);
 
 /// Whether [`fetch_or_build`] consults the shared cache (Fig. 8 reuse
 /// across invocations) or rebuilds unconditionally.
 pub fn enabled() -> bool {
-    switch().load(Ordering::Acquire)
+    CACHE_SWITCH.load(Ordering::Acquire)
 }
 
-/// Flips the cache switch at runtime (overrides the `APC_PATTERN_CACHE`
-/// seed). Used by the tier-1 gates to compare cached and uncached runs
-/// of the same Fig. 9a workload within one process.
+/// Flips the cache switch at runtime. Used by the tier-1 gates to compare
+/// cached and uncached runs of the same Fig. 9a workload within one
+/// process.
 pub fn set_enabled(on: bool) {
-    switch().store(on, Ordering::Release);
-}
-
-/// Entry capacity: `APC_PATTERN_CACHE_CAP` (≥ 1), default 64 operands —
-/// sized for serving working sets (a few tenants' moduli/bases), not for
-/// unbounded churn.
-fn capacity() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("APC_PATTERN_CACHE_CAP")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&c| c >= 1)
-            .unwrap_or(64)
-    })
+    CACHE_SWITCH.store(on, Ordering::Release);
 }
 
 fn cache() -> &'static Mutex<CacheInner> {
     static CACHE: OnceLock<Mutex<CacheInner>> = OnceLock::new();
     CACHE.get_or_init(|| {
         Mutex::new(CacheInner {
-            lru: Lru::new(capacity()),
-            entries: HashMap::with_capacity(capacity()),
+            lru: Lru::new(CAPACITY),
+            entries: HashMap::with_capacity(CAPACITY),
         })
     })
 }
@@ -169,11 +139,10 @@ fn lock_cache() -> std::sync::MutexGuard<'static, CacheInner> {
     cache().lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// FNV-1a 64-bit over the operand limbs and the (q, L, backend)
-/// configuration — the cache key. Collisions are tolerated (the entry
+/// FNV-1a 64-bit over the operand limbs and the (q, L) configuration — the cache key. Collisions are tolerated (the entry
 /// stores its key material and is verified on hit), they just cost a
 /// rebuild.
-fn digest(operand: &[Limb], q: u32, limb_bits: u32, backend: KernelBackend) -> u64 {
+fn digest(operand: &[Limb], q: u32, limb_bits: u32) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |word: u64| {
         for byte in word.to_le_bytes() {
@@ -187,24 +156,14 @@ fn digest(operand: &[Limb], q: u32, limb_bits: u32, backend: KernelBackend) -> u
     }
     mix(u64::from(q));
     mix(u64::from(limb_bits));
-    mix(match backend {
-        KernelBackend::Scalar => 1,
-        KernelBackend::Sliced64 => 2,
-    });
     h
 }
 
-fn entry_matches(
-    e: &Entry,
-    operand: &[Limb],
-    q: u32,
-    limb_bits: u32,
-    backend: KernelBackend,
-) -> bool {
-    e.q == q && e.limb_bits == limb_bits && e.backend == backend && e.operand == operand
+fn entry_matches(e: &Entry, operand: &[Limb], q: u32, limb_bits: u32) -> bool {
+    e.q == q && e.limb_bits == limb_bits && e.operand == operand
 }
 
-/// Looks up the per-block tables for `operand` under (q, L, backend),
+/// Looks up the per-block Sliced64 tables for `operand` under (q, L),
 /// generating and inserting them via `build` on a miss — the Fig. 8
 /// Converter output, reused across invocations like ARCHITECT reuses
 /// iterative-kernel state.
@@ -217,17 +176,16 @@ pub fn fetch_or_build(
     operand: &[Limb],
     q: u32,
     limb_bits: u32,
-    backend: KernelBackend,
-    build: impl FnOnce() -> BlockTables,
-) -> Arc<BlockTables> {
+    build: impl FnOnce() -> PatternTables,
+) -> Arc<PatternTables> {
     if !enabled() {
         return Arc::new(build());
     }
-    let key = digest(operand, q, limb_bits, backend);
+    let key = digest(operand, q, limb_bits);
     {
         let mut inner = lock_cache();
         if let Some(e) = inner.entries.get(&key) {
-            if entry_matches(e, operand, q, limb_bits, backend) {
+            if entry_matches(e, operand, q, limb_bits) {
                 let tables = Arc::clone(&e.tables);
                 inner.lru.touch(key);
                 record(&HITS);
@@ -244,7 +202,6 @@ pub fn fetch_or_build(
     let entry = Entry {
         q,
         limb_bits,
-        backend,
         operand: operand.to_vec(),
         tables: Arc::clone(&tables),
     };
@@ -270,7 +227,7 @@ pub fn fetch_or_build(
 pub fn clear() {
     let mut inner = lock_cache();
     inner.entries.clear();
-    inner.lru = Lru::new(capacity());
+    inner.lru = Lru::new(CAPACITY);
 }
 
 /// Resident entry count — one per cached Fig. 8 table set (the gates'
@@ -340,22 +297,9 @@ mod tests {
     fn digest_separates_configs_and_operands() {
         let a = [1u64, 2, 3];
         let b = [1u64, 2, 4];
-        assert_ne!(
-            digest(&a, 4, 32, KernelBackend::Sliced64),
-            digest(&b, 4, 32, KernelBackend::Sliced64)
-        );
-        assert_ne!(
-            digest(&a, 4, 32, KernelBackend::Sliced64),
-            digest(&a, 2, 32, KernelBackend::Sliced64)
-        );
-        assert_ne!(
-            digest(&a, 4, 32, KernelBackend::Sliced64),
-            digest(&a, 4, 16, KernelBackend::Sliced64)
-        );
-        assert_ne!(
-            digest(&a, 4, 32, KernelBackend::Sliced64),
-            digest(&a, 4, 32, KernelBackend::Scalar)
-        );
+        assert_ne!(digest(&a, 4, 32), digest(&b, 4, 32));
+        assert_ne!(digest(&a, 4, 32), digest(&a, 2, 32));
+        assert_ne!(digest(&a, 4, 32), digest(&a, 4, 16));
     }
 
     #[test]

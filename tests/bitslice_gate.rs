@@ -1,26 +1,20 @@
-//! Tier-1 gate: the Sliced64 kernel backend must be bit-identical to the
+//! Tier-1 gate: the structural multiply must be bit-identical to the
 //! Scalar oracle — results, cycle counts, stage attribution and bops
 //! tallies alike.
 //!
-//! The Sliced64 backend packs 64 bitflow steps into each host word op;
-//! nothing about the modeled machine may change. This gate drives the
-//! same randomized operands through both backends across a width sweep
-//! (including exact powers of two and their ±1 neighbours, where limb
-//! decomposition boundaries live) and over every operator MPApca builds
-//! on the structural path, then compares the full `DeviceStats`
-//! snapshots field for field.
+//! `Accelerator::multiply` runs the Sliced64 engine whenever the
+//! configuration fits its envelope, packing 64 bitflow steps into each
+//! host word op; nothing about the modeled machine may change. This gate
+//! drives the same randomized operands through `multiply` and the §IV-B
+//! reference `multiply_scalar` across a width sweep (including exact
+//! powers of two and their ±1 neighbours, where limb decomposition
+//! boundaries live) and compares every `RunOutcome` field.
 
 use apc_bignum::Nat;
-use cambricon_p::{ArchConfig, Device, KernelBackend};
+use cambricon_p::accelerator::{Accelerator, RunOutcome};
+use cambricon_p::{ArchConfig, KernelBackend};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-fn device_pair(config: &ArchConfig) -> (Device, Device) {
-    (
-        Device::new(config.clone()).with_kernel_backend(KernelBackend::Scalar),
-        Device::new(config.clone()).with_kernel_backend(KernelBackend::Sliced64),
-    )
-}
 
 /// Operand widths around every power-of-two boundary in the interesting
 /// range, plus a few odd sizes that leave partial final limbs.
@@ -31,6 +25,45 @@ fn width_sweep() -> Vec<u64> {
         widths.extend([b - 1, b, b + 1]);
     }
     widths
+}
+
+/// Asserts that two structural runs agree on every modeled output.
+fn assert_identical(got: &RunOutcome, oracle: &RunOutcome, what: &str) {
+    assert_eq!(got.product, oracle.product, "product diverged: {what}");
+    assert_eq!(got.cycles, oracle.cycles, "cycles diverged: {what}");
+    assert_eq!(got.pe_passes, oracle.pe_passes, "pe_passes diverged: {what}");
+    assert_eq!(got.tally, oracle.tally, "tally diverged: {what}");
+    assert_eq!(got.stages, oracle.stages, "stages diverged: {what}");
+    assert_eq!(got.pe_slots, oracle.pe_slots, "pe_slots diverged: {what}");
+}
+
+/// Sweeps `acc` over every width (plus zero and one) and checks
+/// `multiply` against `multiply_scalar` and the software oracle.
+fn sweep_against_oracle(acc: &Accelerator, rng: &mut StdRng) {
+    let q = acc.config().q;
+    let l = acc.config().limb_bits;
+    let mut pairs: Vec<(Nat, Nat)> = width_sweep()
+        .into_iter()
+        .map(|bits| {
+            (
+                Nat::random_exact_bits(bits, rng),
+                Nat::random_exact_bits(bits.max(2) - 1, rng),
+            )
+        })
+        .collect();
+    // Zero and one still go through the structural path.
+    for special in [Nat::zero(), Nat::one()] {
+        pairs.push((Nat::random_exact_bits(257, rng), special));
+    }
+    let mut converter_cycles = 0;
+    for (a, b) in &pairs {
+        let what = format!("{} x {} bits (q={q}, L={l})", a.bit_len(), b.bit_len());
+        let got = acc.multiply(a, b);
+        assert_identical(&got, &acc.multiply_scalar(a, b), &what);
+        assert_eq!(got.product, a * b, "must match the software oracle: {what}");
+        converter_cycles += got.stages.converter;
+    }
+    assert!(converter_cycles > 0, "the sweep did real work");
 }
 
 #[test]
@@ -53,69 +86,20 @@ fn sliced_mul_structural_matches_scalar_bit_for_bit() {
             ..ArchConfig::default()
         },
     ] {
-        let (scalar, sliced) = device_pair(&cfg);
-        for bits in width_sweep() {
-            let a = Nat::random_exact_bits(bits, &mut rng);
-            let b = Nat::random_exact_bits(bits.max(2) - 1, &mut rng);
-            let ps = scalar.mul_structural(&a, &b);
-            let pv = sliced.mul_structural(&a, &b);
-            assert_eq!(pv, ps, "product diverged at {bits} bits (q={})", cfg.q);
-            assert_eq!(pv, &a * &b, "both backends must match the oracle");
-        }
-        // Zero and one still go through the structural path.
-        for special in [Nat::zero(), Nat::one()] {
-            let x = Nat::random_exact_bits(257, &mut rng);
-            assert_eq!(
-                scalar.mul_structural(&x, &special),
-                sliced.mul_structural(&x, &special)
-            );
-        }
-        let s = scalar.stats();
-        let v = sliced.stats();
-        assert_eq!(
-            s, v,
-            "DeviceStats snapshots must be identical (cycles, stages, pe slots, bops)"
-        );
-        assert_eq!(s.stage_cycles, v.stage_cycles);
-        assert!(s.stage_cycles.converter > 0, "the sweep did real work");
+        let acc = Accelerator::new(cfg);
+        assert_eq!(acc.effective_backend(), KernelBackend::Sliced64);
+        sweep_against_oracle(&acc, &mut rng);
     }
-}
-
-#[test]
-fn sliced_derived_operators_match_scalar() {
-    // Div / Sqrt / ModExp build on the same device arithmetic; their
-    // results and accounted cycles must not depend on the backend.
-    let mut rng = StdRng::seed_from_u64(0x5EED_CAFE);
-    let (scalar, sliced) = device_pair(&ArchConfig::default());
-    for bits in [255u64, 256, 257, 1024, 4095] {
-        let a = Nat::random_exact_bits(2 * bits, &mut rng);
-        let b = Nat::random_exact_bits(bits, &mut rng);
-        assert_eq!(scalar.divrem(&a, &b), sliced.divrem(&a, &b), "div {bits}");
-        assert_eq!(scalar.sqrt_rem(&a), sliced.sqrt_rem(&a), "sqrt {bits}");
-        let modulus = Nat::random_exact_bits(bits, &mut rng).with_bit(0, true);
-        let exp = Nat::random_exact_bits(64, &mut rng);
-        assert_eq!(
-            scalar.pow_mod(&b, &exp, &modulus),
-            sliced.pow_mod(&b, &exp, &modulus),
-            "pow_mod {bits}"
-        );
-    }
-    assert_eq!(scalar.stats(), sliced.stats());
 }
 
 #[test]
 fn unsupported_envelope_is_still_exact() {
     // L = 64 with q = 4 exceeds the one-word pattern envelope: the
-    // Sliced64 request must fall back to Scalar and stay bit-exact.
-    let cfg = ArchConfig {
+    // configuration selects the Scalar engine and stays bit-exact.
+    let acc = Accelerator::new(ArchConfig {
         limb_bits: 64,
         ..ArchConfig::default()
-    };
-    assert!(!KernelBackend::Sliced64.supports(&cfg));
-    let (scalar, sliced) = device_pair(&cfg);
-    let mut rng = StdRng::seed_from_u64(7);
-    let a = Nat::random_exact_bits(4096, &mut rng);
-    let b = Nat::random_exact_bits(4097, &mut rng);
-    assert_eq!(scalar.mul_structural(&a, &b), sliced.mul_structural(&a, &b));
-    assert_eq!(scalar.stats(), sliced.stats());
+    });
+    assert_eq!(acc.effective_backend(), KernelBackend::Scalar);
+    sweep_against_oracle(&acc, &mut StdRng::seed_from_u64(7));
 }

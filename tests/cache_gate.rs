@@ -3,11 +3,11 @@
 //!
 //! Three contracts:
 //!
-//! 1. **Cache transparency** — repeated-operand workloads must be
-//!    bit-identical with the cache on and off, across both kernel
-//!    backends: same products, same `DeviceStats` (cycles, stage
-//!    attribution, bops, PE passes). The cache is host-side only, like
-//!    the Sliced64 backend; it must never leak into the modeled machine.
+//! 1. **Cache transparency** — repeated-operand workloads on the cached
+//!    (Sliced64) engine must be bit-identical with the cache on and off:
+//!    same products, same `DeviceStats` (cycles, stage attribution, bops,
+//!    PE passes). The cache is host-side only, like the Sliced64 engine;
+//!    it must never leak into the modeled machine.
 //! 2. **LRU consistency under concurrent submit** — hammering the cache
 //!    from many threads with more distinct operands than its capacity
 //!    must keep the resident set bounded, keep the LRU and the entry map
@@ -21,7 +21,7 @@ use apc_bignum::Nat;
 use apc_serve::{Job, JobOutput, JobSpec, ServeConfig, ServeHandle};
 use cambricon_p::pattern_cache;
 use cambricon_p::stats::DeviceStats;
-use cambricon_p::{Device, KernelBackend};
+use cambricon_p::Device;
 use rand::{RngCore, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
@@ -67,9 +67,9 @@ fn random_nat(rng: &mut rand::rngs::StdRng, bits: u64) -> Nat {
 /// A fixed-modulus-style workload: few distinct left operands, many
 /// right operands — the shape the cache exists for. Returns everything
 /// the device computed, values and accounting alike.
-fn repeated_operand_workload(backend: KernelBackend, seed: u64) -> (Vec<Nat>, DeviceStats) {
+fn repeated_operand_workload(seed: u64) -> (Vec<Nat>, DeviceStats) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let device = Device::new_default().with_kernel_backend(backend);
+    let device = Device::new_default();
     let moduli: Vec<Nat> = [900u64, 2_100, 3_300]
         .iter()
         .map(|&bits| random_nat(&mut rng, bits))
@@ -85,37 +85,35 @@ fn repeated_operand_workload(backend: KernelBackend, seed: u64) -> (Vec<Nat>, De
 }
 
 #[test]
-fn cache_on_and_off_are_bit_identical_across_backends() {
-    for backend in [KernelBackend::Scalar, KernelBackend::Sliced64] {
-        let (cached_products, cached_stats, hits) = {
-            let _guard = CacheGuard::set(true);
-            let before = pattern_cache::counters();
-            let (p, s) = repeated_operand_workload(backend, 0xCAFE);
-            (p, s, pattern_cache::counters().hits - before.hits)
-        };
-        let (plain_products, plain_stats) = {
-            let _guard = CacheGuard::set(false);
-            repeated_operand_workload(backend, 0xCAFE)
-        };
-        assert_eq!(
-            cached_products, plain_products,
-            "{backend:?}: products must not depend on the cache"
-        );
-        assert_eq!(
-            cached_stats, plain_stats,
-            "{backend:?}: the modeled machine must not see the cache"
-        );
-        // The workload repeats 3 operands over 12 calls: at least the 9
-        // non-cold lookups must have hit, or the cache did nothing.
-        assert!(hits >= 9, "{backend:?}: expected >= 9 hits, saw {hits}");
-    }
+fn cache_on_and_off_are_bit_identical() {
+    let (cached_products, cached_stats, hits) = {
+        let _guard = CacheGuard::set(true);
+        let before = pattern_cache::counters();
+        let (p, s) = repeated_operand_workload(0xCAFE);
+        (p, s, pattern_cache::counters().hits - before.hits)
+    };
+    let (plain_products, plain_stats) = {
+        let _guard = CacheGuard::set(false);
+        repeated_operand_workload(0xCAFE)
+    };
+    assert_eq!(
+        cached_products, plain_products,
+        "products must not depend on the cache"
+    );
+    assert_eq!(
+        cached_stats, plain_stats,
+        "the modeled machine must not see the cache"
+    );
+    // The workload repeats 3 operands over 12 calls: at least the 9
+    // non-cold lookups must have hit, or the cache did nothing.
+    assert!(hits >= 9, "expected >= 9 hits, saw {hits}");
 }
 
 #[test]
 fn cache_disabled_touches_no_shared_state() {
     let _guard = CacheGuard::set(false);
     let before = pattern_cache::counters();
-    let (products, _) = repeated_operand_workload(KernelBackend::Sliced64, 0xD15);
+    let (products, _) = repeated_operand_workload(0xD15);
     assert!(!products.is_empty());
     assert_eq!(
         pattern_cache::counters(),
@@ -137,8 +135,8 @@ fn concurrent_submitters_evict_without_corrupting_the_lru() {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(0xE71C + t);
                 let device = Device::new_default();
                 for _ in 0..per_thread {
-                    // Every operand distinct: with capacity 64 (default)
-                    // and 180 inserts, replacement must happen.
+                    // Every operand distinct: with capacity 64 and 180
+                    // inserts, replacement must happen.
                     let a = random_nat(&mut rng, 600);
                     let b = random_nat(&mut rng, 500);
                     assert_eq!(device.mul_structural(&a, &b), &a * &b);
