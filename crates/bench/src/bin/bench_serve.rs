@@ -6,9 +6,9 @@
 //! submits a job and waits for its report before submitting the next, so
 //! offered load scales with the client count. At 1 client the service
 //! degenerates to serial one-job-at-a-time operation (every batch holds
-//! one job — the baseline); at higher client counts the scheduler forms
-//! real batches and the per-batch handoff (condvar wake + rendezvous +
-//! worker wake) amortizes across the batch. The paper's §VII utilization
+//! one job — the baseline); at higher client counts the free worker forms
+//! real batches and the per-batch cost (channel wake + source lock +
+//! batch formation) amortizes across the batch. The paper's §VII utilization
 //! argument, transplanted to the host: group compatible work so the
 //! compute resources spend their time computing, not synchronizing.
 //!
@@ -47,7 +47,7 @@ struct LoadPoint {
     max_queue_depth: usize,
     // Service-side span histograms (apc-trace, ns / cycle domain), so
     // the JSON carries queue-wait and service p50/p99 as seen by the
-    // scheduler rather than only the client-observed round trip.
+    // service rather than only the client-observed round trip.
     metrics: MetricsSnapshot,
 }
 

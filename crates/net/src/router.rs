@@ -7,8 +7,8 @@
 //! (the power-of-two ceiling of its widest operand) onto a ring of
 //! virtual nodes, so:
 //!
-//! - capacity scales horizontally — every shard owns its own queue,
-//!   scheduler, and worker devices;
+//! - capacity scales horizontally — every shard owns its own queue and
+//!   worker devices;
 //! - *repeated operand shapes land on the same shard*, which is the
 //!   affinity a future BIPS pattern cache needs (same-shaped operands
 //!   re-hit the shard whose devices already hold their bit patterns);

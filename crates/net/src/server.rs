@@ -111,6 +111,17 @@ struct Shared<B: NetBackend> {
     request_cap: u64,
 }
 
+impl<B: NetBackend> Shared<B> {
+    /// The one metric list both [`NetServer::export_metrics`] and the
+    /// `GET /metrics` scrape render.
+    fn export_metrics(&self) -> Vec<Metric> {
+        let mut out = self.metrics.export_metrics();
+        out.extend(self.backend.export_backend_metrics());
+        out.extend(cambricon_p::pattern_cache::export_metrics());
+        out
+    }
+}
+
 /// A running network front-end. Dropping the server without calling
 /// [`NetServer::shutdown`] shuts it down (and drains) via `Drop`.
 pub struct NetServer<B: NetBackend + Send + Sync + 'static> {
@@ -176,10 +187,7 @@ impl<B: NetBackend + Send + Sync + 'static> NetServer<B> {
     /// model's pattern-table cache counters — exactly what a
     /// `GET /metrics` scrape renders.
     pub fn export_metrics(&self) -> Vec<Metric> {
-        let mut out = self.shared.metrics.export_metrics();
-        out.extend(self.shared.backend.export_backend_metrics());
-        out.extend(cambricon_p::pattern_cache::export_metrics());
-        out
+        self.shared.export_metrics()
     }
 
     /// Graceful drain: stop accepting, finish every connection already
@@ -443,10 +451,7 @@ fn serve_http<B: NetBackend>(shared: &Shared<B>, stream: &mut TcpStream) {
     let path = line.split_whitespace().next().unwrap_or("");
     let (status, body) = if path == "/metrics" {
         bump(&shared.metrics.metrics_scrapes);
-        let mut metrics = shared.metrics.export_metrics();
-        metrics.extend(shared.backend.export_backend_metrics());
-        metrics.extend(cambricon_p::pattern_cache::export_metrics());
-        ("200 OK", to_prometheus(&metrics))
+        ("200 OK", to_prometheus(&shared.export_metrics()))
     } else {
         ("404 Not Found", String::from("not found\n"))
     };

@@ -70,7 +70,7 @@ impl Job {
         }
     }
 
-    /// Widest operand in bits — the value bucketed by the scheduler and
+    /// Widest operand in bits — the value the queue buckets by and
     /// checked against the admission ceiling.
     pub fn operand_bits(&self) -> u64 {
         match self {

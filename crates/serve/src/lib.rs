@@ -10,14 +10,15 @@
 //!   priority and deadline ([`JobSpec`]);
 //! - a **bounded submission queue** with explicit admission control —
 //!   rejections are typed ([`SubmitError`]), never a panic, never a
-//!   silent drop; admission is sharded and lock-free (per-bucket MPSC
-//!   channels plus an atomic capacity reservation — see the `queue`
-//!   module and DESIGN.md §"Admission and caching"), so submitters
-//!   never serialize on a queue-wide mutex;
-//! - a **batch-forming scheduler** that groups compatible jobs by
-//!   operand-bitwidth bucket and dispatches each batch to a pool of
-//!   worker-owned `Device`s (see DESIGN.md §"Serving layer" for how this
-//!   maps onto the paper's §VII utilization argument);
+//!   silent drop; admission is lock-free (one MPSC channel plus an
+//!   atomic capacity reservation — see the `queue` module and DESIGN.md
+//!   §"Admission and caching"), so submitters never serialize on a
+//!   queue-wide mutex;
+//! - **batching workers**: each worker owns a `Device`, and whichever
+//!   worker is free forms the next batch of compatible jobs (one
+//!   operand-bitwidth bucket) itself — there is no scheduler thread (see
+//!   DESIGN.md §"Serving layer" for how this maps onto the paper's §VII
+//!   utilization argument);
 //! - a **completion side**: every accepted job gets exactly one terminal
 //!   [`JobReport`] with its bit-exact result, queue wait, attributed
 //!   service cycles (snapshot/delta on the worker's device), and
@@ -50,13 +51,12 @@ pub mod error;
 pub mod job;
 pub mod metrics;
 mod queue;
-mod scheduler;
 mod worker;
 
 pub use error::{ConfigError, ServeError, SubmitError};
 pub use job::{DeadlineOutcome, Job, JobId, JobOutput, JobReport, JobSpec};
 pub use metrics::{MetricsSnapshot, ServeMetrics};
-pub use scheduler::SchedPolicy;
+pub use queue::SchedPolicy;
 
 use cambricon_p::{ArchConfig, Device};
 use queue::{JobQueue, Pending};
@@ -100,16 +100,12 @@ impl Default for ServeConfig {
     }
 }
 
-struct Lifecycle {
-    threads: Vec<thread::JoinHandle<()>>,
-}
-
 struct Inner {
     queue: Arc<JobQueue>,
     metrics: Arc<ServeMetrics>,
     arch: ArchConfig,
     next_id: AtomicU64,
-    lifecycle: Mutex<Lifecycle>,
+    threads: Mutex<Vec<thread::JoinHandle<()>>>,
 }
 
 /// A cloneable handle to one running service instance. All clones share
@@ -150,10 +146,10 @@ impl JobTicket {
 }
 
 impl ServeHandle {
-    /// Starts the service: spawns the scheduler and `workers` device
-    /// workers (at least one). Degenerate configurations (zero queue
-    /// capacity, zero or inverted bucket range) are typed
-    /// [`ConfigError`]s, not silently clamped values.
+    /// Starts the service: spawns `workers` device workers (at least
+    /// one). Degenerate configurations (zero queue capacity, zero or
+    /// inverted bucket range) are typed [`ConfigError`]s, not silently
+    /// clamped values.
     pub fn try_start(config: ServeConfig) -> Result<ServeHandle, ConfigError> {
         let (queue, source) = JobQueue::with_source(
             config.queue_capacity,
@@ -161,43 +157,25 @@ impl ServeHandle {
             config.max_operand_bits,
         )?;
         let metrics = Arc::new(ServeMetrics::default());
-        // Ready-token dispatch: workers announce themselves on `ready`
-        // before blocking on `batch_rx`, and the scheduler forms a batch
-        // only after consuming a token — so batches form at the last
-        // possible moment, grow with the backlog, and urgency reordering
-        // stays possible until a worker can really take the work.
-        let (batch_tx, batch_rx) = mpsc::channel::<queue::Batch>();
-        let batch_rx = Arc::new(Mutex::new(batch_rx));
-        let (ready_tx, ready_rx) = mpsc::channel::<()>();
-        let mut threads = Vec::new();
-        for index in 0..config.workers.max(1) {
-            let device = Device::new(config.arch.clone());
-            let batch_rx = Arc::clone(&batch_rx);
-            let ready = ready_tx.clone();
-            let metrics = Arc::clone(&metrics);
-            threads.push(thread::spawn(move || {
-                worker::worker_loop(index, device, batch_rx, ready, metrics);
-            }));
-        }
-        // Only workers hold ready senders: when the pool unwinds, the
-        // scheduler's `ready.recv()` errors out instead of hanging.
-        drop(ready_tx);
-        {
-            let metrics = Arc::clone(&metrics);
-            let (batch_max, policy) = (config.batch_max, config.policy);
-            threads.push(thread::spawn(move || {
-                scheduler::scheduler_loop(
-                    source, batch_tx, ready_rx, batch_max, policy, metrics,
-                );
-            }));
-        }
+        let source = Arc::new(Mutex::new(source));
+        let threads = (0..config.workers.max(1))
+            .map(|index| {
+                let device = Device::new(config.arch.clone());
+                let source = Arc::clone(&source);
+                let metrics = Arc::clone(&metrics);
+                let (batch_max, policy) = (config.batch_max, config.policy);
+                thread::spawn(move || {
+                    worker::worker_loop(index, device, source, batch_max, policy, metrics);
+                })
+            })
+            .collect();
         Ok(ServeHandle {
             inner: Arc::new(Inner {
                 queue,
                 metrics,
                 arch: config.arch,
                 next_id: AtomicU64::new(0),
-                lifecycle: Mutex::new(Lifecycle { threads }),
+                threads: Mutex::new(threads),
             }),
         })
     }
@@ -266,22 +244,9 @@ impl ServeHandle {
 
     /// Graceful shutdown: stops admissions, drains every job already
     /// accepted (each still gets its terminal report), then joins the
-    /// scheduler and worker threads. Idempotent; any clone may call it.
+    /// worker threads. Idempotent; any clone may call it.
     pub fn shutdown(&self) {
-        self.inner.queue.begin_shutdown();
-        let threads = {
-            let mut lifecycle = self
-                .inner
-                .lifecycle
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            std::mem::take(&mut lifecycle.threads)
-        };
-        for t in threads {
-            // A worker that panicked already lost its jobs' reports;
-            // joining the others is still the right cleanup.
-            let _ = t.join();
-        }
+        self.inner.shutdown_and_join();
     }
 
     /// Whether shutdown has begun.
@@ -312,18 +277,24 @@ impl ServeHandle {
     }
 }
 
+impl Inner {
+    fn shutdown_and_join(&self) {
+        self.queue.begin_shutdown();
+        let threads =
+            std::mem::take(&mut *self.threads.lock().unwrap_or_else(PoisonError::into_inner));
+        for t in threads {
+            // A worker that panicked already lost its jobs' reports;
+            // joining the others is still the right cleanup.
+            let _ = t.join();
+        }
+    }
+}
+
 impl Drop for Inner {
     fn drop(&mut self) {
         // Last handle gone: drain and join so no thread outlives the
         // service (shutdown() already ran is fine — the vec is empty).
-        self.queue.begin_shutdown();
-        let threads = {
-            let mut lifecycle = self.lifecycle.lock().unwrap_or_else(PoisonError::into_inner);
-            std::mem::take(&mut lifecycle.threads)
-        };
-        for t in threads {
-            let _ = t.join();
-        }
+        self.shutdown_and_join();
     }
 }
 

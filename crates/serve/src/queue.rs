@@ -2,52 +2,60 @@
 //!
 //! Jobs are partitioned into power-of-two operand-bitwidth buckets at
 //! admission. Batches are always formed from a single bucket, so every
-//! batch a worker receives holds jobs of compatible size — the host-side
+//! batch a worker takes holds jobs of compatible size — the host-side
 //! analogue of packing same-shape work onto the PE array to keep the
 //! IPUs busy (the paper's §VII utilization argument; see DESIGN.md
 //! §"Serving layer" and §"Admission and caching").
 //!
-//! # Sharded, lock-free admission
+//! # One admission channel, lock-free on the submit side
 //!
-//! Admission never takes a lock. The queue is split into a submitter
-//! half ([`JobQueue`]) and a consumer half ([`BatchSource`]):
+//! The queue is split into a submitter half ([`JobQueue`]) and a
+//! consumer half ([`BatchSource`]):
 //!
-//! - Each bucket owns an `mpsc` channel. [`JobQueue::push`] resolves the
-//!   bucket, reserves capacity on a single shared [`AtomicUsize`], and
-//!   sends on that bucket's lock-free channel — submitters on different
-//!   buckets never touch the same cacheline beyond the two counters, and
-//!   submitters on the *same* bucket contend only the channel's internal
-//!   segment queue, never a `Mutex` protecting every bucket at once.
-//! - The scheduler thread exclusively owns the [`BatchSource`]: the
-//!   channel receivers plus per-bucket staging deques it drains them
-//!   into. Policy reordering (deadline-aware scans) happens on the
-//!   staged side with no lock at all, because nobody else can see it.
+//! - [`JobQueue::push`] resolves the bucket, reserves capacity on a
+//!   single shared [`AtomicUsize`], and sends an [`Admission::Job`] on
+//!   the one `mpsc` channel. Submitters never take a lock.
+//! - The workers share the [`BatchSource`] behind a mutex: the channel's
+//!   receiver plus per-bucket staging deques it drains into. The worker
+//!   holding the lock forms its own batch under the configured policy,
+//!   so a batch is formed only when a worker is free to run it — it
+//!   grows with the backlog and stays reorderable until pickup.
 //!
 //! The capacity bound and the shutdown flag use a SeqCst reserve /
 //! re-check protocol (Dekker-style store-load fencing): `push` increments
 //! `queued` *then* re-loads `shutdown`, while [`JobQueue::begin_shutdown`]
-//! stores `shutdown` *before* the scheduler's drain loop reads `queued`.
-//! In the SeqCst total order one side always observes the other, so a job
-//! is either rejected with [`SubmitError::Shutdown`] or visible to the
-//! drain — never silently leaked between the two.
+//! stores `shutdown` *before* the drain reads `queued`. In the SeqCst
+//! total order one side always observes the other, so a job is either
+//! rejected with [`SubmitError::Shutdown`] or visible to the drain —
+//! never silently leaked between the two.
 //!
-//! The condvar is now only a **sleep gate** ([`SleepGate`], the
-//! `vendor/rayon` registry idiom): an atomic event counter that
-//! submitters bump, with a mutex+condvar the scheduler parks on only
-//! after a snapshot-scan-recheck sequence proves nothing changed. The
-//! uncontended push path is two atomic RMWs and a channel send. All
-//! waiting is condvar-based; the scheduler never sleep-polls (lint rule
-//! L7 enforces this for the whole crate) — the 10 ms `wait_timeout` is a
-//! bounded fallback, not a poll, and fires only while parked idle.
+//! Once shutdown has begun, every reservation ends in exactly one
+//! message: the job itself, or an [`Admission::Wake`] when it is rolled
+//! back (QueueFull or Shutdown). `begin_shutdown` sends a `Wake` too.
+//! So the consumer can block in a plain `recv()` whenever the drain is
+//! not finished: whatever it is waiting for is already in the channel or
+//! about to be. Rollbacks before shutdown send nothing, because no
+//! consumer waits on them (see `JobQueue::roll_back`). No wait is timed
+//! (lint rule L7 enforces this for the whole crate).
 
 use crate::error::{ConfigError, SubmitError};
 use crate::job::{Job, JobReport, JobSpec};
-use crate::scheduler::SchedPolicy;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{Receiver, Sender};
+use std::sync::Arc;
+use std::time::Instant;
+
+/// Batch-formation policy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SchedPolicy {
+    /// Strict submission order (within and across buckets).
+    #[default]
+    Fifo,
+    /// Earliest deadline first, then priority, then submission order.
+    /// Jobs without deadlines run after jobs with them.
+    DeadlineAware,
+}
 
 /// One accepted job waiting for dispatch.
 #[derive(Debug)]
@@ -66,7 +74,17 @@ pub(crate) struct Pending {
     pub reporter: Sender<JobReport>,
 }
 
-/// A dispatched unit of work: jobs from one bitwidth bucket.
+/// One message on the admission channel.
+#[derive(Debug)]
+pub(crate) enum Admission {
+    /// An admitted job and the index of its bucket.
+    Job(usize, Pending),
+    /// A state change with no job attached (a rolled-back reservation or
+    /// shutdown): the consumer rechecks whether the drain is finished.
+    Wake,
+}
+
+/// A unit of work for one worker: jobs from one bitwidth bucket.
 #[derive(Debug)]
 pub(crate) struct Batch {
     /// The bucket ceiling (bits) the jobs were grouped under.
@@ -79,78 +97,16 @@ pub(crate) struct Batch {
     pub form_ns: u64,
 }
 
-/// The scheduler's parking spot: an event counter submitters bump
-/// lock-free, plus a condvar the scheduler parks on only when a
-/// snapshot/scan/recheck proves no event arrived. The mutex is touched
-/// by notifiers only while a sleeper is actually parked (`sleepers > 0`),
-/// so the hot push path never serializes on it — the same structure as
-/// the vendored rayon registry's sleep module.
-struct SleepGate {
-    /// Bumped on every queue state change (push, rollback, shutdown).
-    events: AtomicU64,
-    /// Parked-scheduler count (0 or 1); notifiers skip the mutex at 0.
-    sleepers: AtomicUsize,
-    lock: Mutex<()>,
-    wake: Condvar,
-}
-
-/// Bounded fallback for the one unavoidable park/notify race window; the
-/// gate is correct without it, this just caps the cost of being wrong.
-const GATE_FALLBACK: Duration = Duration::from_millis(10);
-
-impl SleepGate {
-    fn new() -> SleepGate {
-        SleepGate {
-            events: AtomicU64::new(0),
-            sleepers: AtomicUsize::new(0),
-            lock: Mutex::new(()),
-            wake: Condvar::new(),
-        }
-    }
-
-    /// The event count *before* a scan: sleep only if still unchanged.
-    fn snapshot(&self) -> u64 {
-        self.events.load(Ordering::SeqCst)
-    }
-
-    /// Announces a state change. Lock-free unless the scheduler is
-    /// parked; then the mutex acquisition serializes with the sleeper's
-    /// check-then-wait so the notify cannot slip into that gap.
-    fn notify(&self) {
-        self.events.fetch_add(1, Ordering::SeqCst);
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            drop(self.lock.lock().unwrap_or_else(PoisonError::into_inner));
-            self.wake.notify_all();
-        }
-    }
-
-    /// Parks until an event arrives, unless one already did since
-    /// `snapshot` was taken (in which case this returns immediately).
-    fn sleep_if_unchanged(&self, snapshot: u64) {
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
-        let guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
-        if self.events.load(Ordering::SeqCst) == snapshot {
-            let _ = self
-                .wake
-                .wait_timeout(guard, GATE_FALLBACK)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
 /// The submitter half: bucket resolution, capacity reservation, and the
-/// per-bucket lock-free channels. Shared by every [`crate::ServeHandle`]
-/// clone; `push` is safe from any number of threads concurrently.
+/// admission channel. Shared by every [`crate::ServeHandle`] clone;
+/// `push` is safe from any number of threads concurrently.
 pub(crate) struct JobQueue {
     capacity: usize,
     bucket_ceilings: Vec<u64>,
-    /// One lock-free channel sender per bucket, indexed like `bucket_ceilings`.
-    senders: Vec<Sender<Pending>>,
+    sender: Sender<Admission>,
     /// Jobs reserved but not yet batched (in flight + channel + staged).
     queued: AtomicUsize,
     shutdown: AtomicBool,
-    gate: SleepGate,
 }
 
 impl JobQueue {
@@ -201,24 +157,16 @@ impl JobQueue {
         // Saturation can only ever repeat the top rung; drop duplicates
         // so every bucket ceiling is distinct.
         ceilings.dedup();
-        let mut senders = Vec::with_capacity(ceilings.len());
-        let mut receivers = Vec::with_capacity(ceilings.len());
-        let mut staged = Vec::with_capacity(ceilings.len());
-        for _ in &ceilings {
-            let (tx, rx) = std::sync::mpsc::channel();
-            senders.push(tx);
-            receivers.push(rx);
-            staged.push(VecDeque::with_capacity(capacity));
-        }
+        let staged = ceilings.iter().map(|_| VecDeque::with_capacity(capacity)).collect();
+        let (sender, receiver) = std::sync::mpsc::channel();
         let queue = Arc::new(JobQueue {
             capacity,
             bucket_ceilings: ceilings,
-            senders,
+            sender,
             queued: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
-            gate: SleepGate::new(),
         });
-        let source = BatchSource { queue: Arc::clone(&queue), receivers, staged };
+        let source = BatchSource { queue: Arc::clone(&queue), receiver, staged };
         Ok((queue, source))
     }
 
@@ -241,8 +189,7 @@ impl JobQueue {
     }
 
     /// Admits one job or explains why not. Never blocks, never drops,
-    /// never locks: reserve capacity, re-check shutdown, send on the
-    /// bucket channel.
+    /// never locks: reserve capacity, re-check shutdown, send.
     pub fn push(&self, pending: Pending) -> Result<usize, SubmitError> {
         let bits = pending.job.operand_bits();
         let Some(idx) = self.bucket_ceilings.iter().position(|&c| bits <= c) else {
@@ -259,30 +206,39 @@ impl JobQueue {
         // past `capacity`.
         let prev = self.queued.fetch_add(1, Ordering::SeqCst);
         if prev >= self.capacity {
-            self.queued.fetch_sub(1, Ordering::SeqCst);
-            self.gate.notify(); // a drain waiting on `queued` must recheck
+            self.roll_back();
             return Err(SubmitError::QueueFull { capacity: self.capacity });
         }
         // Dekker re-check: `begin_shutdown` stored the flag before the
-        // drain loop reads `queued`, and we incremented `queued` before
-        // this load. Under SeqCst one of the two orders holds, so either
-        // we see the flag here (and roll back) or the drain sees our
+        // drain reads `queued`, and we incremented `queued` before this
+        // load. Under SeqCst one of the two orders holds, so either we
+        // see the flag here (and roll back) or the drain sees our
         // reservation (and waits for the send below).
         if self.shutdown.load(Ordering::SeqCst) {
-            self.queued.fetch_sub(1, Ordering::SeqCst);
-            self.gate.notify();
+            self.roll_back();
             return Err(SubmitError::Shutdown);
         }
-        let depth = prev + 1;
-        if self.senders[idx].send(pending).is_err() {
-            // Receiver gone: the scheduler thread died (panic unwound the
+        if self.sender.send(Admission::Job(idx, pending)).is_err() {
+            // Receiver gone: every worker died (a panic unwound the
             // BatchSource). Nothing can execute this job any more.
             self.queued.fetch_sub(1, Ordering::SeqCst);
-            self.gate.notify();
             return Err(SubmitError::Shutdown);
         }
-        self.gate.notify();
-        Ok(depth)
+        Ok(prev + 1)
+    }
+
+    /// Releases a reservation that will send no job. A consumer blocks
+    /// on a live reservation only after loading `shutdown == true` and
+    /// then seeing the reservation in `queued`; both loads precede this
+    /// `fetch_sub` in the SeqCst order, so the `shutdown` load below sees
+    /// `true` and the `Wake` wakes it to recheck. Before shutdown nobody
+    /// waits on a rollback, and sending nothing keeps a QueueFull flood
+    /// from piling messages into the channel while every worker is busy.
+    fn roll_back(&self) {
+        self.queued.fetch_sub(1, Ordering::SeqCst);
+        if self.shutdown.load(Ordering::SeqCst) {
+            let _ = self.sender.send(Admission::Wake);
+        }
     }
 
     /// Current queued (not yet dispatched) job count.
@@ -290,11 +246,11 @@ impl JobQueue {
         self.queued.load(Ordering::SeqCst)
     }
 
-    /// Flags shutdown: no new admissions; the scheduler drains what is
+    /// Flags shutdown: no new admissions; the workers drain what is
     /// already queued.
     pub fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        self.gate.notify();
+        let _ = self.sender.send(Admission::Wake);
     }
 
     /// Whether shutdown has begun.
@@ -303,40 +259,28 @@ impl JobQueue {
     }
 }
 
-/// The consumer half: owned exclusively by the scheduler thread, so
-/// staging and policy reordering need no lock of any kind.
+/// The consumer half, shared by the workers behind a mutex: whichever
+/// worker holds it forms the next batch.
 pub(crate) struct BatchSource {
     queue: Arc<JobQueue>,
-    /// One channel receiver per bucket, indexed like the ceilings.
-    receivers: Vec<Receiver<Pending>>,
-    /// Per-bucket staging deques the channels drain into; reordering
+    receiver: Receiver<Admission>,
+    /// Per-bucket staging deques the channel drains into; reordering
     /// (deadline-aware scans) happens here.
     staged: Vec<VecDeque<Pending>>,
 }
 
 impl BatchSource {
-    /// Moves everything currently in the channels into the staging
-    /// deques, where the policy can see (and reorder) it.
-    fn drain_channels(&mut self) {
-        for (rx, dq) in self.receivers.iter().zip(self.staged.iter_mut()) {
-            loop {
-                match rx.try_recv() {
-                    Ok(p) => dq.push_back(p),
-                    Err(TryRecvError::Empty | TryRecvError::Disconnected) => break,
-                }
-            }
+    fn stage(&mut self, admission: Admission) {
+        if let Admission::Job(idx, pending) = admission {
+            self.staged[idx].push_back(pending);
         }
     }
 
     /// Blocks until a batch can be formed, and forms it. Returns `None`
     /// only when the queue is shut down **and** fully drained — the
-    /// scheduler's termination signal.
+    /// worker's termination signal.
     pub fn next_batch(&mut self, batch_max: usize, policy: SchedPolicy) -> Option<Batch> {
         loop {
-            // Snapshot strictly before the scan: any push that the scan
-            // misses bumped the counter after this read, so the gate
-            // refuses to park and we rescan instead.
-            let snapshot = self.queue.gate.snapshot();
             if let Some(batch) = self.pop_batch(batch_max, policy) {
                 return Some(batch);
             }
@@ -348,12 +292,18 @@ impl BatchSource {
             {
                 return None;
             }
-            self.queue.gate.sleep_if_unchanged(snapshot);
+            // Not finished, so a message is coming: the pending shutdown
+            // `Wake`, or the job or `Wake` of a live reservation. The
+            // queue holds the sender, so the channel never disconnects.
+            match self.receiver.recv() {
+                Ok(admission) => self.stage(admission),
+                Err(_) => return None,
+            }
         }
     }
 
     /// Non-blocking batch formation: `None` when nothing is staged or in
-    /// the channels (the empty tick — scheduling work only exists when
+    /// the channel (the empty tick — scheduling work only exists when
     /// jobs do).
     #[cfg(test)]
     pub fn try_next_batch(&mut self, batch_max: usize, policy: SchedPolicy) -> Option<Batch> {
@@ -363,7 +313,9 @@ impl BatchSource {
     fn pop_batch(&mut self, batch_max: usize, policy: SchedPolicy) -> Option<Batch> {
         let batch_max = batch_max.max(1);
         let form_started = Instant::now();
-        self.drain_channels();
+        while let Ok(admission) = self.receiver.try_recv() {
+            self.stage(admission);
+        }
         // Pick the bucket whose best pending job is globally most urgent.
         let mut best: Option<(usize, usize)> = None; // (bucket, index within)
         for (b, dq) in self.staged.iter().enumerate() {
@@ -468,7 +420,7 @@ fn more_urgent(a: &Pending, b: &Pending, policy: SchedPolicy) -> bool {
 mod tests {
     use super::*;
     use apc_bignum::Nat;
-    use std::sync::mpsc;
+    use std::sync::{mpsc, Mutex, PoisonError};
     use std::thread;
     use std::time::Duration;
 
@@ -568,6 +520,22 @@ mod tests {
     }
 
     #[test]
+    fn rollbacks_send_a_wake_only_after_shutdown() {
+        // A QueueFull flood before shutdown must leave nothing behind in
+        // the channel, or a pinned worker lets it grow without bound.
+        let (q, src) = JobQueue::with_source(2, 64, 4096).expect("valid queue config");
+        let mut rxs = Vec::new();
+        for id in 0..1000 {
+            let (p, rx) = pending(id, 100);
+            let _ = q.push(p);
+            rxs.push(rx);
+        }
+        assert_eq!(src.receiver.try_iter().count(), 2, "only the two admitted jobs");
+        q.begin_shutdown();
+        assert!(matches!(src.receiver.try_iter().collect::<Vec<_>>()[..], [Admission::Wake]));
+    }
+
+    #[test]
     fn batches_never_mix_buckets() {
         let (q, mut src) = JobQueue::with_source(8, 64, 4096).expect("valid queue config");
         let mut rxs = Vec::new();
@@ -610,7 +578,7 @@ mod tests {
     #[test]
     fn steady_state_at_capacity_never_reallocates_bucket_queues() {
         // The Lru full-capacity-reservation idiom, applied to the
-        // scheduler's staging deques: churn the queue at its configured
+        // batch source's staging deques: churn the queue at its configured
         // capacity and assert no deque ever regrows.
         let capacity = 64;
         let (q, mut src) = JobQueue::with_source(capacity, 64, 1 << 16).expect("valid config");

@@ -1,52 +1,48 @@
 //! The worker pool: one `cambricon_p::Device` handle per worker.
 //!
-//! Workers announce themselves on the ready channel, pull whole batches
-//! from the dispatch channel, and execute their jobs back to back — the
-//! per-batch handoff cost (channel, mutex, thread wake) is paid once per
-//! batch instead of once per job, which is where the serving layer's
-//! throughput win over one-job-at-a-time submission comes from. The
-//! ready token is sent *before* blocking on dispatch, so the scheduler
-//! can defer batch formation until a worker can really take it (see the
-//! scheduler module docs for why that ordering is the whole batching
-//! story). Per-job service cycles are attributed with the snapshot/delta
-//! stats API on the worker's own device, so concurrent tenants never
-//! blur each other's accounting.
+//! There is no scheduler thread. The workers share the queue's
+//! [`BatchSource`] behind a mutex (the leader/follower pattern): a free
+//! worker takes the lock, forms a single-bucket batch under the
+//! configured policy — blocking on the admission channel if nothing is
+//! staged — then releases the lock and executes the batch back to back
+//! while the next free worker leads. A batch is therefore formed only
+//! when a worker can run it at once, so jobs keep accumulating (and stay
+//! reorderable) while every worker is busy, and batch size grows with
+//! offered load. Per-job service cycles are attributed with the
+//! snapshot/delta stats API on the worker's own device, so concurrent
+//! tenants never blur each other's accounting.
 
 use crate::job::{DeadlineOutcome, JobId, JobReport};
 use crate::metrics::ServeMetrics;
-use crate::queue::Batch;
+use crate::queue::{BatchSource, SchedPolicy};
 use cambricon_p::Device;
-use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-/// Runs until the dispatch channel closes (scheduler exit).
+/// Runs until the queue is shut down and fully drained.
 pub(crate) fn worker_loop(
     index: usize,
     device: Device,
-    dispatch: Arc<Mutex<Receiver<Batch>>>,
-    ready: Sender<()>,
+    source: Arc<Mutex<BatchSource>>,
+    batch_max: usize,
+    policy: SchedPolicy,
     metrics: Arc<ServeMetrics>,
 ) {
     let cycle_seconds = device.config().cycle_seconds();
     loop {
-        // Tell the scheduler a worker is about to block on dispatch; it
-        // holds batch formation until it has consumed such a token.
-        if ready.send(()).is_err() {
-            return; // scheduler gone (panic): nothing will ever arrive
-        }
-        // Hold the receiver lock only for the blocking receive; execution
-        // happens with the channel free for the other workers.
-        let batch = {
-            let rx = dispatch.lock().unwrap_or_else(PoisonError::into_inner);
-            rx.recv()
+        // Hold the lock only while forming the batch; execution happens
+        // with the source free for the next worker.
+        let batch = source
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .next_batch(batch_max, policy);
+        let Some(batch) = batch else {
+            return; // shutdown and fully drained
         };
-        let Ok(batch) = batch else {
-            return; // channel closed: graceful pool unwind
-        };
+        metrics.record_batch(batch.jobs.len(), batch.form_ns);
         let picked_up_at = Instant::now();
-        // Dispatch-wait span: batch formation to worker pickup (the
-        // rendezvous handoff cost the batching design amortizes per batch).
+        // Dispatch-wait span: batch formation to pickup by this same
+        // worker, so it measures only the lock release and metrics call.
         metrics.record_dispatch_wait(apc_trace::span::duration_ns(
             picked_up_at.saturating_duration_since(batch.formed_at),
         ));

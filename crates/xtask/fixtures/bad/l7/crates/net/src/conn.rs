@@ -3,7 +3,9 @@
 //! worker waits on the accept channel or on a socket read timeout,
 //! never on a timer.
 
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::Receiver;
 use std::time::Duration;
 
 /// Shutdown-polling by timer instead of by read timeout: the trap.
@@ -17,6 +19,16 @@ pub fn wait_for_drain(flag: &AtomicBool) {
 pub fn reconnect_backoff() {
     use std::thread;
     thread::sleep(Duration::from_millis(100));
+}
+
+/// Waiting on the accept channel against a deadline is a timed wait.
+pub fn next_conn(rx: &Receiver<TcpStream>) -> Option<TcpStream> {
+    rx.recv_timeout(Duration::from_millis(50)).ok()
+}
+
+/// A socket read timeout is the drain poll, not a timer: legal.
+pub fn arm_drain_poll(stream: &TcpStream) -> std::io::Result<()> {
+    stream.set_read_timeout(Some(Duration::from_millis(50)))
 }
 
 /// Justified waits are allowed.

@@ -1,6 +1,8 @@
-//! Sleep-polling traps: L7 must flag `thread::sleep` on serving paths.
+//! Sleep-polling traps: L7 must flag `thread::sleep` and timed waits
+//! on serving paths.
 
 use std::sync::mpsc::Receiver;
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 /// The classic poll loop: wakes on a timer instead of the event.
@@ -17,6 +19,13 @@ pub fn poll_for_work(rx: &Receiver<u64>) -> u64 {
 pub fn backoff() {
     use std::thread;
     thread::sleep(Duration::from_micros(50));
+}
+
+/// A condvar park with a timed fallback turns a lost wakeup into
+/// latency instead of a failure: the same trap, one level down.
+pub fn park_with_fallback(lock: &Mutex<bool>, wake: &Condvar) {
+    let guard = lock.lock().unwrap_or_else(PoisonError::into_inner);
+    let _ = wake.wait_timeout(guard, Duration::from_millis(10));
 }
 
 /// Justified waits are allowed.

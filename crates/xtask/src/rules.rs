@@ -365,18 +365,22 @@ pub fn l6_no_interior_mutability_in_pub_structs(file: &SourceFile) -> Vec<Violat
     out
 }
 
-/// L7: no `thread::sleep` on library paths in `crates/serve` or
-/// `crates/net`. The serving layer is event-driven end to end:
-/// submitters signal a condvar, the scheduler blocks on it, workers
-/// block on the dispatch channel. The network layer is the same —
-/// connection workers block on the accept channel or on a socket read
-/// whose *timeout* is the drain poll. A sleep on any of these paths is
-/// a latency floor and a busy-poll in disguise — the scheduler would
-/// either oversleep a ready batch or spin the (single) CPU the workers
-/// need. Tests may sleep; library code blocks on the event that
-/// actually changes state, or justifies itself with
-/// `// apc-lint: allow(L7) -- <reason>`.
+/// L7: no `thread::sleep` and no timed wait (`wait_timeout`,
+/// `wait_timeout_while`, `recv_timeout`, `park_timeout`) on library
+/// paths in `crates/serve` or `crates/net`. The serving layer is
+/// event-driven end to end: submitters send on the admission channel,
+/// and the worker forming a batch blocks in a plain `recv`. The network
+/// layer is the same — connection workers block on the accept channel
+/// or on a socket read whose *timeout* is the drain poll (socket
+/// `set_read_timeout` is a different token and stays legal). A sleep
+/// on any of these paths is a latency floor and a busy-poll in
+/// disguise, and a timed wait is a fallback that turns a lost wakeup
+/// into latency instead of a failure. Tests may sleep and time out;
+/// library code blocks on the event that actually changes state, or
+/// justifies itself with `// apc-lint: allow(L7) -- <reason>`.
 pub fn l7_no_sleep_in_serve(file: &SourceFile) -> Vec<Violation> {
+    const TIMED: [&str; 5] =
+        ["thread::sleep", "wait_timeout", "wait_timeout_while", "recv_timeout", "park_timeout"];
     let rel = &file.rel_path;
     let in_scope = (rel.starts_with("crates/serve/src/") || rel.starts_with("crates/net/src/"))
         && !rel.contains("/bin/");
@@ -386,17 +390,19 @@ pub fn l7_no_sleep_in_serve(file: &SourceFile) -> Vec<Violation> {
     let mut out = Vec::new();
     for (idx, code) in file.code_lines.iter().enumerate() {
         let line_no = idx + 1;
-        if file.test_lines[idx] {
+        if file.test_lines[idx] || file.allowed(RuleId::L7, line_no) {
             continue;
         }
-        if contains_token(code, "thread::sleep") && !file.allowed(RuleId::L7, line_no) {
+        if let Some(token) = TIMED.iter().find(|t| contains_token(code, t)) {
             out.push(violation(
                 RuleId::L7,
                 rel,
                 line_no,
-                "`thread::sleep` on a serving-layer library path — block on the \
-                 condvar/channel that signals the state change instead, or add \
-                 `// apc-lint: allow(L7) -- <reason>`",
+                format!(
+                    "`{token}` on a serving-layer library path — block on the \
+                     channel or condvar that signals the state change, with no \
+                     timeout, or add `// apc-lint: allow(L7) -- <reason>`"
+                ),
             ));
         }
     }

@@ -1,7 +1,7 @@
-//! Tier-1 gate for the pattern-table cache and the sharded admission
-//! queue (DESIGN.md §"Admission and caching").
+//! Tier-1 gate for the pattern-table cache (DESIGN.md §"Admission and
+//! caching").
 //!
-//! Three contracts:
+//! Two contracts:
 //!
 //! 1. **Cache transparency** — repeated-operand workloads on the cached
 //!    (Sliced64) engine must be bit-identical with the cache on and off:
@@ -13,18 +13,16 @@
 //!    must keep the resident set bounded, keep the LRU and the entry map
 //!    shadowing each other, evict (not wedge), and never corrupt a
 //!    result.
-//! 3. **MPSC conservation** — with submitters racing a mid-stream
-//!    shutdown, every job the sharded queue admitted completes with
-//!    exactly one terminal report; no job leaks, none reports twice.
+//!
+//! The sharded admission queue's conservation test lives in
+//! `tests/serve_gate.rs`.
 
 use apc_bignum::Nat;
-use apc_serve::{Job, JobOutput, JobSpec, ServeConfig, ServeHandle};
 use cambricon_p::pattern_cache;
 use cambricon_p::stats::DeviceStats;
 use cambricon_p::Device;
 use rand::{RngCore, SeedableRng};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread;
 
 /// Serializes the tests in this binary that toggle or inspect the
@@ -152,73 +150,4 @@ fn concurrent_submitters_evict_without_corrupting_the_lru() {
         delta_evictions > 0,
         "180 distinct operands through a 64-entry cache must evict"
     );
-}
-
-#[test]
-fn sharded_queue_conserves_every_job_across_shutdown() {
-    let serve = ServeHandle::start(ServeConfig {
-        queue_capacity: 64,
-        workers: 3,
-        batch_max: 8,
-        ..ServeConfig::default()
-    });
-    let submitters = 6u64;
-    let per_thread = 60u64;
-    // Submitters pause at the halfway barrier; the shutdown thread fires
-    // there, so roughly half the submissions race the drain.
-    let barrier = Arc::new(Barrier::new(submitters as usize + 1));
-    let reported = AtomicU64::new(0);
-    let admitted_total = AtomicU64::new(0);
-    thread::scope(|s| {
-        for t in 0..submitters {
-            let serve = serve.clone();
-            let barrier = Arc::clone(&barrier);
-            let reported = &reported;
-            let admitted_total = &admitted_total;
-            s.spawn(move || {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EED + t);
-                let mut tickets = Vec::new();
-                for i in 0..per_thread {
-                    if i == per_thread / 2 {
-                        barrier.wait();
-                    }
-                    let a = random_nat(&mut rng, 300 + (i % 7) * 150);
-                    let b = random_nat(&mut rng, 250);
-                    match serve.submit(Job::Mul { a, b }, JobSpec::default()) {
-                        Ok(ticket) => tickets.push(ticket),
-                        // Backpressure and the shutdown race are the
-                        // point of the test, not failures.
-                        Err(_) => {}
-                    }
-                }
-                admitted_total.fetch_add(tickets.len() as u64, Ordering::Relaxed);
-                for ticket in tickets {
-                    let report = ticket
-                        .wait()
-                        .expect("every admitted job must report, shutdown included");
-                    assert!(matches!(report.output, JobOutput::Product(_)));
-                    reported.fetch_add(1, Ordering::Relaxed);
-                }
-            });
-        }
-        {
-            let serve = serve.clone();
-            let barrier = Arc::clone(&barrier);
-            s.spawn(move || {
-                barrier.wait();
-                serve.shutdown();
-            });
-        }
-    });
-    let m = serve.metrics();
-    let admitted = admitted_total.load(Ordering::Relaxed);
-    assert!(admitted > 0, "some jobs must have been admitted");
-    assert_eq!(m.submitted, admitted, "metrics admit count matches tickets");
-    assert_eq!(m.completed, admitted, "every admitted job completed");
-    assert_eq!(
-        reported.load(Ordering::Relaxed),
-        admitted,
-        "every admitted job delivered exactly one report"
-    );
-    assert_eq!(serve.queue_depth(), 0, "nothing left staged after drain");
 }
