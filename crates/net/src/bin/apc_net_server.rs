@@ -90,7 +90,7 @@ fn main() -> ExitCode {
         workers.max(1),
         server.local_addr(),
     );
-    // Serve until killed; accept/worker threads do all the work.
+    // Serve until killed; the connection workers do all the work.
     loop {
         std::thread::park();
     }

@@ -15,17 +15,18 @@
 //!   ModExp}`, per-tenant hello/auth, and a typed status byte mapping
 //!   every [`apc_serve::SubmitError`] variant exhaustively (adding a
 //!   variant fails this crate's compile until a code is assigned);
-//! - [`NetServer`]: an accept-loop listener over a configurable
-//!   connection-worker pool, with fail-closed bounded frame reads
-//!   (caps derived from the backend's `max_operand_bits`), admission
-//!   through the backend, graceful drain on shutdown, and a minimal
-//!   `GET /metrics` Prometheus responder on the same port;
+//! - [`NetServer`]: a fixed pool of connection workers, each accepting
+//!   its own connections on a clone of the listener, with fail-closed
+//!   bounded frame reads (caps derived from the backend's
+//!   `max_operand_bits`), admission through the backend, a graceful
+//!   drain that closes read halves rather than polling a timeout, and
+//!   a minimal `GET /metrics` Prometheus responder on the same port;
 //! - [`NetClient`]: a blocking client with connect/request timeouts
 //!   and typed [`NetError`];
 //! - [`Router`]: N `Device`-backed `ServeHandle` shards behind an
 //!   FNV-1a consistent-hash ring keyed on the operand's power-of-two
-//!   bucket, so repeated operand shapes keep landing on the same shard
-//!   (the affinity a future BIPS pattern cache will exploit).
+//!   bucket, so repeated operand shapes keep landing on the same shard;
+//!   `Router::start(1, ..)` is the single-device deployment.
 //!
 //! Results over the wire are **bit-identical** to direct `Device`
 //! execution: the wire carries exact limbs both ways and the serving
@@ -67,13 +68,12 @@ pub use router::Router;
 pub use server::{NetServer, NetServerConfig, ServerError};
 pub use wire::{Rejection, WireError, WireStatus};
 
-use apc_serve::{Job, JobReport, JobSpec, ServeError, ServeHandle};
+use apc_serve::{Job, JobReport, JobSpec, ServeError};
 use apc_trace::export::Metric;
 
 /// What [`NetServer`] needs from the thing it fronts. Implemented by
-/// [`ServeHandle`] (one service instance) and [`Router`] (a
-/// consistent-hash shard set), so the same listener serves both
-/// single-device and multi-device deployments.
+/// [`Router`], which serves a single device as a one-shard set
+/// (`Router::start(1, ..)`) and several as a consistent-hash ring.
 pub trait NetBackend {
     /// Routes/submits one job and blocks for its terminal report.
     fn submit_wait(&self, job: Job, spec: JobSpec) -> Result<JobReport, ServeError>;
@@ -89,22 +89,4 @@ pub trait NetBackend {
     /// Drains and stops the backend (called once the listener has
     /// finished every accepted connection).
     fn shutdown(&self);
-}
-
-impl NetBackend for ServeHandle {
-    fn submit_wait(&self, job: Job, spec: JobSpec) -> Result<JobReport, ServeError> {
-        ServeHandle::submit_wait(self, job, spec)
-    }
-
-    fn max_operand_bits(&self) -> u64 {
-        ServeHandle::max_operand_bits(self)
-    }
-
-    fn export_backend_metrics(&self) -> Vec<Metric> {
-        self.metrics().export_metrics()
-    }
-
-    fn shutdown(&self) {
-        ServeHandle::shutdown(self);
-    }
 }

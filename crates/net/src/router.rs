@@ -9,9 +9,8 @@
 //!
 //! - capacity scales horizontally — every shard owns its own queue and
 //!   worker devices;
-//! - *repeated operand shapes land on the same shard*, which is the
-//!   affinity a future BIPS pattern cache needs (same-shaped operands
-//!   re-hit the shard whose devices already hold their bit patterns);
+//! - repeated operand shapes land on the same shard, so each shard's
+//!   queue sees the same buckets and batches them together;
 //! - adding or removing a shard remaps only the ring arcs it owned,
 //!   not the whole keyspace (the classic consistent-hashing property);
 //! - a shard whose service has shut down is evicted from the ring at

@@ -1,58 +1,54 @@
-//! `NetServer`: a small poll-loop TCP listener in front of a
-//! [`NetBackend`] (a single [`apc_serve::ServeHandle`] or a
-//! [`crate::Router`] of them).
+//! `NetServer`: a blocking TCP listener in front of a [`NetBackend`]
+//! (a [`crate::Router`] of serving shards).
 //!
-//! Threading model — one accept thread plus a fixed pool of connection
-//! workers, coupled by a bounded channel:
+//! Threading model — a fixed pool of connection workers, each blocked
+//! in `accept` on its own clone of the listener; no accept thread and
+//! no hand-off channel:
 //!
 //! ```text
-//! accept thread ── bounded sync_channel ──▶ conn worker × N
-//!      │                                        │
-//!      │ (shutdown: flag + self-connect poke)   │ handle_conn:
-//!      ▼                                        │   preamble sniff
-//!   joins, drops the sender; workers drain      │   hello / auth
-//!   queued connections then exit                │   request loop
+//! listener ──try_clone──▶ conn worker × N    each: accept → publish a
+//!                              │             clone in its slot →
+//!                              │             re-check the flag →
+//!                              ▼             handle_conn → clear slot
+//!                         handle_conn: preamble sniff, hello / auth,
+//!                         request loop (wire::read_frame, bounded)
 //! ```
 //!
-//! Drain semantics: [`NetServer::shutdown`] stores the gate flag
-//! (`Release`), pokes the blocking `accept` awake with a self-connect,
-//! and joins the accept thread — which drops the channel sender. Each
-//! worker finishes the connection it is on (an in-flight
-//! `submit_wait` runs to completion and its response is written),
-//! drains any connections already queued, then exits on the channel's
-//! disconnect. Only after every worker has exited does the backend
-//! itself shut down, so **no admitted job and no queued connection is
-//! ever dropped**. Idle connections notice shutdown at their next read
-//! timeout — the timeout *is* the poll loop; there is no sleep anywhere
-//! on this path (L7).
+//! A connection beyond the `N` being served waits in the kernel listen
+//! queue until a worker returns to `accept`.
+//!
+//! Drain semantics: [`NetServer::shutdown`] stores the gate flag, shuts
+//! the read half of every live connection (`Shutdown::Read`), and
+//! self-connects once per worker to wake blocked `accept`s. A read
+//! blocked anywhere in a frame or an HTTP head returns end-of-stream at
+//! once; the write half stays open, so an in-flight `submit_wait` runs
+//! to completion and its response is written before the connection
+//! ends. Only after every worker has exited (the port closes with the
+//! last listener clone) does the backend itself shut down, so **no
+//! admitted job is ever dropped**. There is no timer on this path (L7).
 
 use crate::metrics::{bump, NetMetrics};
 use crate::wire::{
-    self, Rejection, Response, ResponseBody, WireError, WireStatus, MAGIC, MAX_TOKEN_LEN,
+    self, FrameError, Rejection, Response, ResponseBody, WireError, WireStatus, MAGIC,
+    MAX_TOKEN_LEN,
 };
 use crate::NetBackend;
 use apc_serve::{JobSpec, ServeError};
 use apc_trace::export::{to_prometheus, Metric};
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Duration;
 
 /// Listener configuration.
 #[derive(Debug, Clone)]
 pub struct NetServerConfig {
-    /// Connection worker threads (each serves one connection at a time;
-    /// connections beyond `conn_workers + backlog` are refused with an
-    /// immediate close rather than queued unboundedly).
+    /// Connection worker threads. Each accepts and serves one
+    /// connection at a time; a connection beyond `conn_workers` waits in
+    /// the kernel listen queue until a worker is free.
     pub conn_workers: usize,
-    /// Bounded hand-off depth between accept and the workers.
-    pub backlog: usize,
-    /// Socket read timeout; doubles as the shutdown poll period for
-    /// idle connections.
-    pub read_timeout: Duration,
     /// Accepted tenant tokens. **Empty means reject everyone** — the
     /// fail-closed default; an open instance must opt in explicitly.
     pub tokens: Vec<Vec<u8>>,
@@ -62,8 +58,6 @@ impl Default for NetServerConfig {
     fn default() -> NetServerConfig {
         NetServerConfig {
             conn_workers: 4,
-            backlog: 32,
-            read_timeout: Duration::from_millis(50),
             tokens: Vec::new(),
         }
     }
@@ -108,6 +102,12 @@ struct Shared<B: NetBackend> {
     /// load, so a worker that observes `true` also observes everything
     /// the shutting-down thread wrote before it.
     shutdown: AtomicBool,
+    /// One slot per worker: a handle on the connection it is serving,
+    /// so `shutdown` can close its read half. A worker fills its slot
+    /// *before* it re-checks the gate and `shutdown` sets the gate
+    /// before it scans the slots, so the slot mutex orders the two:
+    /// either the worker sees the gate or the scan sees the connection.
+    live: Vec<Mutex<Option<TcpStream>>>,
     request_cap: u64,
 }
 
@@ -137,8 +137,8 @@ impl<B: NetBackend + Send + Sync + 'static> std::fmt::Debug for NetServer<B> {
 }
 
 impl<B: NetBackend + Send + Sync + 'static> NetServer<B> {
-    /// Binds `addr` and starts the accept thread and worker pool. Bind
-    /// to port 0 to let the OS choose (see [`NetServer::local_addr`]).
+    /// Binds `addr` and starts the connection workers. Bind to port 0 to
+    /// let the OS choose (see [`NetServer::local_addr`]).
     pub fn start(
         addr: impl ToSocketAddrs,
         backend: B,
@@ -149,27 +149,27 @@ impl<B: NetBackend + Send + Sync + 'static> NetServer<B> {
         }
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
+        let workers = config.conn_workers.max(1);
+        let mut listeners =
+            (1..workers).map(|_| listener.try_clone()).collect::<io::Result<Vec<_>>>()?;
+        listeners.push(listener);
         let request_cap = wire::request_frame_cap(backend.max_operand_bits());
         let shared = Arc::new(Shared {
             backend,
             metrics: NetMetrics::default(),
-            config: config.clone(),
+            config,
             shutdown: AtomicBool::new(false),
+            live: (0..workers).map(|_| Mutex::new(None)).collect(),
             request_cap,
         });
-
-        let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(config.backlog.max(1));
-        let rx = Arc::new(Mutex::new(rx));
-        let mut threads = Vec::with_capacity(config.conn_workers.max(1) + 1);
-        for _ in 0..config.conn_workers.max(1) {
-            let shared = Arc::clone(&shared);
-            let rx = Arc::clone(&rx);
-            threads.push(thread::spawn(move || conn_worker(&shared, &rx)));
-        }
-        {
-            let shared = Arc::clone(&shared);
-            threads.push(thread::spawn(move || accept_loop(&shared, &listener, &tx)));
-        }
+        let threads = listeners
+            .into_iter()
+            .enumerate()
+            .map(|(slot, listener)| {
+                let shared = Arc::clone(&shared);
+                thread::spawn(move || conn_worker(&shared, &listener, slot))
+            })
+            .collect();
         Ok(NetServer { shared, local_addr, threads: Mutex::new(threads) })
     }
 
@@ -190,16 +190,28 @@ impl<B: NetBackend + Send + Sync + 'static> NetServer<B> {
         self.shared.export_metrics()
     }
 
-    /// Graceful drain: stop accepting, finish every connection already
-    /// accepted or queued (in-flight jobs complete and their responses
-    /// are written), then shut the backend down. Idempotent.
+    /// Graceful drain: stop accepting, end every accepted connection
+    /// once the request it is serving (if any) has been answered, then
+    /// shut the backend down. Connections still in the listen queue are
+    /// closed unserved. Idempotent.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        // Poke the blocking accept() awake; if the listener is already
-        // gone the connect fails, which is equally fine.
-        let _ = TcpStream::connect_timeout(&self.local_addr, Duration::from_secs(1));
+        for slot in &self.shared.live {
+            if let Some(conn) = lock(slot).as_ref() {
+                // Wakes a read blocked anywhere in a frame with
+                // end-of-stream; the write half stays open for the
+                // response to a job already in flight.
+                let _ = conn.shutdown(Shutdown::Read);
+            }
+        }
+        // One poke per worker wakes every blocking accept(); a busy
+        // worker sees the gate when it returns instead. If the listener
+        // is already gone the connect fails, which is equally fine.
+        for _ in &self.shared.live {
+            let _ = TcpStream::connect_timeout(&self.local_addr, Duration::from_secs(1));
+        }
         let threads = {
-            let mut guard = self.threads.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut guard = lock(&self.threads);
             std::mem::take(&mut *guard)
         };
         for t in threads {
@@ -215,63 +227,41 @@ impl<B: NetBackend + Send + Sync + 'static> Drop for NetServer<B> {
     }
 }
 
-fn accept_loop<B: NetBackend>(shared: &Shared<B>, listener: &TcpListener, tx: &SyncSender<TcpStream>) {
-    loop {
-        let conn = listener.accept();
-        if shared.shutdown.load(Ordering::Acquire) {
-            // The connection (often our own poke) is dropped unserved;
-            // anything already sent to the workers still drains.
-            return;
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn conn_worker<B: NetBackend>(shared: &Shared<B>, listener: &TcpListener, slot: usize) {
+    let slot = &shared.live[slot];
+    while !shared.shutdown.load(Ordering::Acquire) {
+        // Transient accept failures (EMFILE, aborted handshake) and a
+        // connection whose handle cannot be published: keep listening;
+        // the loop exits only via the gate flag.
+        let Ok((stream, _)) = listener.accept() else { continue };
+        let Ok(handle) = stream.try_clone() else { continue };
+        *lock(slot) = Some(handle);
+        // Re-checked after the slot is filled (see `Shared::live`): a
+        // connection accepted once the drain began, often our own poke,
+        // is closed unserved.
+        if !shared.shutdown.load(Ordering::Acquire) {
+            bump(&shared.metrics.connections);
+            handle_conn(shared, stream);
         }
-        match conn {
-            Ok((stream, _)) => {
-                bump(&shared.metrics.connections);
-                match tx.try_send(stream) {
-                    Ok(()) => {}
-                    // Worker pool and backlog both full: refuse by
-                    // dropping (the peer sees a closed connection, the
-                    // typed path for "come back later" is QueueFull on
-                    // an accepted connection).
-                    Err(TrySendError::Full(dropped)) => drop(dropped),
-                    Err(TrySendError::Disconnected(_)) => return,
-                }
-            }
-            // Transient accept failures (EMFILE, aborted handshake):
-            // keep listening; the loop exits only via the gate flag.
-            Err(_) => {}
-        }
+        *lock(slot) = None;
     }
 }
 
-fn conn_worker<B: NetBackend>(shared: &Shared<B>, rx: &Arc<Mutex<Receiver<TcpStream>>>) {
-    loop {
-        let next = {
-            let guard = rx.lock().unwrap_or_else(PoisonError::into_inner);
-            guard.recv()
-        };
-        match next {
-            Ok(stream) => handle_conn(shared, stream),
-            // Sender dropped by the departing accept thread and the
-            // queue is drained: the pool is done.
-            Err(_) => return,
-        }
-    }
-}
-
-/// Bound for hello frames and the HTTP request head: far above any
-/// legal hello (version + kind + token), far below anything abusive.
+/// Bound for hello frames: far above any legal hello (version + kind +
+/// token), far below anything abusive.
 const HELLO_CAP: u64 = 4 + 2 + MAX_TOKEN_LEN as u64 + 64;
 
 fn handle_conn<B: NetBackend>(shared: &Shared<B>, mut stream: TcpStream) {
-    if stream.set_read_timeout(Some(shared.config.read_timeout)).is_err() {
-        return;
-    }
     // Responses are whole frames written once: waiting for a delayed
     // ACK before sending them would put a ~40ms floor under every
     // request, so Nagle is off.
     let _ = stream.set_nodelay(true);
     let mut preamble = [0u8; 4];
-    if read_full(shared, &mut stream, &mut preamble).is_err() {
+    if stream.read_exact(&mut preamble).is_err() {
         return;
     }
     if preamble == *b"GET " {
@@ -283,19 +273,15 @@ fn handle_conn<B: NetBackend>(shared: &Shared<B>, mut stream: TcpStream) {
         return;
     }
     // Hello / auth, checked before any operand bytes are accepted.
-    let hello = match read_frame_polling(shared, &mut stream, HELLO_CAP) {
-        Ok(Some(payload)) => {
-            bump(&shared.metrics.frames_in);
-            match wire::decode_hello(&payload) {
-                Ok(h) => h,
-                Err(e) => {
-                    bump(&shared.metrics.decode_errors);
-                    respond(shared, &mut stream, 0, ResponseBody::Failed(status_for_decode(&e)));
-                    return;
-                }
-            }
+    let Some(payload) = read_frame(shared, &mut stream, HELLO_CAP) else { return };
+    bump(&shared.metrics.frames_in);
+    let hello = match wire::decode_hello(&payload) {
+        Ok(h) => h,
+        Err(e) => {
+            bump(&shared.metrics.decode_errors);
+            respond(shared, &mut stream, 0, ResponseBody::Failed(status_for_decode(&e)));
+            return;
         }
-        Ok(None) | Err(()) => return,
     };
     if !token_accepted(&shared.config.tokens, &hello.token) {
         bump(&shared.metrics.auth_rejects);
@@ -304,12 +290,12 @@ fn handle_conn<B: NetBackend>(shared: &Shared<B>, mut stream: TcpStream) {
     }
     respond(shared, &mut stream, 0, ResponseBody::Ack);
 
-    // Request loop: strictly in-order request/response.
-    loop {
-        let payload = match read_frame_polling(shared, &mut stream, shared.request_cap) {
-            Ok(Some(p)) => p,
-            Ok(None) | Err(()) => return,
-        };
+    // Request loop: strictly in-order request/response. It also ends
+    // on the gate, because a shut read half still delivers bytes the
+    // peer sends later: once the drain has begun, a peer that keeps
+    // sending is answered at most one more time.
+    while !shared.shutdown.load(Ordering::Acquire) {
+        let Some(payload) = read_frame(shared, &mut stream, shared.request_cap) else { return };
         bump(&shared.metrics.frames_in);
         let request = match wire::decode_request(&payload) {
             Ok(r) => r,
@@ -339,57 +325,24 @@ fn handle_conn<B: NetBackend>(shared: &Shared<B>, mut stream: TcpStream) {
     }
 }
 
-/// Reads exactly `buf.len()` bytes, riding out read timeouts until the
-/// shutdown gate is set. `Err(())` means the connection is done (peer
-/// gone, hard IO error, or drain).
-fn read_full<B: NetBackend>(
-    shared: &Shared<B>,
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-) -> Result<(), ()> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return Err(()),
-            Ok(n) => filled += n,
-            Err(e) if is_timeout(&e) => {
-                // Mid-frame timeouts only end the connection on drain;
-                // otherwise they are the poll tick (L7: no sleep).
-                if shared.shutdown.load(Ordering::Acquire) && filled == 0 {
-                    return Err(());
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return Err(()),
-        }
-    }
-    Ok(())
-}
-
-/// One bounded frame read with shutdown polling. `Ok(None)` = cleanly
-/// over (peer closed or drained while idle); `Err(())` = protocol
-/// violation already answered (oversized frame).
-fn read_frame_polling<B: NetBackend>(
+/// One bounded frame read. `None` means the connection is done: the
+/// peer closed or failed, the drain shut the read half, or the length
+/// prefix exceeded `cap` (answered here with `OversizedFrame`; the unread
+/// body would desynchronize framing, so the connection closes).
+fn read_frame<B: NetBackend>(
     shared: &Shared<B>,
     stream: &mut TcpStream,
     cap: u64,
-) -> Result<Option<Vec<u8>>, ()> {
-    let mut len_bytes = [0u8; 4];
-    if read_full(shared, stream, &mut len_bytes).is_err() {
-        return Ok(None);
+) -> Option<Vec<u8>> {
+    match wire::read_frame(stream, cap) {
+        Ok(payload) => Some(payload),
+        Err(FrameError::TooLarge { .. }) => {
+            bump(&shared.metrics.oversized_frames);
+            respond(shared, stream, 0, ResponseBody::Failed(WireStatus::OversizedFrame));
+            None
+        }
+        Err(FrameError::Io(_)) => None,
     }
-    let len = u64::from(u32::from_le_bytes(len_bytes));
-    if len > cap {
-        bump(&shared.metrics.oversized_frames);
-        respond(shared, stream, 0, ResponseBody::Failed(WireStatus::OversizedFrame));
-        // The unread body would desynchronize framing: close.
-        return Err(());
-    }
-    let mut payload = vec![0u8; len as usize];
-    if read_full(shared, stream, &mut payload).is_err() {
-        return Ok(None);
-    }
-    Ok(Some(payload))
 }
 
 fn respond<B: NetBackend>(
@@ -430,22 +383,17 @@ fn token_accepted(tokens: &[Vec<u8>], offered: &[u8]) -> bool {
 /// request head is read (bounded) up to its terminating blank line —
 /// consuming the whole head before closing, so the close is a clean
 /// FIN, not a reset triggered by unread bytes — and only the path is
-/// honoured.
+/// honoured. A head cut short (peer gone, or the drain shut the read
+/// half) gets no answer.
 fn serve_http<B: NetBackend>(shared: &Shared<B>, stream: &mut TcpStream) {
     const HEAD_CAP: usize = 4096;
     let mut head = Vec::with_capacity(256);
     let mut byte = [0u8; 1];
     while head.len() < HEAD_CAP && !head.ends_with(b"\r\n\r\n") && !head.ends_with(b"\n\n") {
-        match stream.read(&mut byte) {
-            Ok(1) => head.push(byte[0]),
-            Ok(_) => break,
-            Err(e) if is_timeout(&e) || e.kind() == io::ErrorKind::Interrupted => {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-            }
-            Err(_) => return,
+        if stream.read_exact(&mut byte).is_err() {
+            return;
         }
+        head.push(byte[0]);
     }
     let line = String::from_utf8_lossy(&head);
     let path = line.split_whitespace().next().unwrap_or("");
@@ -461,10 +409,6 @@ fn serve_http<B: NetBackend>(shared: &Shared<B>, stream: &mut TcpStream) {
         body.len()
     );
     let _ = stream.flush();
-}
-
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
 }
 
 #[cfg(test)]

@@ -394,10 +394,14 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// Writes one frame (length prefix + payload).
+/// Writes one frame (length prefix + payload) in a single `write_all`,
+/// so a frame on a `TCP_NODELAY` socket leaves as one segment rather
+/// than a 4-byte prefix segment followed by the payload.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 

@@ -1,14 +1,15 @@
 //! Sleep-polling traps on the network layer: L7 covers `crates/net`
 //! library paths the same way it covers `crates/serve` — a connection
-//! worker waits on the accept channel or on a socket read timeout,
-//! never on a timer.
+//! worker blocks in `accept` or in a plain socket read and is woken by
+//! the drain shutting its read half, never by a timer or a read
+//! timeout.
 
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Receiver;
 use std::time::Duration;
 
-/// Shutdown-polling by timer instead of by read timeout: the trap.
+/// Shutdown-polling by timer: the trap.
 pub fn wait_for_drain(flag: &AtomicBool) {
     while !flag.load(Ordering::Acquire) {
         std::thread::sleep(Duration::from_millis(5));
@@ -26,7 +27,7 @@ pub fn next_conn(rx: &Receiver<TcpStream>) -> Option<TcpStream> {
     rx.recv_timeout(Duration::from_millis(50)).ok()
 }
 
-/// A socket read timeout is the drain poll, not a timer: legal.
+/// A socket read timeout turns the drain into a poll: the same trap.
 pub fn arm_drain_poll(stream: &TcpStream) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(50)))
 }

@@ -365,22 +365,29 @@ pub fn l6_no_interior_mutability_in_pub_structs(file: &SourceFile) -> Vec<Violat
     out
 }
 
-/// L7: no `thread::sleep` and no timed wait (`wait_timeout`,
-/// `wait_timeout_while`, `recv_timeout`, `park_timeout`) on library
-/// paths in `crates/serve` or `crates/net`. The serving layer is
-/// event-driven end to end: submitters send on the admission channel,
-/// and the worker forming a batch blocks in a plain `recv`. The network
-/// layer is the same — connection workers block on the accept channel
-/// or on a socket read whose *timeout* is the drain poll (socket
-/// `set_read_timeout` is a different token and stays legal). A sleep
-/// on any of these paths is a latency floor and a busy-poll in
-/// disguise, and a timed wait is a fallback that turns a lost wakeup
-/// into latency instead of a failure. Tests may sleep and time out;
-/// library code blocks on the event that actually changes state, or
-/// justifies itself with `// apc-lint: allow(L7) -- <reason>`.
+/// L7: no `thread::sleep`, no timed wait (`wait_timeout`,
+/// `wait_timeout_while`, `recv_timeout`, `park_timeout`) and no socket
+/// `set_read_timeout` on library paths in `crates/serve` or
+/// `crates/net`. The serving layer is event-driven end to end:
+/// submitters send on the admission channel, and the worker forming a
+/// batch blocks in a plain `recv`. The network layer is the same —
+/// connection workers block in `accept` and in plain socket reads, and
+/// the drain wakes them by shutting read halves, so a read timeout
+/// there could only be a drain poll. A sleep on any of these paths is
+/// a latency floor and a busy-poll in disguise, and a timed wait is a
+/// fallback that turns a lost wakeup into latency instead of a failure.
+/// Tests may sleep and time out; library code blocks on the event that
+/// actually changes state, or justifies itself with
+/// `// apc-lint: allow(L7) -- <reason>`.
 pub fn l7_no_sleep_in_serve(file: &SourceFile) -> Vec<Violation> {
-    const TIMED: [&str; 5] =
-        ["thread::sleep", "wait_timeout", "wait_timeout_while", "recv_timeout", "park_timeout"];
+    const TIMED: [&str; 6] = [
+        "thread::sleep",
+        "wait_timeout",
+        "wait_timeout_while",
+        "recv_timeout",
+        "park_timeout",
+        "set_read_timeout",
+    ];
     let rel = &file.rel_path;
     let in_scope = (rel.starts_with("crates/serve/src/") || rel.starts_with("crates/net/src/"))
         && !rel.contains("/bin/");

@@ -1,6 +1,6 @@
 //! Tier-1 gate for the network layer (`apc-net`).
 //!
-//! Four contracts, each load-bearing for the off-box serving story:
+//! Six contracts, each load-bearing for the off-box serving story:
 //!
 //! 1. **Bit-exactness over the wire** — a randomized cross-bucket job
 //!    mix sent through `NetClient → NetServer → Router (2 shards)` must
@@ -15,16 +15,30 @@
 //! 4. **Graceful drain** — shutdown lets in-flight connections finish:
 //!    a request already accepted still receives its (bit-exact)
 //!    response, and only then does the listener go away.
+//! 5. **Drain never waits on a stalled peer** — shutdown finishes,
+//!    under a watchdog, while a peer sits idle, stalls after 2 of the 4
+//!    length-prefix bytes, or stalls mid-way through a `GET` head.
+//! 6. **Untrusted bytes fail typed** — a seeded fuzzer round-trips
+//!    valid hello/request/response frames and feeds mutated ones
+//!    (byte flips, truncation, lying length prefixes and limb counts)
+//!    through `read_frame` and the decoders, which must return typed
+//!    errors, never panic, never read past an over-cap prefix, and
+//!    never build a `Nat` wider than its payload.
 
 use apc_bignum::Nat;
+use apc_net::wire::{self, FrameError, Hello, Request, Response, ResponseBody};
 use apc_net::{
-    wire, NetClient, NetClientConfig, NetError, NetServer, NetServerConfig, Router, WireStatus,
+    NetClient, NetClientConfig, NetError, NetServer, NetServerConfig, Rejection, Router,
+    WireError, WireStatus,
 };
 use apc_serve::{Job, JobOutput, ServeConfig};
 use cambricon_p::Device;
+use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::mpsc;
+use std::time::Duration;
 
 const TOKEN: &[u8] = b"tenant-alpha";
 
@@ -196,4 +210,246 @@ fn shutdown_drains_in_flight_connections() {
         NetClient::connect(addr, &client_config()).is_err(),
         "listener survived shutdown"
     );
+}
+
+/// A raw connection that has passed the hello/auth handshake, so the
+/// server is blocked reading its first request frame.
+fn authenticated_peer(server: &NetServer<Router>) -> TcpStream {
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream.write_all(&wire::MAGIC).expect("preamble");
+    let hello = wire::encode_hello(&Hello { token: TOKEN.to_vec() });
+    wire::write_frame(&mut stream, &hello).expect("hello");
+    let ack = wire::read_frame(&mut stream, 1 << 16).expect("ack frame");
+    assert_eq!(wire::decode_response(&ack).expect("ack decodes").body, ResponseBody::Ack);
+    stream
+}
+
+/// Shuts `server` down on its own thread and fails, instead of hanging,
+/// if the drain has not finished within the watchdog's bound; then
+/// checks that `peer` was closed without an answer.
+fn drain_under_watchdog(server: NetServer<Router>, mut peer: TcpStream, state: &str) {
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        server.shutdown();
+        let _ = done_tx.send(());
+    });
+    assert!(
+        done_rx.recv_timeout(Duration::from_secs(20)).is_ok(),
+        "shutdown hung on a peer stalled {state}"
+    );
+    let mut rest = Vec::new();
+    let _ = peer.read_to_end(&mut rest);
+    assert!(rest.is_empty(), "a peer stalled {state} was answered during the drain");
+}
+
+#[test]
+fn shutdown_drains_past_a_peer_stalled_mid_length_prefix() {
+    let server = start_server(1);
+    let mut peer = authenticated_peer(&server);
+    peer.write_all(&64u32.to_le_bytes()[..2]).expect("half a prefix");
+    drain_under_watchdog(server, peer, "after 2 of the 4 prefix bytes");
+}
+
+#[test]
+fn shutdown_drains_past_a_peer_stalled_mid_http_head() {
+    let server = start_server(1);
+    let mut peer = TcpStream::connect(server.local_addr()).expect("connect");
+    peer.write_all(b"GET /metr").expect("partial head");
+    // Let the worker get into the head before the drain starts.
+    std::thread::sleep(Duration::from_millis(50));
+    drain_under_watchdog(server, peer, "mid-way through a GET head");
+}
+
+#[test]
+fn shutdown_drains_past_an_idle_peer() {
+    let server = start_server(1);
+    let peer = authenticated_peer(&server);
+    drain_under_watchdog(server, peer, "idle");
+}
+
+/// The fuzzer's frame-read cap: every valid frame it builds fits under
+/// it, most random length prefixes do not.
+const FUZZ_CAP: u64 = 4096;
+
+fn fuzz_nat(rng: &mut StdRng) -> Nat {
+    let limbs = rng.gen_range(0usize..6);
+    Nat::from_limbs((0..limbs).map(|_| rng.next_u64()).collect())
+}
+
+fn fuzz_bytes(rng: &mut StdRng, max: usize) -> Vec<u8> {
+    let mut out = vec![0u8; rng.gen_range(0..=max)];
+    rng.fill(&mut out);
+    out
+}
+
+/// A valid payload of one frame kind, checked to round-trip, plus the
+/// payload offsets of its `Nat` limb counts.
+fn valid_payload(rng: &mut StdRng) -> (Vec<u8>, Vec<usize>) {
+    // Byte offset of the first operand: version, kind, req_id, op or
+    // status (+ output kind for responses).
+    fn counts(first: usize, nats: &[&Nat]) -> Vec<usize> {
+        let mut at = first;
+        nats.iter()
+            .map(|n| {
+                let here = at;
+                at += 4 + 8 * n.limbs().len();
+                here
+            })
+            .collect()
+    }
+    match rng.gen_range(0u8..3) {
+        0 => {
+            let hello = Hello { token: fuzz_bytes(rng, wire::MAX_TOKEN_LEN) };
+            let payload = wire::encode_hello(&hello);
+            assert_eq!(wire::decode_hello(&payload).expect("valid hello"), hello);
+            (payload, Vec::new())
+        }
+        1 => {
+            let (a, b, c) = (fuzz_nat(rng), fuzz_nat(rng), fuzz_nat(rng));
+            let (job, nats) = match rng.gen_range(0u8..4) {
+                0 => (Job::Mul { a: a.clone(), b: b.clone() }, vec![&a, &b]),
+                1 => (Job::Div { a: a.clone(), b: b.clone() }, vec![&a, &b]),
+                2 => (Job::Sqrt { a: a.clone() }, vec![&a]),
+                _ => (
+                    Job::ModExp { base: a.clone(), exp: b.clone(), modulus: c.clone() },
+                    vec![&a, &b, &c],
+                ),
+            };
+            let request = Request { req_id: rng.next_u64(), job };
+            let payload = wire::encode_request(&request);
+            let decoded = wire::decode_request(&payload).expect("valid request");
+            assert_eq!(decoded.req_id, request.req_id);
+            // Job has no PartialEq; compare through the debug form.
+            assert_eq!(format!("{:?}", decoded.job), format!("{:?}", request.job));
+            (payload, counts(11, &nats))
+        }
+        _ => {
+            let (a, b) = (fuzz_nat(rng), fuzz_nat(rng));
+            let (body, nats) = match rng.gen_range(0u8..9) {
+                0 => (ResponseBody::Output(JobOutput::Product(a.clone())), vec![&a]),
+                1 => (
+                    ResponseBody::Output(JobOutput::DivRem {
+                        quotient: a.clone(),
+                        remainder: b.clone(),
+                    }),
+                    vec![&a, &b],
+                ),
+                2 => (
+                    ResponseBody::Output(JobOutput::SqrtRem {
+                        root: a.clone(),
+                        remainder: b.clone(),
+                    }),
+                    vec![&a, &b],
+                ),
+                3 => (ResponseBody::Output(JobOutput::PowMod(a.clone())), vec![&a]),
+                4 => (ResponseBody::Ack, Vec::new()),
+                5 => (
+                    ResponseBody::Rejected(Rejection::QueueFull { capacity: rng.next_u64() }),
+                    Vec::new(),
+                ),
+                6 => (
+                    ResponseBody::Rejected(Rejection::OversizedOperand {
+                        bits: rng.next_u64(),
+                        max_bits: rng.next_u64(),
+                    }),
+                    Vec::new(),
+                ),
+                7 => {
+                    let reason: String = (0..rng.gen_range(0usize..40))
+                        .map(|_| char::from(rng.gen_range(b' '..=b'~')))
+                        .collect();
+                    (ResponseBody::Rejected(Rejection::InvalidJob(reason)), Vec::new())
+                }
+                _ => (ResponseBody::Failed(WireStatus::MalformedFrame), Vec::new()),
+            };
+            let response = Response { req_id: rng.next_u64(), body };
+            let payload = wire::encode_response(&response);
+            assert_eq!(wire::decode_response(&payload).expect("valid response"), response);
+            (payload, counts(12, &nats))
+        }
+    }
+}
+
+/// Every decoder on `payload`: errors must be typed (a panic fails the
+/// test), and no decoded `Nat` may be wider than the payload carries.
+fn decode_all(payload: &[u8]) {
+    let limb_bound = payload.len() / 8;
+    let fits = |n: &Nat| assert!(n.limbs().len() <= limb_bound, "Nat wider than its payload");
+    let _: Result<Hello, WireError> = wire::decode_hello(payload);
+    if let Ok(request) = wire::decode_request(payload) {
+        match &request.job {
+            Job::Mul { a, b } | Job::Div { a, b } => {
+                fits(a);
+                fits(b);
+            }
+            Job::Sqrt { a } => fits(a),
+            Job::ModExp { base, exp, modulus } => {
+                fits(base);
+                fits(exp);
+                fits(modulus);
+            }
+        }
+    }
+    let response = wire::decode_response(payload);
+    if let Ok(Response { body: ResponseBody::Output(output), .. }) = response {
+        match &output {
+            JobOutput::Product(p) | JobOutput::PowMod(p) => fits(p),
+            JobOutput::DivRem { quotient: x, remainder: y }
+            | JobOutput::SqrtRem { root: x, remainder: y } => {
+                fits(x);
+                fits(y);
+            }
+        }
+    }
+}
+
+#[test]
+fn wire_fuzz_round_trips_valid_frames_and_types_every_mutation() {
+    let mut rng = StdRng::seed_from_u64(0x0F02_2A9C);
+    for _ in 0..4000 {
+        let (payload, limb_counts) = valid_payload(&mut rng);
+        let mut frame = Vec::new();
+        wire::write_frame(&mut frame, &payload).expect("write to Vec");
+        assert_eq!(wire::read_frame(&mut &frame[..], FUZZ_CAP).expect("valid frame"), payload);
+
+        match rng.gen_range(0u8..4) {
+            0 => {
+                for _ in 0..rng.gen_range(1usize..4) {
+                    let at = rng.gen_range(0..frame.len());
+                    frame[at] ^= 1 << rng.gen_range(0u32..8);
+                }
+            }
+            1 => frame.truncate(rng.gen_range(0..frame.len())),
+            2 => {
+                let len = if rng.gen_bool(0.5) {
+                    rng.next_u64() as u32
+                } else {
+                    (payload.len() as u32).wrapping_add(rng.gen_range(0u32..17)).wrapping_sub(8)
+                };
+                frame[..4].copy_from_slice(&len.to_le_bytes());
+            }
+            _ => {
+                if let Some(&at) = limb_counts.get(rng.gen_range(0..limb_counts.len().max(1))) {
+                    let count = if rng.gen_bool(0.5) {
+                        rng.next_u64() as u32
+                    } else {
+                        rng.gen_range(0u32..12)
+                    };
+                    frame[4 + at..8 + at].copy_from_slice(&count.to_le_bytes());
+                }
+            }
+        }
+
+        let mut reader = &frame[..];
+        match wire::read_frame(&mut reader, FUZZ_CAP) {
+            Ok(body) => decode_all(&body),
+            Err(FrameError::TooLarge { len, cap }) => {
+                assert!(len > cap && cap == FUZZ_CAP);
+                assert_eq!(reader.len(), frame.len() - 4, "an over-cap frame's body was read");
+            }
+            Err(FrameError::Io(_)) => {}
+        }
+        // The decoders also see the raw mutated bytes, prefix or not.
+        decode_all(frame.get(4..).unwrap_or_default());
+    }
 }
