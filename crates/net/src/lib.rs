@@ -24,8 +24,9 @@
 //! - [`NetClient`]: a blocking client with connect/request timeouts
 //!   and typed [`NetError`];
 //! - [`Router`]: N `Device`-backed `ServeHandle` shards behind an
-//!   FNV-1a consistent-hash ring keyed on the operand's power-of-two
-//!   bucket, so repeated operand shapes keep landing on the same shard;
+//!   FNV-1a consistent-hash ring keyed on the job's
+//!   [`apc_serve::operand_bucket`], the bucket each shard's queue
+//!   batches by, so one bucket's jobs always land on the same shard;
 //!   `Router::start(1, ..)` is the single-device deployment.
 //!
 //! Results over the wire are **bit-identical** to direct `Device`

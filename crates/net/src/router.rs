@@ -4,13 +4,14 @@
 //! instantiating many independent overlay instances behind a
 //! dispatcher; the software analogue is N serving instances behind one
 //! admission point. The router hashes each job's **operand bucket**
-//! (the power-of-two ceiling of its widest operand) onto a ring of
-//! virtual nodes, so:
+//! onto a ring of virtual nodes: the ceiling from
+//! [`apc_serve::operand_bucket`], the same bucket each shard's queue
+//! batches by (a power of two, 64 bits and under sharing one). So:
 //!
 //! - capacity scales horizontally — every shard owns its own queue and
 //!   worker devices;
-//! - repeated operand shapes land on the same shard, so each shard's
-//!   queue sees the same buckets and batches them together;
+//! - every job of one bucket lands on the same shard, whose queue
+//!   batches them together;
 //! - adding or removing a shard remaps only the ring arcs it owned,
 //!   not the whole keyspace (the classic consistent-hashing property);
 //! - a shard whose service has shut down is evicted from the ring at
@@ -22,7 +23,9 @@
 //! runs, so a given bucket always routes identically.
 
 use crate::NetBackend;
-use apc_serve::{Job, JobReport, JobSpec, ServeConfig, ServeError, ServeHandle, SubmitError};
+use apc_serve::{
+    operand_bucket, Job, JobReport, JobSpec, ServeConfig, ServeError, ServeHandle, SubmitError,
+};
 use apc_trace::export::Metric;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -34,18 +37,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// The power-of-two bucket ceiling a job routes by: the smallest power
-/// of two at or above its widest operand (min 1 bit; saturates at
-/// `1<<63` for widths beyond it, matching the queue ladder's top).
-pub fn bucket_of(operand_bits: u64) -> u64 {
-    let bits = operand_bits.max(1);
-    if bits > (1 << 63) {
-        u64::MAX
-    } else {
-        bits.next_power_of_two()
-    }
 }
 
 struct Shard {
@@ -123,8 +114,8 @@ impl Router {
     }
 
     /// The shard index a job with these operand bits routes to: first
-    /// ring point clockwise from the hashed bucket whose shard is still
-    /// serving.
+    /// ring point clockwise from the hashed [`operand_bucket`] ceiling
+    /// whose shard is still serving.
     ///
     /// A shard whose `ServeHandle` has shut down is treated as evicted
     /// from the ring — its arcs fall through to the next live shard
@@ -132,7 +123,7 @@ impl Router {
     /// consistent-hashing property extends to failure) and no job is
     /// black-holed into a queue nothing will ever drain.
     pub fn shard_for_bits(&self, operand_bits: u64) -> usize {
-        let point = fnv1a(&bucket_of(operand_bits).to_le_bytes());
+        let point = fnv1a(&operand_bucket(operand_bits).0.to_le_bytes());
         let start = match self.ring.binary_search_by_key(&point, |(p, _)| *p) {
             Ok(i) => i,
             // Wrap past the last point back to the first (the ring is
@@ -220,17 +211,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bucket_of_is_the_power_of_two_ceiling() {
-        assert_eq!(bucket_of(0), 1);
-        assert_eq!(bucket_of(1), 1);
-        assert_eq!(bucket_of(2), 2);
-        assert_eq!(bucket_of(65), 128);
-        assert_eq!(bucket_of(128), 128);
-        assert_eq!(bucket_of(1 << 63), 1 << 63);
-        assert_eq!(bucket_of((1 << 63) + 1), u64::MAX);
-    }
-
-    #[test]
     fn routing_is_deterministic_and_bucket_stable() {
         let cfg = ServeConfig { workers: 1, ..ServeConfig::default() };
         let router = Router::start(4, cfg);
@@ -241,7 +221,7 @@ mod tests {
         }
         // Across many buckets, more than one shard is used.
         let used: std::collections::BTreeSet<usize> =
-            (0..20).map(|i| router.shard_for_bits(1u64 << i)).collect();
+            (0..20).map(|i| router.shard_for_bits(64u64 << i)).collect();
         assert!(used.len() > 1, "ring degenerated to one shard: {used:?}");
         router.shutdown();
     }
@@ -256,15 +236,15 @@ mod tests {
             (0..3).map(|_| ServeHandle::start(cfg.clone())).collect();
         let victim = handles[1].clone();
         let router = Router::from_handles(handles, Router::DEFAULT_REPLICAS);
-        let before: Vec<usize> = (0..24).map(|i| router.shard_for_bits(1u64 << i)).collect();
+        let before: Vec<usize> = (0..24).map(|i| router.shard_for_bits(64u64 << i)).collect();
         assert!(before.contains(&1), "sweep never hit the victim shard");
         victim.shutdown();
         for (i, &owner) in before.iter().enumerate() {
-            let after = router.shard_for_bits(1u64 << i);
+            let after = router.shard_for_bits(64u64 << i);
             if owner == 1 {
-                assert_ne!(after, 1, "bucket 2^{i} still routed to the dead shard");
+                assert_ne!(after, 1, "bucket 64<<{i} still routed to the dead shard");
             } else {
-                assert_eq!(after, owner, "bucket 2^{i} moved between live shards");
+                assert_eq!(after, owner, "bucket 64<<{i} moved between live shards");
             }
         }
         router.shutdown();
@@ -280,7 +260,7 @@ mod tests {
         let three = Router::start(3, cfg);
         let mut moved_from_live_shard = 0u32;
         for i in 0..40u64 {
-            let bits = 1u64 << (i % 24);
+            let bits = 64u64 << (i % 24);
             let before = four.shard_for_bits(bits);
             let after = three.shard_for_bits(bits);
             if before != 3 && before != after {

@@ -5,6 +5,7 @@
 //! rejected with a [`SubmitError`] saying why. The service never panics
 //! on a malformed or oversized request and never silently drops a job.
 
+use crate::queue::MIN_BUCKET_BITS;
 use std::fmt;
 
 /// Why a job was rejected at admission.
@@ -59,14 +60,10 @@ pub enum ConfigError {
     /// `queue_capacity` was 0 — every submission would be rejected with
     /// [`SubmitError::QueueFull`].
     ZeroCapacity,
-    /// `min_bucket_bits` was 0 — there is no zero-width operand bucket.
-    ZeroMinBucketBits,
-    /// `min_bucket_bits` exceeds `max_operand_bits`, so no bucket ladder
-    /// can span the range.
-    MinAboveMax {
-        /// The configured smallest bucket ceiling.
-        min_bucket_bits: u64,
-        /// The configured admission ceiling it exceeds.
+    /// `max_operand_bits` is below the 64-bit smallest bucket, so no
+    /// bucket spans the range.
+    MaxOperandBitsBelowFloor {
+        /// The configured admission ceiling.
         max_operand_bits: u64,
     },
 }
@@ -77,13 +74,10 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroCapacity => {
                 write!(f, "queue_capacity must be at least 1")
             }
-            ConfigError::ZeroMinBucketBits => {
-                write!(f, "min_bucket_bits must be at least 1")
-            }
-            ConfigError::MinAboveMax { min_bucket_bits, max_operand_bits } => {
+            ConfigError::MaxOperandBitsBelowFloor { max_operand_bits } => {
                 write!(
                     f,
-                    "min_bucket_bits ({min_bucket_bits}) exceeds max_operand_bits ({max_operand_bits})"
+                    "max_operand_bits ({max_operand_bits}) is below the {MIN_BUCKET_BITS}-bit smallest bucket"
                 )
             }
         }
@@ -137,9 +131,7 @@ mod tests {
     #[test]
     fn config_errors_render_their_context() {
         assert!(ConfigError::ZeroCapacity.to_string().contains("queue_capacity"));
-        assert!(ConfigError::ZeroMinBucketBits.to_string().contains("min_bucket_bits"));
-        let mam = ConfigError::MinAboveMax { min_bucket_bits: 512, max_operand_bits: 256 }
-            .to_string();
-        assert!(mam.contains("512") && mam.contains("256"), "{mam}");
+        let low = ConfigError::MaxOperandBitsBelowFloor { max_operand_bits: 32 }.to_string();
+        assert!(low.contains("max_operand_bits (32)") && low.contains("64-bit"), "{low}");
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! A [`Job`] is one arbitrary-precision operation over [`Nat`] operands —
 //! exactly the high-traffic MPApca operators (multiply, divide, square
-//! root, Montgomery exponentiation). A [`JobSpec`] attaches scheduling
-//! metadata (priority, optional deadline); the terminal [`JobReport`]
+//! root, Montgomery exponentiation). A [`JobSpec`] attaches an optional
+//! deadline; the terminal [`JobReport`]
 //! carries the bit-exact result plus the observability record: queue
 //! wait, attributed device service cycles, and the deadline outcome.
 
@@ -127,27 +127,19 @@ impl Job {
     }
 }
 
-/// Scheduling metadata attached to one submission.
+/// Service-level metadata attached to one submission.
 #[derive(Debug, Clone, Default)]
 pub struct JobSpec {
-    /// Higher runs sooner under the deadline-aware policy (ties broken by
-    /// deadline, then submission order). Ignored by FIFO.
-    pub priority: u8,
     /// Service-level objective measured from submission: the job should
-    /// complete within this budget. Purely observational for FIFO;
-    /// deadline-aware scheduling orders by it.
+    /// complete within this budget. Purely observational: scheduling is
+    /// FIFO, and the report says whether the deadline was met.
     pub deadline: Option<Duration>,
 }
 
 impl JobSpec {
-    /// A spec with only a deadline set.
+    /// A spec with a deadline set.
     pub fn with_deadline(deadline: Duration) -> JobSpec {
-        JobSpec { priority: 0, deadline: Some(deadline) }
-    }
-
-    /// A spec with only a priority set.
-    pub fn with_priority(priority: u8) -> JobSpec {
-        JobSpec { priority, deadline: None }
+        JobSpec { deadline: Some(deadline) }
     }
 }
 

@@ -6,8 +6,8 @@
 //! tenants and the `cambricon_p::Device` handles:
 //!
 //! - a **typed job API** ([`Job`]: multiply / divide / square root /
-//!   modular exponentiation over `apc_bignum` operands) with per-job
-//!   priority and deadline ([`JobSpec`]);
+//!   modular exponentiation over `apc_bignum` operands) with an optional
+//!   per-job deadline ([`JobSpec`]);
 //! - a **bounded submission queue** with explicit admission control —
 //!   rejections are typed ([`SubmitError`]), never a panic, never a
 //!   silent drop; admission is lock-free (one MPSC channel plus an
@@ -16,7 +16,8 @@
 //!   queue-wide mutex;
 //! - **batching workers**: each worker owns a `Device`, and whichever
 //!   worker is free forms the next batch of compatible jobs (one
-//!   operand-bitwidth bucket) itself — there is no scheduler thread (see
+//!   operand-bitwidth bucket, [`operand_bucket`], taken in submission
+//!   order) itself — there is no scheduler thread (see
 //!   DESIGN.md §"Serving layer" for how this maps onto the paper's §VII
 //!   utilization argument);
 //! - a **completion side**: every accepted job gets exactly one terminal
@@ -56,7 +57,7 @@ mod worker;
 pub use error::{ConfigError, ServeError, SubmitError};
 pub use job::{DeadlineOutcome, Job, JobId, JobOutput, JobReport, JobSpec};
 pub use metrics::{MetricsSnapshot, ServeMetrics};
-pub use queue::SchedPolicy;
+pub use queue::operand_bucket;
 
 use cambricon_p::{ArchConfig, Device};
 use queue::{JobQueue, Pending};
@@ -76,12 +77,9 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Most jobs one dispatched batch may carry.
     pub batch_max: usize,
-    /// Smallest bitwidth-bucket ceiling.
-    pub min_bucket_bits: u64,
-    /// Admission ceiling on operand width (also the largest bucket).
+    /// Admission ceiling on operand width, rounded up to the ceiling of
+    /// its [`operand_bucket`] (the largest bucket). At least 64.
     pub max_operand_bits: u64,
-    /// Batch-formation policy.
-    pub policy: SchedPolicy,
     /// Architecture of every worker device.
     pub arch: ArchConfig,
 }
@@ -92,9 +90,7 @@ impl Default for ServeConfig {
             queue_capacity: 256,
             workers: 2,
             batch_max: 16,
-            min_bucket_bits: 64,
             max_operand_bits: 1 << 23,
-            policy: SchedPolicy::Fifo,
             arch: ArchConfig::default(),
         }
     }
@@ -147,15 +143,12 @@ impl JobTicket {
 
 impl ServeHandle {
     /// Starts the service: spawns `workers` device workers (at least
-    /// one). Degenerate configurations (zero queue capacity, zero or
-    /// inverted bucket range) are typed [`ConfigError`]s, not silently
-    /// clamped values.
+    /// one). Degenerate configurations (zero queue capacity, an operand
+    /// ceiling below the 64-bit smallest bucket) are typed
+    /// [`ConfigError`]s, not silently clamped values.
     pub fn try_start(config: ServeConfig) -> Result<ServeHandle, ConfigError> {
-        let (queue, source) = JobQueue::with_source(
-            config.queue_capacity,
-            config.min_bucket_bits,
-            config.max_operand_bits,
-        )?;
+        let (queue, source) =
+            JobQueue::with_source(config.queue_capacity, config.max_operand_bits)?;
         let metrics = Arc::new(ServeMetrics::default());
         let source = Arc::new(Mutex::new(source));
         let threads = (0..config.workers.max(1))
@@ -163,9 +156,9 @@ impl ServeHandle {
                 let device = Device::new(config.arch.clone());
                 let source = Arc::clone(&source);
                 let metrics = Arc::clone(&metrics);
-                let (batch_max, policy) = (config.batch_max, config.policy);
+                let batch_max = config.batch_max;
                 thread::spawn(move || {
-                    worker::worker_loop(index, device, source, batch_max, policy, metrics);
+                    worker::worker_loop(index, device, source, batch_max, metrics);
                 })
             })
             .collect();
@@ -216,23 +209,12 @@ impl ServeHandle {
 
     fn admit(&self, job: Job, spec: JobSpec) -> Result<JobTicket, SubmitError> {
         job.validate()?;
-        let bits = job.operand_bits();
-        let max_bits = self.inner.queue.max_operand_bits();
-        if bits > max_bits {
-            return Err(SubmitError::OversizedOperand { bits, max_bits });
-        }
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
         let (reporter, receiver) = mpsc::channel();
         let submitted_at = Instant::now();
         let deadline_at = spec.deadline.map(|d| submitted_at + d);
-        let depth = self.inner.queue.push(Pending {
-            id,
-            job,
-            spec,
-            submitted_at,
-            deadline_at,
-            reporter,
-        })?;
+        let depth =
+            self.inner.queue.push(Pending { id, job, submitted_at, deadline_at, reporter })?;
         self.inner.metrics.record_submit(depth);
         Ok(JobTicket { id: JobId(id), receiver })
     }
@@ -483,12 +465,11 @@ mod tests {
         .expect_err("zero capacity must not start");
         assert_eq!(err, ConfigError::ZeroCapacity);
         let err = ServeHandle::try_start(ServeConfig {
-            min_bucket_bits: 1 << 24,
-            max_operand_bits: 1 << 12,
+            max_operand_bits: 32,
             ..ServeConfig::default()
         })
-        .expect_err("inverted bucket range must not start");
-        assert!(matches!(err, ConfigError::MinAboveMax { .. }), "{err:?}");
+        .expect_err("an operand ceiling below the smallest bucket must not start");
+        assert_eq!(err, ConfigError::MaxOperandBitsBelowFloor { max_operand_bits: 32 });
         // A valid config still starts through the fallible path.
         let serve = ServeHandle::try_start(ServeConfig::default()).expect("valid config");
         serve.shutdown();

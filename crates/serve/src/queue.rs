@@ -1,7 +1,8 @@
 //! The bounded, bucket-partitioned submission queue.
 //!
 //! Jobs are partitioned into power-of-two operand-bitwidth buckets at
-//! admission. Batches are always formed from a single bucket, so every
+//! admission ([`operand_bucket`]: 64 bits and under share the first).
+//! Batches are always formed from a single bucket, so every
 //! batch a worker takes holds jobs of compatible size — the host-side
 //! analogue of packing same-shape work onto the PE array to keep the
 //! IPUs busy (the paper's §VII utilization argument; see DESIGN.md
@@ -17,9 +18,10 @@
 //!   the one `mpsc` channel. Submitters never take a lock.
 //! - The workers share the [`BatchSource`] behind a mutex: the channel's
 //!   receiver plus per-bucket staging deques it drains into. The worker
-//!   holding the lock forms its own batch under the configured policy,
-//!   so a batch is formed only when a worker is free to run it — it
-//!   grows with the backlog and stays reorderable until pickup.
+//!   holding the lock forms its own batch: the bucket whose front job
+//!   was submitted first, up to `batch_max` jobs from its front. A batch
+//!   is formed only when a worker is free to run it, so it grows with
+//!   the backlog.
 //!
 //! The capacity bound and the shutdown flag use a SeqCst reserve /
 //! re-check protocol (Dekker-style store-load fencing): `push` increments
@@ -39,22 +41,30 @@
 //! (lint rule L7 enforces this for the whole crate).
 
 use crate::error::{ConfigError, SubmitError};
-use crate::job::{Job, JobReport, JobSpec};
+use crate::job::{Job, JobReport};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Batch-formation policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedPolicy {
-    /// Strict submission order (within and across buckets).
-    #[default]
-    Fifo,
-    /// Earliest deadline first, then priority, then submission order.
-    /// Jobs without deadlines run after jobs with them.
-    DeadlineAware,
+/// Smallest bucket ceiling: operands of up to 64 bits share the first
+/// bucket.
+pub(crate) const MIN_BUCKET_BITS: u64 = 64;
+
+/// The bitwidth bucket an operand of `operand_bits` bits batches in, as
+/// `(ceiling, index)`. The ceiling is the smallest power of two at or
+/// above the width, at least 64; widths above 2^63 share one saturated
+/// bucket with ceiling `u64::MAX`. The index counts buckets upward from
+/// the 64-bit one (index 0). The submission queue stages and batches
+/// jobs by this bucket, and apc-net's router hashes its ceiling, so
+/// every job a router shard receives for one key batches together.
+pub fn operand_bucket(operand_bits: u64) -> (u64, usize) {
+    let floor_log2 = MIN_BUCKET_BITS.trailing_zeros();
+    // ceil(log2(width)): 64 for every width above 2^63.
+    let log2 = (u64::BITS - operand_bits.saturating_sub(1).leading_zeros()).max(floor_log2);
+    let ceiling = 1u64.checked_shl(log2).unwrap_or(u64::MAX);
+    (ceiling, (log2 - floor_log2) as usize)
 }
 
 /// One accepted job waiting for dispatch.
@@ -64,8 +74,6 @@ pub(crate) struct Pending {
     pub id: u64,
     /// The work itself.
     pub job: Job,
-    /// Scheduling metadata.
-    pub spec: JobSpec,
     /// When the job was accepted.
     pub submitted_at: Instant,
     /// Absolute deadline, precomputed at admission.
@@ -102,7 +110,8 @@ pub(crate) struct Batch {
 /// `push` is safe from any number of threads concurrently.
 pub(crate) struct JobQueue {
     capacity: usize,
-    bucket_ceilings: Vec<u64>,
+    /// The largest bucket's ceiling: the admission bound on operand width.
+    max_operand_bits: u64,
     sender: Sender<Admission>,
     /// Jobs reserved but not yet batched (in flight + channel + staged).
     queued: AtomicUsize,
@@ -110,58 +119,33 @@ pub(crate) struct JobQueue {
 }
 
 impl JobQueue {
-    /// Builds the queue and its consumer half with power-of-two bucket
-    /// ceilings spanning `min_bucket_bits ..= max_operand_bits`. Every
-    /// staging deque reserves the full `capacity` (total-queue bound) up
-    /// front, mirroring `Lru::new`: the queued total can never exceed
-    /// `capacity`, so no bucket can either, and steady state never
+    /// Builds the queue and its consumer half with one staging deque per
+    /// [`operand_bucket`] from the 64-bit bucket up to the one holding
+    /// `max_operand_bits`; that bucket's ceiling is the admission bound.
+    /// Every staging deque reserves the full `capacity` (total-queue
+    /// bound) up front, mirroring `Lru::new`: the queued total can never
+    /// exceed `capacity`, so no bucket can either, and steady state never
     /// reallocates.
     ///
     /// Degenerate configurations are typed construction errors: a
-    /// zero-capacity queue would reject every submission, a zero minimum
-    /// bucket has no operands, and a minimum above the maximum spans no
-    /// range at all.
+    /// zero-capacity queue would reject every submission, and a maximum
+    /// below the 64-bit smallest bucket spans no bucket at all.
     pub fn with_source(
         capacity: usize,
-        min_bucket_bits: u64,
         max_operand_bits: u64,
     ) -> Result<(Arc<JobQueue>, BatchSource), ConfigError> {
         if capacity == 0 {
             return Err(ConfigError::ZeroCapacity);
         }
-        if min_bucket_bits == 0 {
-            return Err(ConfigError::ZeroMinBucketBits);
+        if max_operand_bits < MIN_BUCKET_BITS {
+            return Err(ConfigError::MaxOperandBitsBelowFloor { max_operand_bits });
         }
-        if min_bucket_bits > max_operand_bits {
-            return Err(ConfigError::MinAboveMax { min_bucket_bits, max_operand_bits });
-        }
-        let mut ceilings = Vec::new();
-        // `next_power_of_two` overflows (and panics in debug) above 2^63;
-        // everything wider shares the one saturated top bucket.
-        let mut c = if min_bucket_bits > 1 << 63 {
-            u64::MAX
-        } else {
-            min_bucket_bits.next_power_of_two()
-        };
-        loop {
-            ceilings.push(c);
-            if c >= max_operand_bits {
-                break;
-            }
-            let next = c.saturating_mul(2);
-            if next == c {
-                break; // saturated at u64::MAX: the ladder cannot grow
-            }
-            c = next;
-        }
-        // Saturation can only ever repeat the top rung; drop duplicates
-        // so every bucket ceiling is distinct.
-        ceilings.dedup();
-        let staged = ceilings.iter().map(|_| VecDeque::with_capacity(capacity)).collect();
+        let (max_operand_bits, top) = operand_bucket(max_operand_bits);
+        let staged = (0..=top).map(|_| VecDeque::with_capacity(capacity)).collect();
         let (sender, receiver) = std::sync::mpsc::channel();
         let queue = Arc::new(JobQueue {
             capacity,
-            bucket_ceilings: ceilings,
+            max_operand_bits,
             sender,
             queued: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
@@ -170,34 +154,19 @@ impl JobQueue {
         Ok((queue, source))
     }
 
-    /// The admission ceiling: the largest bucket. Fails *closed*: if the
-    /// ceiling ladder were ever empty, the ceiling is 0 and every job is
-    /// oversized — never `u64::MAX`, which would wave everything through
-    /// and defeat `OversizedOperand` admission control.
+    /// The admission ceiling: the largest bucket's ceiling.
     pub fn max_operand_bits(&self) -> u64 {
-        self.bucket_ceilings.last().copied().unwrap_or(0)
-    }
-
-    /// The bucket ceiling `bits` falls into.
-    #[cfg(test)]
-    pub fn bucket_for(&self, bits: u64) -> u64 {
-        self.bucket_ceilings
-            .iter()
-            .copied()
-            .find(|&c| bits <= c)
-            .unwrap_or_else(|| self.max_operand_bits())
+        self.max_operand_bits
     }
 
     /// Admits one job or explains why not. Never blocks, never drops,
     /// never locks: reserve capacity, re-check shutdown, send.
     pub fn push(&self, pending: Pending) -> Result<usize, SubmitError> {
         let bits = pending.job.operand_bits();
-        let Some(idx) = self.bucket_ceilings.iter().position(|&c| bits <= c) else {
-            return Err(SubmitError::OversizedOperand {
-                bits,
-                max_bits: self.max_operand_bits(),
-            });
-        };
+        if bits > self.max_operand_bits {
+            return Err(SubmitError::OversizedOperand { bits, max_bits: self.max_operand_bits });
+        }
+        let (_, idx) = operand_bucket(bits);
         if self.shutdown.load(Ordering::SeqCst) {
             return Err(SubmitError::Shutdown);
         }
@@ -264,8 +233,8 @@ impl JobQueue {
 pub(crate) struct BatchSource {
     queue: Arc<JobQueue>,
     receiver: Receiver<Admission>,
-    /// Per-bucket staging deques the channel drains into; reordering
-    /// (deadline-aware scans) happens here.
+    /// Per-bucket staging deques the channel drains into, indexed by
+    /// [`operand_bucket`].
     staged: Vec<VecDeque<Pending>>,
 }
 
@@ -279,9 +248,9 @@ impl BatchSource {
     /// Blocks until a batch can be formed, and forms it. Returns `None`
     /// only when the queue is shut down **and** fully drained — the
     /// worker's termination signal.
-    pub fn next_batch(&mut self, batch_max: usize, policy: SchedPolicy) -> Option<Batch> {
+    pub fn next_batch(&mut self, batch_max: usize) -> Option<Batch> {
         loop {
-            if let Some(batch) = self.pop_batch(batch_max, policy) {
+            if let Some(batch) = self.pop_batch(batch_max) {
                 return Some(batch);
             }
             // Termination: shutdown flagged and no reservation is live
@@ -306,48 +275,30 @@ impl BatchSource {
     /// the channel (the empty tick — scheduling work only exists when
     /// jobs do).
     #[cfg(test)]
-    pub fn try_next_batch(&mut self, batch_max: usize, policy: SchedPolicy) -> Option<Batch> {
-        self.pop_batch(batch_max, policy)
+    pub fn try_next_batch(&mut self, batch_max: usize) -> Option<Batch> {
+        self.pop_batch(batch_max)
     }
 
-    fn pop_batch(&mut self, batch_max: usize, policy: SchedPolicy) -> Option<Batch> {
-        let batch_max = batch_max.max(1);
+    fn pop_batch(&mut self, batch_max: usize) -> Option<Batch> {
         let form_started = Instant::now();
         while let Ok(admission) = self.receiver.try_recv() {
             self.stage(admission);
         }
-        // Pick the bucket whose best pending job is globally most urgent.
-        let mut best: Option<(usize, usize)> = None; // (bucket, index within)
-        for (b, dq) in self.staged.iter().enumerate() {
-            if let Some(i) = best_in_bucket(dq, policy) {
-                let cand = &dq[i];
-                let better = match best {
-                    None => true,
-                    Some((bb, bi)) => more_urgent(cand, &self.staged[bb][bi], policy),
-                };
-                if better {
-                    best = Some((b, i));
-                }
-            }
-        }
-        let (bucket, _) = best?;
-        let mut jobs = Vec::with_capacity(batch_max);
-        while jobs.len() < batch_max {
-            let Some(i) = best_in_bucket(&self.staged[bucket], policy) else {
-                break;
-            };
-            if let Some(p) = self.staged[bucket].remove(i) {
-                jobs.push(p);
-            } else {
-                break;
-            }
-        }
+        // Submission order across buckets: the bucket whose front job is
+        // oldest runs next, as up to `batch_max` jobs from its front.
+        let (_, bucket) = self
+            .staged
+            .iter_mut()
+            .filter_map(|dq| Some((dq.front()?.id, dq)))
+            .min_by_key(|(id, _)| *id)?;
+        let jobs: Vec<Pending> = bucket.drain(..batch_max.clamp(1, bucket.len())).collect();
+        let bucket_bits = operand_bucket(jobs.first()?.job.operand_bits()).0;
         // Release the capacity reservations only now: depth() keeps
         // counting staged jobs as queued until they leave in a batch.
         self.queue.queued.fetch_sub(jobs.len(), Ordering::SeqCst);
         let formed_at = Instant::now();
         Some(Batch {
-            bucket_bits: self.queue.bucket_ceilings[bucket],
+            bucket_bits,
             jobs,
             formed_at,
             form_ns: apc_trace::span::duration_ns(
@@ -364,65 +315,12 @@ impl BatchSource {
     }
 }
 
-/// Index of the most urgent job in one bucket under `policy` (FIFO keeps
-/// submission order, so the head; deadline-aware scans).
-fn best_in_bucket(dq: &VecDeque<Pending>, policy: SchedPolicy) -> Option<usize> {
-    match policy {
-        SchedPolicy::Fifo => {
-            if dq.is_empty() {
-                None
-            } else {
-                Some(0)
-            }
-        }
-        SchedPolicy::DeadlineAware => {
-            let mut best: Option<usize> = None;
-            for i in 0..dq.len() {
-                let better = match best {
-                    None => true,
-                    Some(j) => more_urgent(&dq[i], &dq[j], policy),
-                };
-                if better {
-                    best = Some(i);
-                }
-            }
-            best
-        }
-    }
-}
-
-/// Whether `a` should run before `b` under `policy`. Total and
-/// deterministic: ties fall back to submission order, so two schedulers
-/// with the same queue state form the same batches.
-fn more_urgent(a: &Pending, b: &Pending, policy: SchedPolicy) -> bool {
-    match policy {
-        SchedPolicy::Fifo => a.id < b.id,
-        SchedPolicy::DeadlineAware => {
-            // Earliest deadline first; no deadline sorts after any
-            // deadline; then higher priority; then submission order.
-            match (a.deadline_at, b.deadline_at) {
-                (Some(da), Some(db)) if da != db => da < db,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                _ => {
-                    if a.spec.priority != b.spec.priority {
-                        a.spec.priority > b.spec.priority
-                    } else {
-                        a.id < b.id
-                    }
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use apc_bignum::Nat;
     use std::sync::{mpsc, Mutex, PoisonError};
     use std::thread;
-    use std::time::Duration;
 
     fn pending(id: u64, bits: u64) -> (Pending, mpsc::Receiver<JobReport>) {
         let (tx, rx) = mpsc::channel();
@@ -431,7 +329,6 @@ mod tests {
             Pending {
                 id,
                 job: Job::Mul { a: Nat::power_of_two(bits.saturating_sub(1)), b: Nat::one() },
-                spec: JobSpec::default(),
                 submitted_at: now,
                 deadline_at: None,
                 reporter: tx,
@@ -441,56 +338,63 @@ mod tests {
     }
 
     #[test]
+    fn operand_bucket_is_the_power_of_two_ceiling_floored_at_64() {
+        assert_eq!(operand_bucket(0), (64, 0));
+        assert_eq!(operand_bucket(1), (64, 0));
+        assert_eq!(operand_bucket(64), (64, 0));
+        assert_eq!(operand_bucket(65), (128, 1));
+        assert_eq!(operand_bucket(128), (128, 1));
+        assert_eq!(operand_bucket(1 << 20), (1 << 20, 14));
+        assert_eq!(operand_bucket(1 << 63), (1 << 63, 57));
+        assert_eq!(operand_bucket((1 << 63) + 1), (u64::MAX, 58));
+        assert_eq!(operand_bucket(u64::MAX), (u64::MAX, 58));
+    }
+
+    #[test]
     fn bucket_ceilings_are_powers_of_two_and_cover_the_range() {
-        let (q, _src) = JobQueue::with_source(8, 64, 1 << 20).expect("valid queue config");
-        assert_eq!(q.bucket_for(1), 64);
-        assert_eq!(q.bucket_for(64), 64);
-        assert_eq!(q.bucket_for(65), 128);
-        assert_eq!(q.bucket_for(1 << 20), 1 << 20);
+        let (q, src) = JobQueue::with_source(8, 1 << 20).expect("valid queue config");
         assert_eq!(q.max_operand_bits(), 1 << 20);
+        assert_eq!(src.staged.len(), 15, "buckets 64 ..= 2^20");
+        // A maximum between powers of two admits up to its bucket's ceiling.
+        let (q, _src) = JobQueue::with_source(8, 5000).expect("valid queue config");
+        assert_eq!(q.max_operand_bits(), 8192);
+        let (q, _src) = JobQueue::with_source(8, 64).expect("one bucket is enough");
+        assert_eq!(q.max_operand_bits(), 64);
     }
 
     #[test]
     fn degenerate_configs_are_typed_construction_errors() {
-        // Regression: pre-fix, all three constructions returned a live
-        // queue (capacity 0 rejected everything; min > max produced an
-        // inverted single-bucket ladder).
+        // Regression: pre-fix, both constructions returned a live queue
+        // (capacity 0 rejected everything; a maximum below the smallest
+        // bucket produced an inverted single-bucket ladder).
         assert_eq!(
-            JobQueue::with_source(0, 64, 4096).err(),
+            JobQueue::with_source(0, 4096).err(),
             Some(ConfigError::ZeroCapacity)
         );
-        assert_eq!(
-            JobQueue::with_source(4, 0, 4096).err(),
-            Some(ConfigError::ZeroMinBucketBits)
-        );
-        assert_eq!(
-            JobQueue::with_source(4, 8192, 4096).err(),
-            Some(ConfigError::MinAboveMax { min_bucket_bits: 8192, max_operand_bits: 4096 })
-        );
+        for max_operand_bits in [0, 63] {
+            assert_eq!(
+                JobQueue::with_source(4, max_operand_bits).err(),
+                Some(ConfigError::MaxOperandBitsBelowFloor { max_operand_bits })
+            );
+        }
     }
 
     #[test]
     fn saturated_ceiling_ladder_terminates_and_dedups() {
-        // A ceiling range reaching u64::MAX must terminate (the pre-fix
-        // loop relied on c >= max alone) and must not carry duplicate
-        // saturated rungs.
-        let (q, _src) =
-            JobQueue::with_source(4, u64::MAX - 1, u64::MAX).expect("valid queue config");
+        // A range reaching u64::MAX ends in the one saturated top bucket:
+        // distinct powers of two 64..2^63 plus u64::MAX, 59 buckets.
+        let (q, src) = JobQueue::with_source(4, u64::MAX).expect("valid queue config");
         assert_eq!(q.max_operand_bits(), u64::MAX);
-        assert_eq!(q.bucket_for(u64::MAX), u64::MAX);
-        let (ladder, _src) = JobQueue::with_source(4, 64, u64::MAX).expect("valid queue config");
-        // Distinct powers of two 64..2^63 plus the saturated top: 59 rungs.
-        assert_eq!(ladder.max_operand_bits(), u64::MAX);
-        assert_eq!(ladder.bucket_for(1 << 62), 1 << 62);
+        assert_eq!(src.staged.len(), 59);
     }
 
     #[test]
     fn batches_carry_formation_spans() {
-        let (q, mut src) = JobQueue::with_source(4, 64, 4096).expect("valid queue config");
+        let (q, mut src) = JobQueue::with_source(4, 4096).expect("valid queue config");
         let (p, _rx) = pending(0, 100);
         q.push(p).expect("capacity available");
         let before = Instant::now();
-        let b = src.try_next_batch(4, SchedPolicy::Fifo).expect("work queued");
+        let b = src.try_next_batch(4).expect("work queued");
         assert!(b.formed_at >= before);
         // form_ns is a measured span, not a sentinel; it can be 0 on a
         // coarse clock but never exceeds the enclosing interval.
@@ -499,15 +403,14 @@ mod tests {
 
     #[test]
     fn empty_tick_yields_no_batch() {
-        let (q, mut src) = JobQueue::with_source(4, 64, 4096).expect("valid queue config");
-        assert!(src.try_next_batch(8, SchedPolicy::Fifo).is_none());
-        assert!(src.try_next_batch(8, SchedPolicy::DeadlineAware).is_none());
+        let (q, mut src) = JobQueue::with_source(4, 4096).expect("valid queue config");
+        assert!(src.try_next_batch(8).is_none());
         assert_eq!(q.depth(), 0);
     }
 
     #[test]
     fn capacity_bound_is_enforced_without_blocking() {
-        let (q, _src) = JobQueue::with_source(3, 64, 4096).expect("valid queue config");
+        let (q, _src) = JobQueue::with_source(3, 4096).expect("valid queue config");
         let mut rxs = Vec::new();
         for id in 0..3 {
             let (p, rx) = pending(id, 100);
@@ -523,7 +426,7 @@ mod tests {
     fn rollbacks_send_a_wake_only_after_shutdown() {
         // A QueueFull flood before shutdown must leave nothing behind in
         // the channel, or a pinned worker lets it grow without bound.
-        let (q, src) = JobQueue::with_source(2, 64, 4096).expect("valid queue config");
+        let (q, src) = JobQueue::with_source(2, 4096).expect("valid queue config");
         let mut rxs = Vec::new();
         for id in 0..1000 {
             let (p, rx) = pending(id, 100);
@@ -537,42 +440,24 @@ mod tests {
 
     #[test]
     fn batches_never_mix_buckets() {
-        let (q, mut src) = JobQueue::with_source(8, 64, 4096).expect("valid queue config");
+        // The bucket holding the oldest job goes first, whatever its
+        // width; each batch takes its bucket's jobs in submission order.
+        let (q, mut src) = JobQueue::with_source(8, 4096).expect("valid queue config");
         let mut rxs = Vec::new();
-        for (id, bits) in [(0u64, 60u64), (1, 3000), (2, 50), (3, 40)] {
+        for (id, bits) in [(0u64, 3000u64), (1, 60), (2, 50), (3, 40), (4, 2500)] {
             let (p, rx) = pending(id, bits);
             q.push(p).expect("capacity available");
             rxs.push(rx);
         }
-        let b = src.try_next_batch(8, SchedPolicy::Fifo).expect("work queued");
-        assert_eq!(b.bucket_bits, 64);
-        assert_eq!(b.jobs.iter().map(|p| p.id).collect::<Vec<_>>(), vec![0, 2, 3]);
-        let b2 = src.try_next_batch(8, SchedPolicy::Fifo).expect("big job left");
-        assert_eq!(b2.bucket_bits, 4096);
-        assert_eq!(b2.jobs.len(), 1);
-        assert!(src.try_next_batch(8, SchedPolicy::Fifo).is_none());
-    }
-
-    #[test]
-    fn deadline_aware_orders_by_deadline_then_priority() {
-        let (q, mut src) = JobQueue::with_source(8, 64, 4096).expect("valid queue config");
-        let now = Instant::now();
-        let mut rxs = Vec::new();
-        let mut push = |id: u64, deadline_ms: Option<u64>, priority: u8| {
-            let (mut p, rx) = pending(id, 100);
-            p.deadline_at = deadline_ms.map(|ms| now + Duration::from_millis(ms));
-            p.spec.priority = priority;
-            q.push(p).expect("capacity available");
-            rxs.push(rx);
-        };
-        push(0, None, 0);
-        push(1, Some(500), 0);
-        push(2, Some(100), 0);
-        push(3, None, 9);
-        let b = src
-            .try_next_batch(4, SchedPolicy::DeadlineAware)
-            .expect("work queued");
-        assert_eq!(b.jobs.iter().map(|p| p.id).collect::<Vec<_>>(), vec![2, 1, 3, 0]);
+        let b = src.try_next_batch(8).expect("work queued");
+        assert_eq!(b.bucket_bits, 4096);
+        assert_eq!(b.jobs.iter().map(|p| p.id).collect::<Vec<_>>(), vec![0, 4]);
+        let b2 = src.try_next_batch(2).expect("small jobs left");
+        assert_eq!(b2.bucket_bits, 64);
+        assert_eq!(b2.jobs.iter().map(|p| p.id).collect::<Vec<_>>(), vec![1, 2]);
+        let b3 = src.try_next_batch(8).expect("one small job left");
+        assert_eq!(b3.jobs.iter().map(|p| p.id).collect::<Vec<_>>(), vec![3]);
+        assert!(src.try_next_batch(8).is_none());
     }
 
     #[test]
@@ -581,7 +466,7 @@ mod tests {
         // batch source's staging deques: churn the queue at its configured
         // capacity and assert no deque ever regrows.
         let capacity = 64;
-        let (q, mut src) = JobQueue::with_source(capacity, 64, 1 << 16).expect("valid config");
+        let (q, mut src) = JobQueue::with_source(capacity, 1 << 16).expect("valid config");
         let reserved = src.bucket_queue_capacities();
         assert!(reserved.iter().all(|&c| c >= capacity), "{reserved:?}");
         let mut id = 0u64;
@@ -597,7 +482,7 @@ mod tests {
                     Err(e) => unreachable!("unexpected rejection: {e}"),
                 }
             }
-            while src.try_next_batch(7, SchedPolicy::Fifo).is_some() {}
+            while src.try_next_batch(7).is_some() {}
         }
         assert_eq!(
             src.bucket_queue_capacities(),
@@ -608,16 +493,16 @@ mod tests {
 
     #[test]
     fn shutdown_rejects_new_but_drains_old() {
-        let (q, mut src) = JobQueue::with_source(4, 64, 4096).expect("valid queue config");
+        let (q, mut src) = JobQueue::with_source(4, 4096).expect("valid queue config");
         let (p, _rx) = pending(0, 100);
         q.push(p).expect("capacity available");
         q.begin_shutdown();
         let (p2, _rx2) = pending(1, 100);
         assert_eq!(q.push(p2), Err(SubmitError::Shutdown));
         // The queued job is still drainable...
-        assert!(src.next_batch(4, SchedPolicy::Fifo).is_some());
+        assert!(src.next_batch(4).is_some());
         // ...and once empty, next_batch signals termination.
-        assert!(src.next_batch(4, SchedPolicy::Fifo).is_none());
+        assert!(src.next_batch(4).is_none());
     }
 
     #[test]
@@ -626,7 +511,7 @@ mod tests {
         // a shutdown landing mid-stream, every Ok(push) is either in a
         // formed batch or... there is no other place. IDs are unique, so
         // a set equality check catches both loss and duplication.
-        let (q, mut src) = JobQueue::with_source(4096, 64, 1 << 16).expect("valid config");
+        let (q, mut src) = JobQueue::with_source(4096, 1 << 16).expect("valid config");
         let threads = 8u64;
         let per_thread = 200u64;
         let admitted = Arc::new(Mutex::new(Vec::<u64>::new()));
@@ -662,7 +547,7 @@ mod tests {
                 });
             }
             let mut drained = Vec::new();
-            while let Some(b) = src.next_batch(8, SchedPolicy::Fifo) {
+            while let Some(b) = src.next_batch(8) {
                 drained.extend(b.jobs.iter().map(|p| p.id));
             }
             drained

@@ -2,19 +2,18 @@
 //!
 //! There is no scheduler thread. The workers share the queue's
 //! [`BatchSource`] behind a mutex (the leader/follower pattern): a free
-//! worker takes the lock, forms a single-bucket batch under the
-//! configured policy — blocking on the admission channel if nothing is
+//! worker takes the lock, forms a single-bucket batch from the oldest
+//! staged job's bucket — blocking on the admission channel if nothing is
 //! staged — then releases the lock and executes the batch back to back
 //! while the next free worker leads. A batch is therefore formed only
-//! when a worker can run it at once, so jobs keep accumulating (and stay
-//! reorderable) while every worker is busy, and batch size grows with
-//! offered load. Per-job service cycles are attributed with the
+//! when a worker can run it at once, so jobs keep accumulating while
+//! every worker is busy, and batch size grows with offered load. Per-job service cycles are attributed with the
 //! snapshot/delta stats API on the worker's own device, so concurrent
 //! tenants never blur each other's accounting.
 
 use crate::job::{DeadlineOutcome, JobId, JobReport};
 use crate::metrics::ServeMetrics;
-use crate::queue::{BatchSource, SchedPolicy};
+use crate::queue::BatchSource;
 use cambricon_p::Device;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
@@ -25,7 +24,6 @@ pub(crate) fn worker_loop(
     device: Device,
     source: Arc<Mutex<BatchSource>>,
     batch_max: usize,
-    policy: SchedPolicy,
     metrics: Arc<ServeMetrics>,
 ) {
     let cycle_seconds = device.config().cycle_seconds();
@@ -35,7 +33,7 @@ pub(crate) fn worker_loop(
         let batch = source
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .next_batch(batch_max, policy);
+            .next_batch(batch_max);
         let Some(batch) = batch else {
             return; // shutdown and fully drained
         };

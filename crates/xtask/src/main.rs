@@ -8,7 +8,8 @@
 //!   `root`, `count`, `findings[{rule, path, line, message, allowed}]`).
 //! - `ci` — run the full tier-1 gate (release build, the workspace test
 //!   suite, the root suite with the `parallel` feature, the network bins,
-//!   then lint) and print a one-line PASS/FAIL summary.
+//!   the perfbench benchmark, then lint) and print a one-line PASS/FAIL
+//!   summary.
 //! - `rules` — list the lint rules.
 
 #![forbid(unsafe_code)]
@@ -130,19 +131,27 @@ fn json_escape(s: &str) -> String {
 /// included), the root suite again with the `parallel` feature (so every
 /// Device path runs under both dispatchers), the network crate's
 /// binaries (its server/client bins are not part of the root package's
-/// build graph), then in-process lint — and prints a one-line summary.
+/// build graph), the `perfbench` benchmark (a workspace of its own, so a
+/// public-API change that breaks it fails here rather than at benchmark
+/// time), then in-process lint — and prints a one-line summary.
 /// Stops at the first failing step so the summary names the culprit.
 fn ci() -> ExitCode {
-    let steps: [(&str, &[&str]); 5] = [
+    let steps: [(&str, &[&str]); 6] = [
         ("build", &["build", "--release"]),
         ("test(workspace)", &["test", "--workspace", "-q"]),
         ("build(parallel)", &["build", "--release", "--features", "parallel"]),
         ("test(parallel)", &["test", "-q", "--features", "parallel"]),
         ("build(net bins)", &["build", "--release", "-p", "apc-net", "--bins"]),
+        (
+            "build(perfbench)",
+            &["build", "--release", "--offline", "--manifest-path", "perfbench/Cargo.toml"],
+        ),
     ];
+    let root = xtask::default_workspace_root();
     for (name, cargo_args) in steps {
         println!("ci: cargo {}", cargo_args.join(" "));
-        match std::process::Command::new("cargo").args(cargo_args).status() {
+        // From the root, so the relative perfbench manifest path resolves.
+        match std::process::Command::new("cargo").args(cargo_args).current_dir(&root).status() {
             Ok(status) if status.success() => {}
             Ok(_) => {
                 println!("ci: FAIL ({name})");
@@ -156,10 +165,9 @@ fn ci() -> ExitCode {
         }
     }
     println!("ci: apc-lint");
-    let root = xtask::default_workspace_root();
     match xtask::lint_tree(&root) {
         Ok(v) if v.is_empty() => {
-            println!("ci: PASS (build, test x {{workspace,parallel}}, net bins, lint)");
+            println!("ci: PASS (build, test x {{workspace,parallel}}, net bins, perfbench, lint)");
             ExitCode::SUCCESS
         }
         Ok(v) => {

@@ -1,6 +1,6 @@
 //! Tier-1 gate for the network layer (`apc-net`).
 //!
-//! Six contracts, each load-bearing for the off-box serving story:
+//! Seven contracts, each load-bearing for the off-box serving story:
 //!
 //! 1. **Bit-exactness over the wire** — a randomized cross-bucket job
 //!    mix sent through `NetClient → NetServer → Router (2 shards)` must
@@ -24,6 +24,9 @@
 //!    through `read_frame` and the decoders, which must return typed
 //!    errors, never panic, never read past an over-cap prefix, and
 //!    never build a `Nat` wider than its payload.
+//! 7. **One bucket rule** — the router keys each job by the same
+//!    operand bucket its shard's queue batches it under, at every width
+//!    (64 bits and under share one bucket).
 
 use apc_bignum::Nat;
 use apc_net::wire::{self, FrameError, Hello, Request, Response, ResponseBody};
@@ -31,7 +34,7 @@ use apc_net::{
     NetClient, NetClientConfig, NetError, NetServer, NetServerConfig, Rejection, Router,
     WireError, WireStatus,
 };
-use apc_serve::{Job, JobOutput, ServeConfig};
+use apc_serve::{operand_bucket, Job, JobOutput, JobSpec, ServeConfig};
 use cambricon_p::Device;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -129,6 +132,24 @@ fn loopback_round_trip_is_bit_identical_to_direct_device() {
     assert!(metrics.frames_in.load(std::sync::atomic::Ordering::Relaxed) >= 25);
     assert!(metrics.jobs_ok.load(std::sync::atomic::Ordering::Relaxed) == 24);
     server.shutdown();
+}
+
+#[test]
+fn router_keys_each_job_by_the_bucket_its_queue_reports() {
+    let router = Router::start(4, ServeConfig { workers: 1, ..ServeConfig::default() });
+    for bits in [1u64, 7, 33, 63, 64, 65, 100, 2048, 4097] {
+        let job = Job::Mul { a: Nat::power_of_two(bits - 1), b: Nat::one() };
+        let report = router.submit_wait(job, JobSpec::default()).expect("accepted and completed");
+        let (key, _) = operand_bucket(bits);
+        assert_eq!(report.bucket_bits, key, "{bits}-bit job: queue bucket vs router key");
+        // The router sends the width where it sends its bucket's ceiling.
+        assert_eq!(
+            router.shard_for_bits(bits),
+            router.shard_for_bits(report.bucket_bits),
+            "{bits}-bit job routed apart from its bucket"
+        );
+    }
+    router.shutdown();
 }
 
 #[test]

@@ -231,7 +231,6 @@ fn metrics_conserve_jobs_and_cycles_under_concurrent_load() {
         queue_capacity: 8,
         workers: 2,
         batch_max: 4,
-        min_bucket_bits: 64,
         max_operand_bits: 1 << 12,
         ..ServeConfig::default()
     })
