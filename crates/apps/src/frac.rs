@@ -1,5 +1,5 @@
 //! *Frac*: Mandelbrot deep-zoom rendering with perturbation theory
-//! (Heiland-Allen's technique, the paper's reference [32]).
+//! (Heiland-Allen's technique, the paper's reference \[32\]).
 //!
 //! One **reference orbit** is iterated at arbitrary precision:
 //! `Z_{n+1} = Z_n² + C`. Each pixel then iterates only its low-precision

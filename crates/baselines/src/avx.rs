@@ -1,5 +1,5 @@
 //! AVX512IFMA cost model — the state-of-the-art SIMD baseline (§VI-A,
-//! [29]: Gueron & Krasnov's 52-bit packed multiplication with
+//! \[29\]: Gueron & Krasnov's 52-bit packed multiplication with
 //! VPMADD52LUQ/VPMADD52HUQ).
 //!
 //! Calibration anchors (Table III): 4096×4096 bits in 5.70×10⁻⁷ s

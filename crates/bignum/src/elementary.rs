@@ -1,6 +1,6 @@
 //! Elementary high-precision functions built on [`Float`] — the MPFR-like
 //! layer of the paper's software stack (Figure 1): AGM iteration, the
-//! Gauss–Legendre π algorithm (Salamin, the paper's reference [50]), and
+//! Gauss–Legendre π algorithm (Salamin, the paper's reference \[50\]), and
 //! the natural logarithm via the AGM.
 //!
 //! These decompose into long multiplications, squarings, divisions and

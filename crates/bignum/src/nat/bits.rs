@@ -1,8 +1,8 @@
 //! Bit-level accessors and logical operations.
 //!
 //! Cambricon-P consumes operands as *bitflows* (1 bit/cycle, LSB first);
-//! these accessors are what the `cambricon-p` crate's bitflow layer uses to
-//! serialize a [`Nat`] into streams.
+//! these accessors are what the `cambricon-p` crate's bit-serial IPU and
+//! clocked RTL models use to serialize a [`Nat`] into streams.
 
 use super::Nat;
 use crate::limb::{bit_split, usize_from, LIMB_BITS};

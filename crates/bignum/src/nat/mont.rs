@@ -1,5 +1,5 @@
 //! Montgomery modular arithmetic ("Montgomery reduction — modular
-//! multiplication without trial division", the paper's reference [47]).
+//! multiplication without trial division", the paper's reference \[47\]).
 //!
 //! This is the kernel RSA is built on: the paper notes "RSA is composed of
 //! Montgomery reductions (implemented by pairs of multiply and add

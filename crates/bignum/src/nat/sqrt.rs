@@ -1,5 +1,5 @@
 //! Integer square root with remainder — Zimmermann's Karatsuba square root
-//! (the algorithm GMP uses, cited by the paper as [61]).
+//! (the algorithm GMP uses, cited by the paper as \[61\]).
 
 use super::Nat;
 use crate::int::Int;

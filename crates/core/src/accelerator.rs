@@ -1,11 +1,12 @@
-//! The full device: 256 PEs + Adder Tree + two-level (CC/PEC) fractal
-//! control (Fig. 9a, left).
+//! The full device: 256 PEs + Adder Tree (Fig. 9a, left).
 //!
 //! [`Accelerator::multiply`] is the *bit-exact structural model*: it really
 //! routes every limb through Converter → IPUs → GU → Adder Tree and is
-//! validated against the software oracle. The faster analytic cycle model
-//! that MPApca uses for application-scale runs is calibrated against this
-//! one (see `mpapca`).
+//! validated against the software oracle. [`Accelerator::schedule`] is
+//! the §V-B3 mapping of that multiply onto the PE array in closed form:
+//! the pass grid, its cycles and its PE slots from operand widths alone.
+//! The faster analytic cycle model that MPApca uses for application-scale
+//! runs is calibrated against this one (see `mpapca`).
 
 use crate::bops::BopsTally;
 use crate::config::ArchConfig;
@@ -112,6 +113,23 @@ impl RunOutcome {
     }
 }
 
+/// The closed-form PE(b, w) pass grid of one multiplication (§V-B3: the
+/// Core Controller maps the grid onto N_PE PEs, each PE Controller its
+/// pass onto N_IPU IPUs of Fig. 9a), from [`Accelerator::schedule`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Schedule {
+    /// q-limb pattern blocks (Converter inputs, Fig. 8), `⌈⌈na/L⌉/q⌉`.
+    pub blocks: usize,
+    /// Windows of N_IPU Eq. 1 outputs, `⌈(⌈na/L⌉ + ⌈nb/L⌉ − 1)/N_IPU⌉`.
+    pub windows: usize,
+    /// Groups of N_PE passes of L cycles each, `⌈blocks·windows/N_PE⌉` (§III).
+    pub pass_groups: u64,
+    /// Structural cycles, `pass_groups·L + fill` (§V-B3).
+    pub cycles: u64,
+    /// PE-grid slots scheduled, `pass_groups·N_PE` (§III).
+    pub pe_slots: u64,
+}
+
 /// The host kernel of one PE pass: pattern block `b` against the
 /// flattened index words of its IPUs, or `None` when the block is all
 /// zero (it has no table and every pass skips it).
@@ -143,6 +161,38 @@ impl Accelerator {
             KernelBackend::Sliced64
         } else {
             KernelBackend::Scalar
+        }
+    }
+
+    /// The pass grid [`Accelerator::multiply`] runs for an
+    /// `na_bits × nb_bits` product, in closed form over the configuration
+    /// and the two widths (§V-B3 CC/PEC mapping onto Fig. 9a). No kernel
+    /// runs. A zero operand schedules no pass, so `cycles` is then the
+    /// pipeline fill alone.
+    ///
+    /// ```
+    /// use cambricon_p::accelerator::Accelerator;
+    ///
+    /// let s = Accelerator::new_default().schedule(4096, 4096);
+    /// assert_eq!((s.blocks, s.windows, s.pass_groups), (32, 8, 1));
+    /// assert_eq!((s.cycles, s.pe_slots), (48, 256));
+    /// ```
+    pub fn schedule(&self, na_bits: u64, nb_bits: u64) -> Schedule {
+        let c = &self.config;
+        let l = u64::from(c.limb_bits);
+        let (la, lb) = (na_bits.div_ceil(l), nb_bits.div_ceil(l));
+        let (blocks, windows) = if la == 0 || lb == 0 {
+            (0, 0)
+        } else {
+            (la.div_ceil(u64::from(c.q)), (la + lb - 1).div_ceil(c.n_ipu as u64))
+        };
+        let pass_groups = (blocks * windows).div_ceil(c.n_pe as u64);
+        Schedule {
+            blocks: crate::cast::usize_from(blocks),
+            windows: crate::cast::usize_from(windows),
+            pass_groups,
+            cycles: pass_groups * l + c.pipeline_fill_cycles,
+            pe_slots: pass_groups * c.n_pe as u64,
         }
     }
 
@@ -196,16 +246,6 @@ impl Accelerator {
     }
 
     fn multiply_with(&self, x: &Nat, y: &Nat, engine: KernelBackend, parallel: bool) -> RunOutcome {
-        if x.is_zero() || y.is_zero() {
-            return RunOutcome {
-                product: Nat::zero(),
-                cycles: self.config.pipeline_fill_cycles,
-                pe_passes: 0,
-                tally: BopsTally::default(),
-                stages: StageCycles::default(),
-                pe_slots: 0,
-            };
-        }
         let l = self.config.limb_bits;
         let q = crate::cast::usize_from(u64::from(self.config.q));
         let n_ipu = self.config.n_ipu;
@@ -216,11 +256,20 @@ impl Accelerator {
             (1..=LIMB_BITS).contains(&l),
             "the structural model needs 1 <= L <= 64 (the GU sections are words)"
         );
+        let schedule = self.schedule(x.bit_len(), y.bit_len());
+        if schedule.pass_groups == 0 {
+            return RunOutcome {
+                product: Nat::zero(),
+                cycles: schedule.cycles,
+                pe_passes: 0,
+                tally: BopsTally::default(),
+                stages: StageCycles::default(),
+                pe_slots: schedule.pe_slots,
+            };
+        }
+        let Schedule { blocks, windows, .. } = schedule;
         let xw = to_limb_words(x, l);
         let yw = to_limb_words(y, l);
-        let outputs = xw.len() + yw.len() - 1;
-        let blocks = xw.len().div_ceil(q);
-        let windows = outputs.div_ceil(n_ipu);
 
         // Pattern block b (zero-padded to q limbs), or `None` when it is
         // all zero: every pass skips such a block, so it gets no table.
@@ -325,13 +374,6 @@ impl Accelerator {
                 + &window_acc.shl_bits(w as u64 * n_ipu as u64 * u64::from(l));
         }
 
-        // Structural timing: PE passes are scheduled N_PE at a time, each
-        // pass streaming limb_bits index bits; output streams out behind
-        // the pipeline. (The host-side dispatch above does not change the
-        // modeled schedule.)
-        let pass_groups = (blocks * windows).div_ceil(self.config.n_pe) as u64;
-        let cycles = pass_groups * u64::from(l) + self.config.pipeline_fill_cycles;
-
         // Stage attribution (§VII utilization analysis): each *executed*
         // pass streams l index bits through its PE's Converter, IPUs and
         // GU (skipped zero passes leave them idle — sparsity), while the
@@ -341,17 +383,16 @@ impl Accelerator {
             converter: per_pe_busy,
             ipu: per_pe_busy,
             gu: per_pe_busy,
-            adder_tree: pass_groups * u64::from(l),
+            adder_tree: schedule.pass_groups * u64::from(l),
         };
-        let pe_slots = pass_groups * self.config.n_pe as u64;
 
         RunOutcome {
             product,
-            cycles,
+            cycles: schedule.cycles,
             pe_passes,
             tally,
             stages,
-            pe_slots,
+            pe_slots: schedule.pe_slots,
         }
     }
 }
@@ -620,17 +661,18 @@ mod tests {
 
     #[test]
     fn structural_cycles_track_analytic_model() {
-        // 4096×4096 bits: analytic model says 32 cycles (Table III); the
-        // structural scheduler should land within a small factor.
-        let acc = Accelerator::new_default();
-        let a = Nat::power_of_two(4096) - Nat::one();
-        let b = Nat::power_of_two(4096) - Nat::from(3u64);
-        let out = acc.multiply(&a, &b);
-        assert_eq!(out.product, &a * &b);
-        assert!(
-            out.cycles >= 32 && out.cycles <= 96,
-            "structural cycles {} should be near the 32-cycle calibration",
-            out.cycles
-        );
+        // The drift table of EXPERIMENTS.md: the grid against the analytic
+        // model, which Table III anchors at 32 cycles for 4096 bits.
+        let (acc, analytic) = (Accelerator::new_default(), crate::mpapca::Device::new_default());
+        for (bits, structural, modeled) in
+            [(1024, 48, 17), (2048, 48, 20), (4096, 48, 32), (8192, 144, 80)]
+        {
+            let a = Nat::power_of_two(bits) - Nat::one();
+            let b = Nat::power_of_two(bits) - Nat::from(3u64);
+            let out = acc.multiply(&a, &b);
+            assert_eq!(out.product, &a * &b);
+            let cycles = (out.cycles, analytic.mul_cycles(bits, bits));
+            assert_eq!(cycles, (structural, modeled), "{bits} bits");
+        }
     }
 }

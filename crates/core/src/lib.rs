@@ -19,7 +19,8 @@
 //!   ([`gu`]) folds the IPU partial sums with the carry parallel computing
 //!   mechanism (Fig. 7) so no sequential carry chain forms;
 //! - 256 PEs plus an adder tree ([`accelerator`]) scale this to the whole
-//!   convolution.
+//!   convolution; [`accelerator::Accelerator::schedule`] is the §V-B3
+//!   mapping of one multiplication onto that PE array, in closed form.
 //!
 //! Everything in the functional path is validated against the software
 //! oracle in [`apc_bignum`].
@@ -44,17 +45,14 @@
 pub mod accelerator;
 pub mod area;
 mod cast;
-pub mod bitflow;
 pub mod bitserial;
 pub mod bops;
 pub mod config;
-pub mod controller;
 pub mod converter;
 pub mod error;
 pub mod gu;
 pub mod invariants;
 pub mod ipu;
-pub mod ma;
 pub mod mpapca;
 pub mod pattern_cache;
 pub mod pe;

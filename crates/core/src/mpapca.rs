@@ -228,14 +228,16 @@ impl Device {
     /// (Converter → IPUs → GU → Adder Tree) instead of the analytic cycle
     /// model: the result is bit-exact like [`Device::mul`], but the cycles
     /// come from the structural PE(b, w) schedule, and the per-stage
-    /// busy-cycle attribution plus PE-grid occupancy are folded into the
-    /// handle's statistics (§VII utilization analysis) — read them back
-    /// via [`DeviceStats::pe_utilization`] and `DeviceStats::stage_cycles`.
+    /// busy-cycle attribution, PE-grid occupancy and bops tally are folded
+    /// into the handle's statistics (§VII utilization analysis) — read
+    /// them back via [`DeviceStats::pe_utilization`],
+    /// `DeviceStats::stage_cycles` and `DeviceStats::bops`.
     /// Much slower than [`Device::mul`]; intended for calibration and
     /// observability runs, not application-scale workloads.
     pub fn mul_structural(&self, a: &Nat, b: &Nat) -> Nat {
         let out = Accelerator::new(self.config.clone()).multiply(a, b);
         self.stats.record_stages(&out.stages, out.pe_passes, out.pe_slots);
+        self.stats.record_bops(&out.tally);
         self.record(
             OpClass::Mul,
             out.cycles,
@@ -477,6 +479,7 @@ impl Device {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bops::BopsTally;
 
     #[test]
     fn convolution_matches_polynomial_product() {
@@ -597,10 +600,13 @@ mod tests {
         assert!(s.stage_cycles.adder_tree > 0);
         let u = s.pe_utilization();
         assert!(u > 0.0 && u <= 1.0, "utilization {u}");
-        // The analytic path leaves stage counters untouched.
+        // The run's bops tally reaches the handle's statistics.
+        assert_eq!(s.bops, Accelerator::new_default().multiply(&a, &b).tally);
+        // The analytic path leaves stage and bops counters untouched.
         let analytic = Device::new_default();
         let _ = analytic.mul(&a, &b);
         assert_eq!(analytic.stats().pe_slots, 0);
+        assert_eq!(analytic.stats().bops, BopsTally::default());
     }
 
     #[test]

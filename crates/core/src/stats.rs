@@ -153,8 +153,8 @@ pub struct DeviceStats {
     pub ops_by_class: [u64; 7],
     /// Bytes exchanged with the LLC.
     pub llc_bytes: u64,
-    /// bops accounting from the functional units (when the bit-level path
-    /// ran) or from the analytic model.
+    /// bops accounting from the functional units of structural runs
+    /// (§VI-B metric; zero when only the analytic model ran).
     pub bops: BopsTally,
     /// Per-stage busy-cycle attribution from structural runs (§VII
     /// utilization analysis; zero when only the analytic model ran).

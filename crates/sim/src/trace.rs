@@ -15,7 +15,7 @@ pub fn random_access<R: Rng>(n: u64, rng: &mut R) -> Vec<u64> {
 }
 
 /// Dense single-precision matrix multiplication with register blocking:
-/// C[i][j] += A[i][k]·B[k][j], iterated in a cache-friendly ikj order.
+/// `C[i][j] += A[i][k]·B[k][j]`, iterated in a cache-friendly ikj order.
 /// High data locality concentrates utilization at the near-end hierarchy.
 pub fn matmul(n: u64) -> Vec<u64> {
     let a_base = 0u64;

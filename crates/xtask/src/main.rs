@@ -8,8 +8,8 @@
 //!   `root`, `count`, `findings[{rule, path, line, message, allowed}]`).
 //! - `ci` — run the full tier-1 gate (release build, the workspace test
 //!   suite, the root suite with the `parallel` feature, the network bins,
-//!   the perfbench benchmark, then lint) and print a one-line PASS/FAIL
-//!   summary.
+//!   the perfbench benchmark, the workspace docs with broken intra-doc
+//!   links denied, then lint) and print a one-line PASS/FAIL summary.
 //! - `rules` — list the lint rules.
 
 #![forbid(unsafe_code)]
@@ -133,10 +133,12 @@ fn json_escape(s: &str) -> String {
 /// binaries (its server/client bins are not part of the root package's
 /// build graph), the `perfbench` benchmark (a workspace of its own, so a
 /// public-API change that breaks it fails here rather than at benchmark
-/// time), then in-process lint — and prints a one-line summary.
+/// time), the workspace docs with broken intra-doc links denied (so a
+/// deleted item cannot leave a dangling doc link), then in-process lint —
+/// and prints a one-line summary.
 /// Stops at the first failing step so the summary names the culprit.
 fn ci() -> ExitCode {
-    let steps: [(&str, &[&str]); 6] = [
+    let steps: [(&str, &[&str]); 7] = [
         ("build", &["build", "--release"]),
         ("test(workspace)", &["test", "--workspace", "-q"]),
         ("build(parallel)", &["build", "--release", "--features", "parallel"]),
@@ -146,12 +148,22 @@ fn ci() -> ExitCode {
             "build(perfbench)",
             &["build", "--release", "--offline", "--manifest-path", "perfbench/Cargo.toml"],
         ),
+        ("doc", &["doc", "--workspace", "--no-deps"]),
     ];
+    // Only rustdoc reads it: the doc step fails on a broken intra-doc
+    // link, and doctests (which run no link pass) are unaffected.
+    let rustdocflags = "-D rustdoc::broken_intra_doc_links";
+    println!("ci: RUSTDOCFLAGS='{rustdocflags}' for every step");
     let root = xtask::default_workspace_root();
     for (name, cargo_args) in steps {
         println!("ci: cargo {}", cargo_args.join(" "));
         // From the root, so the relative perfbench manifest path resolves.
-        match std::process::Command::new("cargo").args(cargo_args).current_dir(&root).status() {
+        match std::process::Command::new("cargo")
+            .args(cargo_args)
+            .env("RUSTDOCFLAGS", rustdocflags)
+            .current_dir(&root)
+            .status()
+        {
             Ok(status) if status.success() => {}
             Ok(_) => {
                 println!("ci: FAIL ({name})");
@@ -167,7 +179,9 @@ fn ci() -> ExitCode {
     println!("ci: apc-lint");
     match xtask::lint_tree(&root) {
         Ok(v) if v.is_empty() => {
-            println!("ci: PASS (build, test x {{workspace,parallel}}, net bins, perfbench, lint)");
+            println!(
+                "ci: PASS (build, test x {{workspace,parallel}}, net bins, perfbench, doc, lint)"
+            );
             ExitCode::SUCCESS
         }
         Ok(v) => {

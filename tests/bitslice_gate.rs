@@ -8,10 +8,14 @@
 //! drives the same randomized operands through `multiply` and the §IV-B
 //! reference `multiply_scalar` across a width sweep (including exact
 //! powers of two and their ±1 neighbours, where limb decomposition
-//! boundaries live) and compares every `RunOutcome` field.
+//! boundaries live) and compares every `RunOutcome` field. The same sweep
+//! checks that `Accelerator::schedule`, computed from the operand widths
+//! alone, predicts each run's cycles, PE slots and Adder Tree busy cycles,
+//! and sizes the grid exactly as the operands' Eq. 1 limb vectors do.
 
 use apc_bignum::Nat;
 use cambricon_p::accelerator::{Accelerator, RunOutcome};
+use cambricon_p::transform::to_limb_words;
 use cambricon_p::{ArchConfig, KernelBackend};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,10 +42,11 @@ fn assert_identical(got: &RunOutcome, oracle: &RunOutcome, what: &str) {
 }
 
 /// Sweeps `acc` over every width (plus zero and one) and checks
-/// `multiply` against `multiply_scalar` and the software oracle.
+/// `multiply` against `multiply_scalar`, the software oracle and the
+/// closed-form `Accelerator::schedule`.
 fn sweep_against_oracle(acc: &Accelerator, rng: &mut StdRng) {
-    let q = acc.config().q;
-    let l = acc.config().limb_bits;
+    let (q, l) = (acc.config().q, acc.config().limb_bits);
+    let (n_pe, n_ipu) = (acc.config().n_pe, acc.config().n_ipu);
     let mut pairs: Vec<(Nat, Nat)> = width_sweep()
         .into_iter()
         .map(|bits| {
@@ -61,6 +66,25 @@ fn sweep_against_oracle(acc: &Accelerator, rng: &mut StdRng) {
         let got = acc.multiply(a, b);
         assert_identical(&got, &acc.multiply_scalar(a, b), &what);
         assert_eq!(got.product, a * b, "must match the software oracle: {what}");
+        let schedule = acc.schedule(a.bit_len(), b.bit_len());
+        assert_eq!(schedule.cycles, got.cycles, "closed-form cycles: {what}");
+        assert_eq!(schedule.pe_slots, got.pe_slots, "closed-form pe_slots: {what}");
+        assert_eq!(
+            schedule.pass_groups * u64::from(l),
+            got.stages.adder_tree,
+            "closed-form pass groups: {what}"
+        );
+        // The grid sized independently, from the Eq. 1 limb vectors the
+        // kernels stream: the smallest grid that covers both operands.
+        let grid = if a.is_zero() || b.is_zero() {
+            (0, 0)
+        } else {
+            let (la, lb) = (to_limb_words(a, l).len(), to_limb_words(b, l).len());
+            (la.div_ceil(q as usize), (la + lb - 1).div_ceil(n_ipu))
+        };
+        assert_eq!((schedule.blocks, schedule.windows), grid, "grid size: {what}");
+        let groups = (grid.0 * grid.1).div_ceil(n_pe) as u64;
+        assert_eq!(schedule.pass_groups, groups, "pass groups: {what}");
         converter_cycles += got.stages.converter;
     }
     assert!(converter_cycles > 0, "the sweep did real work");
