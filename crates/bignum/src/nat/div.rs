@@ -38,7 +38,7 @@ impl Nat {
     /// Divides `self` by `rhs`, returning `(quotient, remainder)`.
     ///
     /// Dispatches to Knuth Algorithm D for small divisors and to
-    /// Burnikel–Ziegler divide-and-conquer above [`BZ_THRESHOLD`] limbs.
+    /// Burnikel–Ziegler divide-and-conquer from a divisor of `BZ_THRESHOLD` limbs up.
     ///
     /// # Panics
     ///

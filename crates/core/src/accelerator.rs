@@ -11,12 +11,15 @@
 use crate::bops::BopsTally;
 use crate::config::ArchConfig;
 use crate::converter::{generate_patterns, generate_patterns_sliced, Patterns};
-use crate::pattern_cache;
-use crate::pe::{pe_pass_sliced, pe_pass_with_patterns};
+use crate::gu::add_shifted;
+use crate::ipu::bit_indexed_inner_product_sliced_into;
+use crate::pattern_cache::{self, PatternTables};
+use crate::pe::pe_pass_with_patterns;
 use crate::stats::StageCycles;
-use crate::transform::{reversed_x_words, to_limb_vector, to_limb_words};
-use apc_bignum::limb::{Limb, LIMB_BITS};
+use crate::transform::{to_limb_vector, to_limb_words};
+use apc_bignum::limb::{wide_parts, Limb, LIMB_BITS};
 use apc_bignum::Nat;
+use std::sync::Arc;
 
 /// Which host engine executes the Fig. 9a bitflow stages.
 ///
@@ -130,10 +133,24 @@ pub struct Schedule {
     pub pe_slots: u64,
 }
 
-/// The host kernel of one PE pass: pattern block `b` against the
-/// flattened index words of its IPUs, or `None` when the block is all
-/// zero (it has no table and every pass skips it).
-type PassKernel<'a> = Box<dyn Fn(usize, &[Limb]) -> Option<(Nat, BopsTally)> + Sync + 'a>;
+/// The per-block Converter tables (Fig. 8) of one multiplication, built
+/// for the engine that runs it. `None` marks an all-zero block: it has no
+/// table and every pass skips it.
+enum BlockTables {
+    Sliced(Arc<PatternTables>),
+    Scalar(Vec<Option<Patterns>>),
+}
+
+/// The index operand y reversed and zero-padded: element `m` is
+/// `y_{c − m}`, zero outside `yw`. IPU k of PE(b, w) reads
+/// `y_{t − bq − i}` for i < q at output t = w·N_IPU + k (the §V-B2
+/// Memory Agent selection of "the 4 bitflows starting from different
+/// positions"), which is the plain slice `[c − t + bq ..][..q]` here.
+fn reversed_words(yw: &[Limb], c: usize, len: usize) -> Vec<Limb> {
+    (0..len)
+        .map(|m| c.checked_sub(m).and_then(|j| yw.get(j)).copied().unwrap_or(0))
+        .collect()
+}
 
 impl Accelerator {
     /// A device with the given configuration (Fig. 9a organization).
@@ -215,11 +232,11 @@ impl Accelerator {
     /// assert_eq!(acc.multiply(&a, &b).product, &a * &b);
     /// ```
     ///
-    /// With the `parallel` cargo feature the independent PE(b, w) passes
-    /// are dispatched across host threads — the §III inter-IPU/inter-PE
-    /// parallelism realized in the model — and reduced in a fixed order,
-    /// so product, cycles and tally are bit-identical to
-    /// [`Accelerator::multiply_sequential`].
+    /// With the `parallel` cargo feature the output windows are
+    /// dispatched across host threads — the §III inter-IPU/inter-PE
+    /// parallelism realized in the model — each accumulating its PE(b, w)
+    /// passes in place. Every sum is exact, so product, cycles and tally
+    /// are bit-identical to [`Accelerator::multiply_sequential`].
     ///
     /// # Panics
     ///
@@ -268,6 +285,7 @@ impl Accelerator {
             };
         }
         let Schedule { blocks, windows, .. } = schedule;
+        let lb = u64::from(l);
         let xw = to_limb_words(x, l);
         let yw = to_limb_words(y, l);
 
@@ -288,106 +306,117 @@ impl Accelerator {
         // charges its block's full generation bops, exactly as if its
         // Converter had streamed the table afresh (§IV-A reuse is a
         // host-side win only; see `pattern_cache`).
-        let sliced_tables;
-        let scalar_tables: Vec<Option<Patterns>>;
-        let kernel: PassKernel<'_> = match engine {
+        let tables = match engine {
             KernelBackend::Sliced64 => {
-                sliced_tables = pattern_cache::fetch_or_build(x.limbs(), self.config.q, l, || {
+                let tables = pattern_cache::fetch_or_build(x.limbs(), self.config.q, l, || {
                     (0..blocks)
-                        .map(|b| {
-                            pattern_block(b)
-                                .map(|block| generate_patterns_sliced(&block, u64::from(l)))
-                        })
+                        .map(|b| pattern_block(b).map(|block| generate_patterns_sliced(&block, lb)))
                         .collect()
                 });
-                let tables = &*sliced_tables;
                 debug_assert_eq!(tables.len(), blocks);
-                Box::new(move |b, ys_flat| {
-                    let (patterns, generation_bops) = tables[b].as_ref()?;
-                    Some(pe_pass_sliced(patterns, *generation_bops, q, ys_flat, l))
-                })
+                BlockTables::Sliced(tables)
             }
-            KernelBackend::Scalar => {
-                let widen =
-                    |words: &[Limb]| -> Vec<Nat> { words.iter().map(|&v| Nat::from(v)).collect() };
-                scalar_tables = (0..blocks)
+            KernelBackend::Scalar => BlockTables::Scalar(
+                (0..blocks)
                     .map(|b| {
                         pattern_block(b).map(|block| {
-                            generate_patterns(&widen(&block), u64::from(l))
+                            let block: Vec<Nat> = block.into_iter().map(Nat::from).collect();
+                            generate_patterns(&block, lb)
                                 // apc-lint: allow(L2) -- q <= 16 (ArchConfig) and every limb <= L bits (to_limb_words), so the Converter preconditions hold by construction
                                 .expect("Converter preconditions hold by construction")
                         })
                     })
-                    .collect();
-                let tables = &scalar_tables;
-                Box::new(move |b, ys_flat| {
-                    let patterns = tables[b].as_ref()?;
-                    let ys_per_ipu: Vec<Vec<Nat>> = ys_flat.chunks_exact(q).map(widen).collect();
-                    let pe = pe_pass_with_patterns(patterns, q, &ys_per_ipu, l)
-                        // apc-lint: allow(L2) -- the index tuples are chunks of exactly q words, so the arity precondition holds by construction
-                        .expect("PE pass preconditions hold by construction");
-                    Some((pe.gathered, pe.tally))
-                })
-            }
+                    .collect(),
+            ),
         };
 
-        // Every PE(b, w) pass reads only its own block/window slices, so
-        // the whole grid is computed first — across threads when
-        // requested — and folded afterwards. Task i is (w, b) in
-        // row-major order, and both engines see the same skip predicate,
-        // so pass counts, stage attribution and cycle totals cannot
-        // diverge between them.
-        let run_pass = |i: usize| -> Option<(Nat, BopsTally)> {
-            let (w, b) = (i / blocks, i % blocks);
-            // IPU k serves output position t = w·N_IPU + k with the
-            // reversed y-slice, flattened k-major.
-            let mut ys_flat: Vec<Limb> = Vec::with_capacity(n_ipu * q);
-            for k in 0..n_ipu {
-                let t = w * n_ipu + k;
-                ys_flat.extend(reversed_x_words(&yw, t, b * q, q));
+        // One task per output window w: it walks the blocks, runs every
+        // PE(b, w) pass that can contribute, and accumulates the passes'
+        // strided IPU outputs in place into its own window limbs (the GU
+        // writing into the Adder Tree, Fig. 9a). A window holds N_IPU
+        // partials at stride L, each below 2^(2L+4) (q ≤ 16), summed over
+        // fewer than 2^64 blocks, so it fits (N_IPU+1)·L + 128 bits.
+        let window_words =
+            crate::cast::usize_from(((n_ipu as u64 + 1) * lb + 128).div_ceil(u64::from(LIMB_BITS)));
+        // Output t reaches at most windows·N_IPU − 1 and bq at most
+        // (blocks − 1)·q, so c = windows·N_IPU − 1 keeps every slice start
+        // c − t + bq non-negative and `blocks·q` more words cover its end.
+        let c = windows * n_ipu - 1;
+        let yr = reversed_words(&yw, c, c + blocks * q);
+        let run_window = |w: usize| -> (Vec<Limb>, BopsTally, u64) {
+            let mut acc: Vec<Limb> = vec![0; window_words];
+            let mut ind: Vec<Limb> = vec![0; 1 << q];
+            let mut tally = BopsTally::default();
+            let mut passes = 0u64;
+            for b in 0..blocks {
+                // IPU k's index words are yr[base − k ..][..q].
+                let base = c - w * n_ipu + b * q;
+                // Skip passes that cannot contribute to the window: the
+                // pass reads exactly yr[base − (N_IPU − 1) .. base + q].
+                if yr[base + 1 - n_ipu..base + q].iter().all(|&v| v == 0) {
+                    continue;
+                }
+                match &tables {
+                    BlockTables::Sliced(tables) => {
+                        let Some((patterns, generation_bops)) = &tables[b] else {
+                            continue;
+                        };
+                        tally.pattern_generation += generation_bops;
+                        for k in 0..n_ipu {
+                            let ys = &yr[base - k..][..q];
+                            let partial = bit_indexed_inner_product_sliced_into(
+                                patterns, lb, ys, lb, &mut ind, &mut tally,
+                            );
+                            let (low, high) = wide_parts(partial);
+                            add_shifted(&mut acc, &[low, high], k as u64 * lb);
+                        }
+                    }
+                    BlockTables::Scalar(tables) => {
+                        let Some(patterns) = &tables[b] else {
+                            continue;
+                        };
+                        let ys_per_ipu: Vec<Vec<Nat>> = (0..n_ipu)
+                            .map(|k| yr[base - k..][..q].iter().map(|&v| Nat::from(v)).collect())
+                            .collect();
+                        let pe = pe_pass_with_patterns(patterns, q, &ys_per_ipu, l)
+                            // apc-lint: allow(L2) -- every index tuple holds exactly q words, so the arity precondition holds by construction
+                            .expect("PE pass preconditions hold by construction");
+                        tally.merge(&pe.tally);
+                        add_shifted(&mut acc, pe.gathered.limbs(), 0);
+                    }
+                }
+                passes += 1;
             }
-            // Skip passes that cannot contribute to the window.
-            if ys_flat.iter().all(|&v| v == 0) {
-                return None;
-            }
-            kernel(b, &ys_flat)
+            (acc, tally, passes)
         };
-        let passes = apc_bignum::par::map_indexed(windows * blocks, parallel, &run_pass);
+        let window_runs = apc_bignum::par::map_indexed(windows, parallel, &run_window);
 
-        // Deterministic reduce: merge tallies and fold the Adder Tree /
-        // window recomposition in exactly the sequential nesting order,
-        // so the parallel schedule cannot perturb any output.
+        // One fold: every sum is exact, so adding each window at its
+        // offset w·N_IPU·L in any order gives the same product, and the
+        // parallel run is bit-identical to the sequential one.
+        let mut product: Vec<Limb> = vec![0; x.limb_len() + y.limb_len()];
         let mut tally = BopsTally::default();
         let mut pe_passes = 0u64;
-        let mut product = Nat::zero();
-        for w in 0..windows {
-            // Adder Tree accumulator for this window (all PEs aligned).
-            let mut window_acc = Nat::zero();
-            for b in 0..blocks {
-                if let Some((gathered, pass_tally)) = &passes[w * blocks + b] {
-                    tally.merge(pass_tally);
-                    pe_passes += 1;
-                    window_acc = &window_acc + gathered;
-                }
-            }
-            product = &product
-                + &window_acc.shl_bits(w as u64 * n_ipu as u64 * u64::from(l));
+        for (w, (acc, window_tally, passes)) in window_runs.iter().enumerate() {
+            add_shifted(&mut product, acc, w as u64 * n_ipu as u64 * lb);
+            tally.merge(window_tally);
+            pe_passes += passes;
         }
 
         // Stage attribution (§VII utilization analysis): each *executed*
         // pass streams l index bits through its PE's Converter, IPUs and
         // GU (skipped zero passes leave them idle — sparsity), while the
         // shared Adder Tree is busy for every scheduled streaming group.
-        let per_pe_busy = pe_passes * u64::from(l);
+        let per_pe_busy = pe_passes * lb;
         let stages = StageCycles {
             converter: per_pe_busy,
             ipu: per_pe_busy,
             gu: per_pe_busy,
-            adder_tree: schedule.pass_groups * u64::from(l),
+            adder_tree: schedule.pass_groups * lb,
         };
 
         RunOutcome {
-            product,
+            product: Nat::from_limbs(product),
             cycles: schedule.cycles,
             pe_passes,
             tally,
@@ -650,6 +679,23 @@ mod tests {
             let a = pattern(6, 21);
             let b = pattern(6, 23);
             assert_eq!(acc.multiply(&a, &b).product, &a * &b);
+        }
+    }
+
+    #[test]
+    fn reversed_words_slice_into_index_tuples() {
+        let ys_nat: Vec<Nat> = (10..15u64).map(Nat::from).collect();
+        let ys_word: Vec<Limb> = (10..15u64).collect();
+        let c = 8;
+        let yr = reversed_words(&ys_word, c, c + 6);
+        for t in 0..=c {
+            for j0 in [0usize, 1, 3] {
+                let slice = crate::transform::reversed_x_slice(&ys_nat, t, j0, 3);
+                let words = &yr[c - t + j0..][..3];
+                for (n, w) in slice.iter().zip(words) {
+                    assert_eq!(n.to_u64(), Some(*w), "t={t} j0={j0}");
+                }
+            }
         }
     }
 

@@ -11,7 +11,7 @@
 //! The model below implements that mechanism literally (tables per section,
 //! then a select pass) and is checked against plain big-integer addition.
 
-use apc_bignum::limb::{adc, wide_shl_parts, Limb, LIMB_BITS};
+use apc_bignum::limb::{adc, shl_step, Limb};
 use apc_bignum::Nat;
 
 /// Outcome of a carry-parallel gather pass (Fig. 7c).
@@ -131,17 +131,44 @@ pub fn gather_carry_parallel(partials: &[Nat], l: u32) -> GatherResult {
     }
 }
 
-/// The bitsliced gather: Σᵢ partialᵢ·2^(i·L) computed with word-level
-/// carry chains instead of bit-serial section tables — the Fig. 7c / Fig.
-/// 10 fold of the Sliced64 backend.
+/// Adds `value · 2^offset` into `acc` in place: the GU's strided write
+/// into the Adder Tree (Fig. 9a). The structural multiply lands each IPU
+/// partial at bit `k·L` of its window and each window at `w·N_IPU·L` of
+/// the product this way, so no intermediate value is materialized.
+///
+/// # Panics
+///
+/// Panics if the sum does not fit `acc`.
+#[inline]
+pub(crate) fn add_shifted(acc: &mut [Limb], value: &[Limb], offset: u64) {
+    let len = value.iter().rposition(|&v| v != 0).map_or(0, |top| top + 1);
+    let (word, bit) = apc_bignum::limb::bit_split(offset);
+    let (mut spill, mut carry) = (0, 0);
+    for (i, &v) in value[..len].iter().enumerate() {
+        let shifted;
+        (shifted, spill) = if bit == 0 { (v, 0) } else { shl_step(v, bit, spill) };
+        (acc[word + i], carry) = adc(acc[word + i], shifted, carry);
+    }
+    let mut k = word + len;
+    while spill != 0 || carry != 0 {
+        (acc[k], carry) = adc(acc[k], spill, carry);
+        spill = 0;
+        k += 1;
+    }
+}
+
+/// The bitsliced gather: Σᵢ partialᵢ·2^(i·L) over a fresh buffer, with
+/// word-level carry chains instead of bit-serial section tables — the
+/// independent oracle [`add_shifted`]'s in-place fold is checked against.
 ///
 /// Each 128-bit IPU partial lands at bit offset `i·L`; the limb-boundary
 /// straddle is resolved by a 3-limb shift (`wide_shl_parts`) and the
-/// inter-section carries by an `adc` ripple — one word op resolves L
-/// carry-select steps of the scalar model. The result is the exact sum,
+/// inter-section carries by an `adc` ripple. The result is the exact sum,
 /// so it is bit-identical to [`gather_carry_parallel`]'s value on the
 /// same partials.
-pub fn gather_sliced(partials: &[u128], l: u32) -> Nat {
+#[cfg(test)]
+pub(crate) fn gather_sliced(partials: &[u128], l: u32) -> Nat {
+    use apc_bignum::limb::{wide_shl_parts, LIMB_BITS};
     debug_assert!(l >= 1 && l <= LIMB_BITS, "section width must fit a limb");
     if partials.is_empty() {
         return Nat::zero();
@@ -268,6 +295,39 @@ mod tests {
             let scalar = gather_carry_parallel(&nats, l);
             assert_eq!(sliced, scalar.value, "L={l}");
         }
+    }
+
+    #[test]
+    fn in_place_fold_matches_sliced_gather() {
+        // The same partials folded one at a time into a shared buffer,
+        // then that buffer folded again at a window offset.
+        let wide: Vec<u128> = (0..32u128)
+            .map(|i| (i << 100) | (i * 0x9E37_79B9_7F4A_7C15) | 1)
+            .chain([u128::MAX, 0, u128::MAX])
+            .collect();
+        for l in [1u32, 8, 20, 32, 54, 64] {
+            let mut acc: Vec<Limb> = vec![0; 40];
+            for (k, &p) in wide.iter().enumerate() {
+                let (lo, hi) = apc_bignum::limb::wide_parts(p);
+                add_shifted(&mut acc, &[lo, hi], k as u64 * u64::from(l));
+            }
+            let gathered = gather_sliced(&wide, l);
+            assert_eq!(Nat::from_limbs(acc.clone()), gathered, "L={l}");
+            for offset in [0u64, 1, 63, 64, 65, 1000] {
+                let mut product: Vec<Limb> = vec![0; 60];
+                add_shifted(&mut product, &acc, offset);
+                add_shifted(&mut product, &acc, offset);
+                let twice = &gathered + &gathered;
+                assert_eq!(Nat::from_limbs(product), twice.shl_bits(offset), "L={l} +{offset}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn in_place_fold_rejects_an_undersized_accumulator() {
+        let mut acc: Vec<Limb> = vec![u64::MAX; 2];
+        add_shifted(&mut acc, &[1], 0);
     }
 
     #[test]

@@ -115,16 +115,37 @@ pub fn bit_indexed_inner_product_sliced(
     ys: &[Limb],
     index_bits: u64,
 ) -> (u128, BopsTally) {
+    let (mut ind, mut tally) = (vec![0; patterns.len()], BopsTally::default());
+    let value = bit_indexed_inner_product_sliced_into(
+        patterns, element_bits, ys, index_bits, &mut ind, &mut tally,
+    );
+    (value, tally)
+}
+
+/// [`bit_indexed_inner_product_sliced`] over caller-held state, so a PE
+/// pass (Fig. 9a) allocates nothing: `ind` (at least 2^q words) is the
+/// indicator scratch and is overwritten, and the pass's counts are
+/// *added* into `tally` rather than returned.
+#[inline]
+pub fn bit_indexed_inner_product_sliced_into(
+    patterns: &[Limb],
+    element_bits: u64,
+    ys: &[Limb],
+    index_bits: u64,
+    ind: &mut [Limb],
+    tally: &mut BopsTally,
+) -> u128 {
     let q = crate::cast::usize_from(u64::from(patterns.len().trailing_zeros()));
     debug_assert_eq!(ys.len(), q, "one index word per pattern input");
     debug_assert!(index_bits <= u64::from(LIMB_BITS), "index stream exceeds one word");
     let active = low_mask(u32::try_from(index_bits).unwrap_or(LIMB_BITS));
+    let ind = &mut ind[..patterns.len()];
 
     // Indicator network: split the active cycle set by each index word in
     // turn. After processing word i, ind[m] (m < 2^(i+1)) holds the cycles
-    // whose low i+1 index bits equal m. 2^(q+1) − 2 word ops total — the
-    // "64 bitflow steps per u64 op" collapse.
-    let mut ind: Vec<Limb> = vec![0; 1 << q];
+    // whose low i+1 index bits equal m, so every entry is written before
+    // it is read. 2^(q+1) − 2 word ops total — the "64 bitflow steps per
+    // u64 op" collapse.
     ind[0] = active;
     let mut half = 1usize;
     for (i, &y) in ys.iter().enumerate() {
@@ -136,13 +157,10 @@ pub fn bit_indexed_inner_product_sliced(
         half <<= 1;
     }
 
-    let mut tally = BopsTally {
-        bit_serial_reference: q as u64 * element_bits * index_bits,
-        // Cycles whose index column is all zeros select z₀ ≡ 0 and are
-        // skipped — popcount(I[0]) of them at once (bit-sparsity).
-        skipped_zero: u64::from(ind[0].count_ones()),
-        ..BopsTally::default()
-    };
+    tally.bit_serial_reference += q as u64 * element_bits * index_bits;
+    // Cycles whose index column is all zeros select z₀ ≡ 0 and are
+    // skipped — popcount(I[0]) of them at once (bit-sparsity).
+    tally.skipped_zero += u64::from(ind[0].count_ones());
     let mut value = 0u128;
     for (mask, &w) in ind.iter().enumerate().skip(1) {
         if w == 0 {
@@ -157,7 +175,7 @@ pub fn bit_indexed_inner_product_sliced(
             || value < (u128::from(q as u64) << (element_bits + index_bits)),
         "sliced IPU bound (Fig. 8): V < q·2^(p_x + p_y)"
     );
-    (value, tally)
+    value
 }
 
 /// The straightforward bit-serial MAC scheme of Fig. 6(b) — used as the

@@ -11,9 +11,8 @@
 use crate::bops::BopsTally;
 use crate::converter::{generate_patterns, Patterns};
 use crate::error::ModelError;
-use crate::gu::{cycles_carry_parallel, gather_carry_parallel, gather_sliced};
-use crate::ipu::{bit_indexed_inner_product, bit_indexed_inner_product_sliced};
-use apc_bignum::limb::Limb;
+use crate::gu::{cycles_carry_parallel, gather_carry_parallel};
+use crate::ipu::bit_indexed_inner_product;
 use apc_bignum::Nat;
 
 /// Result of one PE pass (Fig. 9a).
@@ -112,33 +111,33 @@ pub fn pe_pass_with_patterns(
     })
 }
 
-/// One PE pass on the Sliced64 engine (Fig. 9a) over a precomputed
-/// sliced pattern table (Fig. 9b): sliced IPUs → sliced GU, with every
-/// L-cycle bitflow stage collapsed to word ops — the word-engine twin of
-/// [`pe_pass_with_patterns`].
+/// One PE pass on the Sliced64 kernels (Fig. 9a) over a precomputed
+/// sliced pattern table (Fig. 9b), gathered into a fresh value: sliced
+/// IPUs → sliced GU — the word-kernel twin of [`pe_pass_with_patterns`].
+/// The structural multiply runs the same kernels but accumulates every
+/// IPU partial in place into its window; this per-pass form is the
+/// oracle that fold is checked against.
 ///
 /// * `patterns`, `generation_bops` — the block's table and recorded
 ///   Converter cost from
-///   [`crate::converter::generate_patterns_sliced`]. The cost is charged
-///   to this pass's tally on every call (the modeled Converter streams on
-///   every pass), so replayed and regenerated passes are bit-identical in
-///   value *and* accounting.
+///   [`crate::converter::generate_patterns_sliced`], charged to this
+///   pass's tally (the modeled Converter streams on every pass).
 /// * `q` — the pattern-block arity of the table.
 /// * `ys_flat` — the per-IPU index tuples, flattened: IPU `k`'s q words
-///   are `ys_flat[k·q .. (k+1)·q]` (flat so a pass performs one
-///   allocation-free walk instead of building nested vectors).
+///   are `ys_flat[k·q .. (k+1)·q]`.
 ///
 /// The gathered value and [`BopsTally`] are bit-identical to [`pe_pass`]
-/// on the same inputs; the caller guarantees the sliced-support envelope
-/// ([`crate::accelerator::Accelerator::effective_backend`]), under which
-/// none of the word kernels can overflow.
-pub fn pe_pass_sliced(
-    patterns: &[Limb],
+/// on the same inputs inside the sliced-support envelope
+/// ([`crate::accelerator::Accelerator::effective_backend`]).
+#[cfg(test)]
+pub(crate) fn pe_pass_sliced(
+    patterns: &[apc_bignum::limb::Limb],
     generation_bops: u64,
     q: usize,
-    ys_flat: &[Limb],
+    ys_flat: &[apc_bignum::limb::Limb],
     limb_bits: u32,
 ) -> (Nat, BopsTally) {
+    use crate::ipu::bit_indexed_inner_product_sliced;
     debug_assert!(q >= 1, "a pattern block holds at least one limb");
     debug_assert_eq!(ys_flat.len() % q, 0, "flattened index tuples must align");
     let element_bits = u64::from(limb_bits);
@@ -153,13 +152,14 @@ pub fn pe_pass_sliced(
         tally.merge(&ipu_tally);
         per_ipu.push(value);
     }
-    (gather_sliced(&per_ipu, limb_bits), tally)
+    (crate::gu::gather_sliced(&per_ipu, limb_bits), tally)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::converter::generate_patterns_sliced;
+    use apc_bignum::limb::Limb;
 
     /// The sliced pass over a freshly generated sliced table.
     fn sliced_pass(x_block: &[Limb], ys_flat: &[Limb], limb_bits: u32) -> (Nat, BopsTally) {

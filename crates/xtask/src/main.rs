@@ -151,8 +151,9 @@ fn ci() -> ExitCode {
         ("doc", &["doc", "--workspace", "--no-deps"]),
     ];
     // Only rustdoc reads it: the doc step fails on a broken intra-doc
-    // link, and doctests (which run no link pass) are unaffected.
-    let rustdocflags = "-D rustdoc::broken_intra_doc_links";
+    // link or on public docs linking a private item, and doctests (which
+    // run no link pass) are unaffected.
+    let rustdocflags = "-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links";
     println!("ci: RUSTDOCFLAGS='{rustdocflags}' for every step");
     let root = xtask::default_workspace_root();
     for (name, cargo_args) in steps {

@@ -11,7 +11,10 @@
 //! boundaries live) and compares every `RunOutcome` field. The same sweep
 //! checks that `Accelerator::schedule`, computed from the operand widths
 //! alone, predicts each run's cycles, PE slots and Adder Tree busy cycles,
-//! and sizes the grid exactly as the operands' Eq. 1 limb vectors do.
+//! and sizes the grid exactly as the operands' Eq. 1 limb vectors do, and
+//! that each run executes exactly the passes those limb vectors call for.
+//! Sparse operands with zero runs longer than a block and a window drive
+//! the pass-skip path and the first and last window edges.
 
 use apc_bignum::Nat;
 use cambricon_p::accelerator::{Accelerator, RunOutcome};
@@ -41,31 +44,41 @@ fn assert_identical(got: &RunOutcome, oracle: &RunOutcome, what: &str) {
     assert_eq!(got.pe_slots, oracle.pe_slots, "pe_slots diverged: {what}");
 }
 
-/// Sweeps `acc` over every width (plus zero and one) and checks
-/// `multiply` against `multiply_scalar`, the software oracle and the
-/// closed-form `Accelerator::schedule`.
-fn sweep_against_oracle(acc: &Accelerator, rng: &mut StdRng) {
+/// The passes a run must execute, counted from the Eq. 1 limb vectors
+/// alone: PE(b, w) runs when x's block b is nonzero and some IPU k of
+/// window w indexes a nonzero y limb `y_{w·N_IPU + k − bq − i}`, i < q.
+fn expected_passes(acc: &Accelerator, a: &Nat, b: &Nat) -> u64 {
+    let (q, l, n_ipu) = (acc.config().q as usize, acc.config().limb_bits, acc.config().n_ipu);
+    let (xw, yw) = (to_limb_words(a, l), to_limb_words(b, l));
+    let nonzero =
+        |words: &[u64], j: Option<usize>| j.and_then(|j| words.get(j)).is_some_and(|&v| v != 0);
+    let grid = acc.schedule(a.bit_len(), b.bit_len());
+    let mut passes = 0;
+    for w in 0..grid.windows {
+        for blk in 0..grid.blocks {
+            let x_live = (0..q).any(|i| nonzero(&xw, Some(blk * q + i)));
+            let y_live = (0..n_ipu)
+                .any(|k| (0..q).any(|i| nonzero(&yw, (w * n_ipu + k).checked_sub(blk * q + i))));
+            passes += u64::from(x_live && y_live);
+        }
+    }
+    passes
+}
+
+/// Checks every pair's `multiply` against `multiply_scalar`, the
+/// software oracle, an independent pass count and the closed-form
+/// `Accelerator::schedule`; returns the Converter busy cycles the pairs
+/// spent.
+fn assert_pairs_match(acc: &Accelerator, pairs: &[(Nat, Nat)]) -> u64 {
     let (q, l) = (acc.config().q, acc.config().limb_bits);
     let (n_pe, n_ipu) = (acc.config().n_pe, acc.config().n_ipu);
-    let mut pairs: Vec<(Nat, Nat)> = width_sweep()
-        .into_iter()
-        .map(|bits| {
-            (
-                Nat::random_exact_bits(bits, rng),
-                Nat::random_exact_bits(bits.max(2) - 1, rng),
-            )
-        })
-        .collect();
-    // Zero and one still go through the structural path.
-    for special in [Nat::zero(), Nat::one()] {
-        pairs.push((Nat::random_exact_bits(257, rng), special));
-    }
     let mut converter_cycles = 0;
-    for (a, b) in &pairs {
+    for (a, b) in pairs {
         let what = format!("{} x {} bits (q={q}, L={l})", a.bit_len(), b.bit_len());
         let got = acc.multiply(a, b);
         assert_identical(&got, &acc.multiply_scalar(a, b), &what);
         assert_eq!(got.product, a * b, "must match the software oracle: {what}");
+        assert_eq!(got.pe_passes, expected_passes(acc, a, b), "executed passes: {what}");
         let schedule = acc.schedule(a.bit_len(), b.bit_len());
         assert_eq!(schedule.cycles, got.cycles, "closed-form cycles: {what}");
         assert_eq!(schedule.pe_slots, got.pe_slots, "closed-form pe_slots: {what}");
@@ -87,13 +100,33 @@ fn sweep_against_oracle(acc: &Accelerator, rng: &mut StdRng) {
         assert_eq!(schedule.pass_groups, groups, "pass groups: {what}");
         converter_cycles += got.stages.converter;
     }
-    assert!(converter_cycles > 0, "the sweep did real work");
+    converter_cycles
 }
 
-#[test]
-fn sliced_mul_structural_matches_scalar_bit_for_bit() {
-    let mut rng = StdRng::seed_from_u64(0xB175_11CE);
-    for cfg in [
+/// Sweeps `acc` over every width (plus zero and one) through
+/// [`assert_pairs_match`].
+fn sweep_against_oracle(acc: &Accelerator, rng: &mut StdRng) {
+    let mut pairs: Vec<(Nat, Nat)> = width_sweep()
+        .into_iter()
+        .map(|bits| {
+            (
+                Nat::random_exact_bits(bits, rng),
+                Nat::random_exact_bits(bits.max(2) - 1, rng),
+            )
+        })
+        .collect();
+    // Zero and one still go through the structural path.
+    for special in [Nat::zero(), Nat::one()] {
+        pairs.push((Nat::random_exact_bits(257, rng), special));
+    }
+    assert!(assert_pairs_match(acc, &pairs) > 0, "the sweep did real work");
+}
+
+/// The four gate configurations: the §VII default, two toy shapes with
+/// many windows and blocks, and L = 64, which lies outside the Sliced64
+/// envelope and so runs the Scalar engine.
+fn gate_configs() -> [ArchConfig; 4] {
+    [
         ArchConfig::default(),
         ArchConfig {
             n_pe: 4,
@@ -109,8 +142,18 @@ fn sliced_mul_structural_matches_scalar_bit_for_bit() {
             limb_bits: 8,
             ..ArchConfig::default()
         },
-    ] {
-        let acc = Accelerator::new(cfg);
+        ArchConfig {
+            limb_bits: 64,
+            ..ArchConfig::default()
+        },
+    ]
+}
+
+#[test]
+fn sliced_mul_structural_matches_scalar_bit_for_bit() {
+    let mut rng = StdRng::seed_from_u64(0xB175_11CE);
+    for cfg in &gate_configs()[..3] {
+        let acc = Accelerator::new(cfg.clone());
         assert_eq!(acc.effective_backend(), KernelBackend::Sliced64);
         sweep_against_oracle(&acc, &mut rng);
     }
@@ -120,10 +163,49 @@ fn sliced_mul_structural_matches_scalar_bit_for_bit() {
 fn unsupported_envelope_is_still_exact() {
     // L = 64 with q = 4 exceeds the one-word pattern envelope: the
     // configuration selects the Scalar engine and stays bit-exact.
-    let acc = Accelerator::new(ArchConfig {
-        limb_bits: 64,
-        ..ArchConfig::default()
-    });
+    let acc = Accelerator::new(gate_configs()[3].clone());
     assert_eq!(acc.effective_backend(), KernelBackend::Scalar);
     sweep_against_oracle(&acc, &mut StdRng::seed_from_u64(7));
+}
+
+/// `x` with bits `[lo, hi)` cleared.
+fn clear_bits(x: &Nat, lo: u64, hi: u64) -> Nat {
+    &x.low_bits(lo) + &x.shr_bits(hi).shl_bits(hi)
+}
+
+#[test]
+fn sparse_operands_match_scalar_bit_for_bit() {
+    // Zero-limb runs of at least 2500 bits, longer than one pattern block
+    // (q·L ≤ 256 bits) and one window (N_IPU·L ≤ 2048 bits) on every gate
+    // configuration: whole passes skip, single IPUs index all-zero words,
+    // and the first and last windows see only one operand's edge.
+    let mut rng = StdRng::seed_from_u64(0x5BA5_5E);
+    let dense = Nat::random_exact_bits(4096, &mut rng);
+    let one_bit_ends = Nat::power_of_two(3000) + Nat::one();
+    let ones_run = (Nat::power_of_two(300) - Nat::one()).shl_bits(2600);
+    let hollow = clear_bits(&Nat::random_exact_bits(4096, &mut rng), 800, 3500);
+    assert!(hollow.bit(4095) && hollow.low_bits(800) != Nat::zero());
+    let pairs = vec![
+        (one_bit_ends.clone(), dense.clone()),
+        (dense.clone(), one_bit_ends.clone()),
+        (one_bit_ends.clone(), one_bit_ends.clone()),
+        (ones_run.clone(), dense.clone()),
+        (dense.clone(), ones_run.clone()),
+        (ones_run.clone(), one_bit_ends.clone()),
+        (hollow.clone(), dense.clone()),
+        (dense.clone(), hollow.clone()),
+        (hollow.clone(), hollow.clone()),
+        (hollow.clone(), ones_run.clone()),
+    ];
+    for cfg in gate_configs() {
+        let acc = Accelerator::new(cfg);
+        assert!(assert_pairs_match(&acc, &pairs) > 0, "the pairs did real work");
+        // The pairs really exercise the skip predicate: against a dense
+        // x, which has no all-zero block, a sparse y alone leaves some of
+        // the grid's passes unexecuted.
+        let (a, b) = (&dense, &one_bit_ends);
+        let grid = acc.schedule(a.bit_len(), b.bit_len());
+        let passes = acc.multiply(a, b).pe_passes;
+        assert!(passes < (grid.blocks * grid.windows) as u64, "{passes} passes skip none");
+    }
 }
