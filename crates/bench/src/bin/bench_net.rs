@@ -15,19 +15,19 @@
 //!
 //! The run finishes with a real `GET /metrics` scrape over the same
 //! listener and embeds the `apc_net_*` counter values it saw — the
-//! accept-time truth that frames actually flowed — plus the same
-//! pool honesty fields bench_json records.
+//! accept-time truth that frames actually flowed. Each load point
+//! repeats its closed-loop run (fresh connections per run) until the
+//! sample floor is reached and reports the run time's median and
+//! quartiles.
 
-use apc_bench::{header, time_once};
+use apc_bench::{header, sample, Report, Sample, BENCH_FLOOR_SECONDS};
 use apc_bignum::Nat;
 use apc_net::{NetClient, NetClientConfig, NetServer, NetServerConfig, Router};
 use apc_serve::{Job, JobOutput, JobSpec, ServeConfig, ServeHandle};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use std::fmt::Write as _;
 use std::io::{Read, Write as _};
 use std::net::TcpStream;
-use std::path::PathBuf;
 
 const OPERAND_BITS: u64 = 2048;
 const JOBS_PER_CLIENT: usize = 100;
@@ -46,19 +46,14 @@ fn random_nat(rng: &mut StdRng, bits: u64) -> Nat {
     Nat::from_limbs(v)
 }
 
-struct LoadPoint {
-    clients: usize,
-    throughput: f64,
-}
-
 fn serve_config() -> ServeConfig {
     ServeConfig { workers: WORKERS_PER_SHARD, ..ServeConfig::default() }
 }
 
-/// One closed-loop run: `clients` threads, each its own connection,
-/// each `JOBS_PER_CLIENT` multiplies. Returns jobs/s.
-fn run_load_point(addr: std::net::SocketAddr, clients: usize) -> f64 {
-    let (done, elapsed) = time_once(|| {
+/// Repeated closed-loop runs: `clients` threads, each its own
+/// connection, each `JOBS_PER_CLIENT` multiplies per run.
+fn run_load_point(addr: std::net::SocketAddr, clients: usize) -> Sample {
+    sample(BENCH_FLOOR_SECONDS, || {
         let handles: Vec<_> = (0..clients)
             .map(|c| {
                 std::thread::spawn(move || {
@@ -75,30 +70,29 @@ fn run_load_point(addr: std::net::SocketAddr, clients: usize) -> f64 {
                             other => panic!("multiply answered {other:?}"),
                         }
                     }
-                    JOBS_PER_CLIENT
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("client thread")).sum::<usize>()
-    });
-    done as f64 / elapsed
+        for h in handles {
+            h.join().expect("client thread");
+        }
+    })
 }
 
 /// The same closed loop with no network: in-process submit_wait against
 /// one identical service instance.
-fn run_inprocess_reference() -> f64 {
+fn run_inprocess_reference() -> Sample {
     let serve = ServeHandle::start(serve_config());
     let mut rng = StdRng::seed_from_u64(0xBE7);
-    let (done, elapsed) = time_once(|| {
+    let runs = sample(BENCH_FLOOR_SECONDS, || {
         for _ in 0..JOBS_PER_CLIENT {
             let a = random_nat(&mut rng, OPERAND_BITS);
             let b = random_nat(&mut rng, OPERAND_BITS);
             serve.submit_wait(Job::Mul { a, b }, JobSpec::default()).expect("submit");
         }
-        JOBS_PER_CLIENT
     });
     serve.shutdown();
-    done as f64 / elapsed
+    runs
 }
 
 /// Raw-HTTP scrape of `GET /metrics` on the protocol listener.
@@ -130,9 +124,19 @@ fn main() {
     );
     println!();
 
-    let parallel_feature = cfg!(feature = "parallel");
-    let pool_threads = apc_bignum::par::pool_threads();
-    let parallel_effective = parallel_feature && pool_threads > 1;
+    let mut report = Report::new(
+        "net_throughput",
+        "analytic Device::mul via apc-net and apc-serve",
+    );
+    for (name, value) in [
+        ("operand_bits", OPERAND_BITS as usize),
+        ("shards", SHARDS),
+        ("workers_per_shard", WORKERS_PER_SHARD),
+        ("conn_workers", CONN_WORKERS),
+        ("jobs_per_client", JOBS_PER_CLIENT),
+    ] {
+        report.gauge(name, &[], value as f64);
+    }
     let router = Router::start(SHARDS, serve_config());
     let server = NetServer::start(
         "127.0.0.1:0",
@@ -147,69 +151,59 @@ fn main() {
     let addr = server.local_addr();
 
     let inprocess = run_inprocess_reference();
-    println!("in-process reference (no network): {inprocess:.1} jobs/s");
+    let inprocess_jobs_per_s = JOBS_PER_CLIENT as f64 / inprocess.median;
+    println!("in-process reference (no network): {inprocess_jobs_per_s:.1} jobs/s");
+    report.sample("inprocess_run_seconds", &[], &inprocess);
+    report.gauge("inprocess_jobs_per_s", &[], inprocess_jobs_per_s);
 
-    let mut points = Vec::new();
+    let mut peak = 0.0f64;
+    let mut expected_jobs = 0u64;
     for &clients in &CLIENT_COUNTS {
-        let throughput = run_load_point(addr, clients);
-        println!("{clients:>2} client(s): {throughput:.1} jobs/s over TCP");
-        points.push(LoadPoint { clients, throughput });
+        let runs = run_load_point(addr, clients);
+        let jobs_per_run = clients * JOBS_PER_CLIENT;
+        let throughput = jobs_per_run as f64 / runs.median;
+        println!(
+            "{clients:>2} client(s): {throughput:.1} jobs/s over TCP ({} runs)",
+            runs.reps
+        );
+        let point = [("clients", clients.to_string())];
+        report.sample("run_seconds", &point, &runs);
+        report.gauge("jobs_per_s", &point, throughput);
+        peak = peak.max(throughput);
+        expected_jobs += (jobs_per_run * runs.reps) as u64;
     }
+    report.gauge(
+        "wire_overhead_vs_inprocess",
+        &[],
+        inprocess_jobs_per_s / peak,
+    );
 
     let scrape = scrape_metrics(addr);
     let frames_in = counter_value(&scrape, "apc_net_frames_in_total");
     let frames_out = counter_value(&scrape, "apc_net_frames_out_total");
     let jobs_ok = counter_value(&scrape, "apc_net_jobs_ok_total");
     println!();
-    println!("GET /metrics scrape: frames_in {frames_in}, frames_out {frames_out}, jobs_ok {jobs_ok}");
+    println!(
+        "GET /metrics scrape: frames_in {frames_in}, frames_out {frames_out}, jobs_ok {jobs_ok}"
+    );
     // The acceptance contract: a scrape over the real listener shows
     // the frames this benchmark pushed.
-    let expected_jobs = (CLIENT_COUNTS.iter().sum::<usize>() * JOBS_PER_CLIENT) as u64;
-    assert!(frames_in > expected_jobs, "scrape lost the benchmark's request frames");
-    assert!(jobs_ok == expected_jobs, "scrape jobs_ok {jobs_ok} != {expected_jobs} submitted");
-
-    let peak = points
-        .iter()
-        .map(|p| p.throughput)
-        .fold(f64::NEG_INFINITY, f64::max);
-
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"net_throughput\",");
-    let _ = writeln!(json, "  \"operand_bits\": {OPERAND_BITS},");
-    let _ = writeln!(json, "  \"device_path\": \"analytic Device::mul\",");
-    let _ = writeln!(json, "  \"shards\": {SHARDS},");
-    let _ = writeln!(json, "  \"workers_per_shard\": {WORKERS_PER_SHARD},");
-    let _ = writeln!(json, "  \"conn_workers\": {CONN_WORKERS},");
-    let _ = writeln!(json, "  \"jobs_per_client\": {JOBS_PER_CLIENT},");
-    let _ = writeln!(json, "  \"pool_threads\": {pool_threads},");
-    let _ = writeln!(json, "  \"parallel_feature\": {parallel_feature},");
-    let _ = writeln!(json, "  \"parallel_effective\": {parallel_effective},");
-    let _ = writeln!(json, "  \"inprocess_jobs_per_s\": {inprocess},");
-    let _ = writeln!(json, "  \"load_points\": [");
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 < points.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"clients\": {}, \"jobs_per_s\": {}}}{comma}",
-            p.clients, p.throughput
-        );
+    assert!(
+        frames_in > expected_jobs,
+        "scrape lost the benchmark's request frames"
+    );
+    assert!(
+        jobs_ok == expected_jobs,
+        "scrape jobs_ok {jobs_ok} != {expected_jobs} submitted"
+    );
+    for (name, value) in [
+        ("apc_net_frames_in_total", frames_in),
+        ("apc_net_frames_out_total", frames_out),
+        ("apc_net_jobs_ok_total", jobs_ok),
+    ] {
+        report.gauge(name, &[("source", "metrics_scrape".into())], value as f64);
     }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"wire_overhead_vs_inprocess\": {},", inprocess / peak.max(1e-9));
-    let _ = writeln!(json, "  \"metrics_scrape\": {{");
-    let _ = writeln!(json, "    \"apc_net_frames_in_total\": {frames_in},");
-    let _ = writeln!(json, "    \"apc_net_frames_out_total\": {frames_out},");
-    let _ = writeln!(json, "    \"apc_net_jobs_ok_total\": {jobs_ok}");
-    let _ = writeln!(json, "  }}");
-    let _ = writeln!(json, "}}");
 
     server.shutdown();
-
-    let out: PathBuf = [env!("CARGO_MANIFEST_DIR"), "..", "..", "BENCH_net_throughput.json"]
-        .iter()
-        .collect();
-    std::fs::write(&out, &json).expect("write BENCH_net_throughput.json");
-    println!();
-    println!("wrote {}", out.display());
+    report.write();
 }

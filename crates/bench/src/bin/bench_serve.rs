@@ -11,6 +11,10 @@
 //! batch formation) amortizes across the batch. The paper's §VII utilization
 //! argument, transplanted to the host: group compatible work so the
 //! compute resources spend their time computing, not synchronizing.
+//! Each load point repeats its closed-loop run against one service until
+//! the sample floor is reached; the JSON gives the run time's median and
+//! quartiles, latency percentiles over every job, and the service-side
+//! histograms over every run.
 //!
 //! A direct-device loop (no service, no queue) is also timed as the
 //! reference ceiling for this operand size.
@@ -20,15 +24,12 @@
 //! multiplicands — the RSA/zkcm shape the cache exists for) and records
 //! the observed hit rate next to cached and uncached throughput.
 
-use apc_bench::{fmt_seconds, header};
+use apc_bench::{fmt_seconds, header, quantile, sample, Report, Sample, BENCH_FLOOR_SECONDS};
 use apc_bignum::Nat;
 use apc_serve::{Job, JobSpec, MetricsSnapshot, ServeConfig, ServeHandle};
-use apc_trace::export::histogram_json;
 use cambricon_p::pattern_cache;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::time::Instant;
 
 const OPERAND_BITS: u64 = 2048;
@@ -36,116 +37,121 @@ const JOBS_PER_CLIENT: usize = 150;
 const WORKERS: usize = 2;
 const BATCH_MAX: usize = 16;
 
+/// One load point: repeated closed-loop runs against one service.
 struct LoadPoint {
     clients: usize,
-    jobs: usize,
-    wall_seconds: f64,
-    throughput: f64,
+    /// Wall seconds per run of `clients · JOBS_PER_CLIENT` jobs.
+    runs: Sample,
     p50_latency_s: f64,
     p99_latency_s: f64,
-    mean_batch_size: f64,
-    max_queue_depth: usize,
-    // Service-side span histograms (apc-trace, ns / cycle domain), so
-    // the JSON carries queue-wait and service p50/p99 as seen by the
-    // service rather than only the client-observed round trip.
+    // Service-side span histograms (apc-trace, ns / cycle domain) over
+    // every run, so the JSON carries queue-wait and service p50/p99 as
+    // seen by the service rather than only the client-observed round trip.
     metrics: MetricsSnapshot,
 }
 
 impl LoadPoint {
-    fn json(&self) -> String {
-        format!(
-            "{{\"clients\": {}, \"jobs\": {}, \"wall_seconds\": {}, \"throughput_jobs_per_s\": {}, \"p50_latency_s\": {}, \"p99_latency_s\": {}, \"mean_batch_size\": {}, \"max_queue_depth\": {}, \"queue_wait_ns\": {}, \"service_ns\": {}, \"service_cycles\": {}, \"batch_form_ns\": {}, \"dispatch_wait_ns\": {}}}",
-            self.clients,
-            self.jobs,
-            self.wall_seconds,
-            self.throughput,
-            self.p50_latency_s,
-            self.p99_latency_s,
-            self.mean_batch_size,
-            self.max_queue_depth,
-            histogram_json(&self.metrics.queue_wait_ns),
-            histogram_json(&self.metrics.service_ns),
-            histogram_json(&self.metrics.service_cycles),
-            histogram_json(&self.metrics.batch_form_ns),
-            histogram_json(&self.metrics.dispatch_wait_ns)
-        )
+    fn jobs_per_run(&self) -> usize {
+        self.clients * JOBS_PER_CLIENT
+    }
+
+    /// Jobs per second at the median run.
+    fn throughput(&self) -> f64 {
+        self.jobs_per_run() as f64 / self.runs.median
     }
 
     fn print(&self) {
         println!(
-            "{:>8} {:>8} {:>12} {:>14.1} {:>12} {:>12} {:>11.2} {:>10}",
+            "{:>8} {:>6} {:>12} {:>14.1} {:>12} {:>12} {:>11.2} {:>10}",
             self.clients,
-            self.jobs,
-            fmt_seconds(self.wall_seconds),
-            self.throughput,
+            self.runs.reps,
+            fmt_seconds(self.runs.median),
+            self.throughput(),
             fmt_seconds(self.p50_latency_s),
             fmt_seconds(self.p99_latency_s),
-            self.mean_batch_size,
-            self.max_queue_depth
+            self.metrics.mean_batch_size(),
+            self.metrics.max_queue_depth
         );
     }
-}
 
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
+    fn record(&self, report: &mut Report) {
+        let point = [("clients", self.clients.to_string())];
+        report.sample("run_seconds", &point, &self.runs);
+        report.gauge("jobs_per_run", &point, self.jobs_per_run() as f64);
+        report.gauge("throughput_jobs_per_s", &point, self.throughput());
+        report.gauge("p50_latency_seconds", &point, self.p50_latency_s);
+        report.gauge("p99_latency_seconds", &point, self.p99_latency_s);
+        report.gauge("mean_batch_size", &point, self.metrics.mean_batch_size());
+        report.gauge(
+            "max_queue_depth",
+            &point,
+            self.metrics.max_queue_depth as f64,
+        );
+        let m = &self.metrics;
+        for (name, h) in [
+            ("queue_wait_ns", &m.queue_wait_ns),
+            ("service_ns", &m.service_ns),
+            ("service_cycles", &m.service_cycles),
+            ("batch_form_ns", &m.batch_form_ns),
+            ("dispatch_wait_ns", &m.dispatch_wait_ns),
+        ] {
+            report.histogram(name, &point, h);
+        }
     }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
-/// One closed-loop run: `clients` tenant threads, each submitting
-/// `JOBS_PER_CLIENT` multiplies and waiting for each report in turn.
+/// Closed-loop runs of `clients` tenant threads, each submitting
+/// `JOBS_PER_CLIENT` multiplies and waiting for each report in turn,
+/// repeated against one service until the sample floor is reached.
 fn run_load_point(clients: usize, operands: &[(Nat, Nat)]) -> LoadPoint {
     let serve = ServeHandle::start(ServeConfig {
         workers: WORKERS,
         batch_max: BATCH_MAX,
         ..ServeConfig::default()
     });
-    let t0 = Instant::now();
-    let mut latencies: Vec<f64> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let serve = serve.clone();
-                s.spawn(move || {
-                    let mut lat = Vec::with_capacity(JOBS_PER_CLIENT);
-                    for i in 0..JOBS_PER_CLIENT {
-                        let (a, b) = &operands[(c * JOBS_PER_CLIENT + i) % operands.len()];
-                        let t = Instant::now();
-                        let report = serve
-                            .submit_wait(
-                                Job::Mul { a: a.clone(), b: b.clone() },
-                                JobSpec::default(),
-                            )
-                            .expect("closed-loop submit cannot overflow the queue");
-                        lat.push(t.elapsed().as_secs_f64());
-                        assert!(report.service_cycles > 0);
-                    }
-                    lat
+    let mut latencies: Vec<f64> = Vec::new();
+    let runs = sample(BENCH_FLOOR_SECONDS, || {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..clients)
+                .map(|c| {
+                    let serve = serve.clone();
+                    s.spawn(move || {
+                        let mut lat = Vec::with_capacity(JOBS_PER_CLIENT);
+                        for i in 0..JOBS_PER_CLIENT {
+                            let (a, b) = &operands[(c * JOBS_PER_CLIENT + i) % operands.len()];
+                            let t = Instant::now();
+                            let report = serve
+                                .submit_wait(
+                                    Job::Mul {
+                                        a: a.clone(),
+                                        b: b.clone(),
+                                    },
+                                    JobSpec::default(),
+                                )
+                                .expect("closed-loop submit cannot overflow the queue");
+                            lat.push(t.elapsed().as_secs_f64());
+                            assert!(report.service_cycles > 0);
+                        }
+                        lat
+                    })
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("client thread"))
-            .collect()
+                .collect();
+            for h in handles {
+                latencies.extend(h.join().expect("client thread"));
+            }
+        })
     });
-    let wall_seconds = t0.elapsed().as_secs_f64();
     serve.shutdown();
-    let m = serve.metrics();
-    let jobs = clients * JOBS_PER_CLIENT;
-    assert_eq!(m.completed, jobs as u64, "every job must complete");
-    latencies.sort_by(|x, y| x.partial_cmp(y).expect("finite latencies"));
+    let metrics = serve.metrics();
+    let jobs = clients * JOBS_PER_CLIENT * runs.reps;
+    assert_eq!(metrics.completed, jobs as u64, "every job must complete");
+    latencies.sort_by(f64::total_cmp);
     LoadPoint {
         clients,
-        jobs,
-        wall_seconds,
-        throughput: jobs as f64 / wall_seconds,
-        p50_latency_s: percentile(&latencies, 0.50),
-        p99_latency_s: percentile(&latencies, 0.99),
-        mean_batch_size: m.mean_batch_size(),
-        max_queue_depth: m.max_queue_depth,
-        metrics: m,
+        runs,
+        p50_latency_s: quantile(&latencies, 0.50),
+        p99_latency_s: quantile(&latencies, 0.99),
+        metrics,
     }
 }
 
@@ -164,29 +170,43 @@ fn main() {
         })
         .collect();
 
+    let mut report = Report::new(
+        "serve_throughput",
+        "analytic Device::mul via apc-serve; fixed-modulus point on Device::mul_structural",
+    );
+    report.gauge("operand_bits", &[], OPERAND_BITS as f64);
+    report.gauge("workers", &[], WORKERS as f64);
+    report.gauge("batch_max", &[], BATCH_MAX as f64);
+    report.gauge("jobs_per_client", &[], JOBS_PER_CLIENT as f64);
+
     // Reference ceiling: the same multiplies straight on a private device,
     // no queue, no threads.
     let device = cambricon_p::mpapca::Device::new_default();
-    let t0 = Instant::now();
     let direct_jobs = 300usize;
-    for i in 0..direct_jobs {
-        let (a, b) = &operands[i % operands.len()];
-        let _ = device.mul(a, b);
-    }
-    let direct_throughput = direct_jobs as f64 / t0.elapsed().as_secs_f64();
+    let direct = sample(BENCH_FLOOR_SECONDS, || {
+        for i in 0..direct_jobs {
+            let (a, b) = &operands[i % operands.len()];
+            std::hint::black_box(device.mul(a, b));
+        }
+    });
+    let direct_throughput = direct_jobs as f64 / direct.median;
+    let point = [("jobs", direct_jobs.to_string())];
+    report.sample("direct_device_seconds", &point, &direct);
+    report.gauge("direct_device_jobs_per_s", &[], direct_throughput);
 
     header(&format!(
         "apc-serve closed-loop throughput — {OPERAND_BITS}-bit multiplies, {WORKERS} workers, batch_max {BATCH_MAX}"
     ));
     println!(
-        "{:>8} {:>8} {:>12} {:>14} {:>12} {:>12} {:>11} {:>10}",
-        "clients", "jobs", "wall", "jobs/s", "p50", "p99", "batch", "depth"
+        "{:>8} {:>6} {:>12} {:>14} {:>12} {:>12} {:>11} {:>10}",
+        "clients", "runs", "run (med)", "jobs/s", "p50", "p99", "batch", "depth"
     );
     let points: Vec<LoadPoint> = [1usize, 4, 16]
         .iter()
         .map(|&clients| {
             let p = run_load_point(clients, &operands);
             p.print();
+            p.record(&mut report);
             p
         })
         .collect();
@@ -195,13 +215,14 @@ fn main() {
 
     let serial = &points[0];
     let peak = points.last().expect("at least one load point");
+    let batched_over_serial = peak.throughput() / serial.throughput();
     println!(
-        "batched vs serial-through-service: {:.1} vs {:.1} jobs/s ({:.2}x), mean batch {:.2}",
-        peak.throughput,
-        serial.throughput,
-        peak.throughput / serial.throughput,
-        peak.mean_batch_size
+        "batched vs serial-through-service: {:.1} vs {:.1} jobs/s ({batched_over_serial:.2}x), mean batch {:.2}",
+        peak.throughput(),
+        serial.throughput(),
+        peak.metrics.mean_batch_size()
     );
+    report.gauge("batched_over_serial", &[], batched_over_serial);
     let qw = &peak.metrics.queue_wait_ns;
     let sv = &peak.metrics.service_ns;
     println!(
@@ -227,23 +248,23 @@ fn main() {
     apc_trace::set_enabled(true);
     let run_structural = || {
         let device = cambricon_p::mpapca::Device::new_default();
-        let t0 = Instant::now();
         for i in 0..structural_jobs {
-            let _ = device.mul_structural(modulus, &operands[i % operands.len()].1);
+            std::hint::black_box(device.mul_structural(modulus, &operands[i % operands.len()].1));
         }
-        structural_jobs as f64 / t0.elapsed().as_secs_f64()
     };
     pattern_cache::set_enabled(true);
     pattern_cache::clear();
     let before = pattern_cache::counters();
-    let cached_jobs_per_s = run_structural();
+    let cached = sample(BENCH_FLOOR_SECONDS, &run_structural);
     let after = pattern_cache::counters();
     let (hits, misses) = (after.hits - before.hits, after.misses - before.misses);
     let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
     pattern_cache::set_enabled(false);
-    let uncached_jobs_per_s = run_structural();
+    let uncached = sample(BENCH_FLOOR_SECONDS, &run_structural);
     pattern_cache::set_enabled(true);
     pattern_cache::clear();
+    let cached_jobs_per_s = structural_jobs as f64 / cached.median;
+    let uncached_jobs_per_s = structural_jobs as f64 / uncached.median;
     println!();
     println!(
         "fixed-modulus structural point: {cached_jobs_per_s:.1} jobs/s cached vs \
@@ -251,73 +272,33 @@ fn main() {
          ({hits} hits / {misses} misses)",
         cached_jobs_per_s / uncached_jobs_per_s
     );
-
-    // Same honesty contract as bench_json: record what the pool
-    // actually was, so serve numbers from 1-core containers are not
-    // misread as multi-worker results.
-    let parallel_feature = cfg!(feature = "parallel");
-    let pool_threads = apc_bignum::par::pool_threads();
-    let parallel_effective = parallel_feature && pool_threads > 1;
-
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"serve_throughput\",");
-    let _ = writeln!(json, "  \"operand_bits\": {OPERAND_BITS},");
-    let _ = writeln!(json, "  \"device_path\": \"analytic Device::mul\",");
-    let _ = writeln!(json, "  \"workers\": {WORKERS},");
-    let _ = writeln!(json, "  \"pool_threads\": {pool_threads},");
-    let _ = writeln!(json, "  \"parallel_feature\": {parallel_feature},");
-    let _ = writeln!(json, "  \"parallel_effective\": {parallel_effective},");
-    let _ = writeln!(json, "  \"batch_max\": {BATCH_MAX},");
-    let _ = writeln!(json, "  \"jobs_per_client\": {JOBS_PER_CLIENT},");
-    let _ = writeln!(json, "  \"direct_device_jobs_per_s\": {direct_throughput},");
-    let _ = writeln!(json, "  \"load_points\": [");
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 < points.len() { "," } else { "" };
-        let _ = writeln!(json, "    {}{comma}", p.json());
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"pattern_cache\": {{");
-    let _ = writeln!(json, "    \"structural_jobs\": {structural_jobs},");
-    let _ = writeln!(json, "    \"hits\": {hits},");
-    let _ = writeln!(json, "    \"misses\": {misses},");
-    let _ = writeln!(json, "    \"hit_rate\": {hit_rate},");
-    let _ = writeln!(json, "    \"cached_jobs_per_s\": {cached_jobs_per_s},");
-    let _ = writeln!(json, "    \"uncached_jobs_per_s\": {uncached_jobs_per_s}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(
-        json,
-        "  \"batched_over_serial\": {}",
-        peak.throughput / serial.throughput
-    );
-    let _ = writeln!(json, "}}");
-
-    let out: PathBuf = [env!("CARGO_MANIFEST_DIR"), "..", "..", "BENCH_serve_throughput.json"]
-        .iter()
-        .collect();
-    std::fs::write(&out, &json).expect("write BENCH_serve_throughput.json");
-    println!();
-    println!("wrote {}", out.display());
+    let point = [("jobs", structural_jobs.to_string())];
+    report.sample("cached_structural_seconds", &point, &cached);
+    report.sample("uncached_structural_seconds", &point, &uncached);
+    report.gauge("pattern_cache_hits", &[], hits as f64);
+    report.gauge("pattern_cache_misses", &[], misses as f64);
+    report.gauge("pattern_cache_hit_rate", &[], hit_rate);
+    report.write();
 
     assert!(
-        peak.throughput >= serial.throughput,
+        peak.throughput() >= serial.throughput(),
         "batched throughput ({:.1}/s) fell below serial single-job throughput ({:.1}/s)",
-        peak.throughput,
-        serial.throughput
+        peak.throughput(),
+        serial.throughput()
     );
     assert!(
-        peak.mean_batch_size > 1.0,
+        peak.metrics.mean_batch_size() > 1.0,
         "the peak load point never formed a real batch"
     );
     // The PR-10 regression gate: batches must *grow* with offered load
     // (the old rendezvous design pinned them near 1 at every load point).
     assert!(
-        peak.mean_batch_size > points[1].mean_batch_size,
+        peak.metrics.mean_batch_size() > points[1].metrics.mean_batch_size(),
         "mean batch size must grow with load: {} clients {:.2} <= {} clients {:.2}",
         peak.clients,
-        peak.mean_batch_size,
+        peak.metrics.mean_batch_size(),
         points[1].clients,
-        points[1].mean_batch_size
+        points[1].metrics.mean_batch_size()
     );
     assert!(
         hit_rate > 0.9,

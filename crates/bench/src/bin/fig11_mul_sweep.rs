@@ -13,7 +13,7 @@
 //! Run with `--full` to extend measured host multiplications to the top
 //! size (slow); by default the host column stops at 4M bits.
 
-use apc_bench::{fmt_seconds, header, time_best};
+use apc_bench::{fmt_seconds, header, sample};
 use apc_bignum::Nat;
 use cambricon_p::mpapca::{Device, MpapcaAlgorithm};
 
@@ -44,8 +44,7 @@ fn main() {
         let host = if bits <= host_limit {
             let a = Nat::random_exact_bits(bits, &mut rand::thread_rng());
             let b = Nat::random_exact_bits(bits, &mut rand::thread_rng());
-            let reps = if bits < 100_000 { 5 } else { 1 };
-            fmt_seconds(time_best(reps, 10.0, || &a * &b))
+            fmt_seconds(sample(0.1, || &a * &b).median)
         } else {
             "-".into()
         };

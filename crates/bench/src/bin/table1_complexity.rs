@@ -2,7 +2,7 @@
 //! empirically by fitting log-log slopes of measured runtimes of this
 //! repo's implementations.
 
-use apc_bench::{header, loglog_slope, time_best};
+use apc_bench::{header, loglog_slope, sample};
 use apc_bignum::{MulAlgorithm, Nat};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -19,7 +19,7 @@ fn fit_mul(alg: MulAlgorithm, sizes: &[usize], rng: &mut StdRng) -> f64 {
     let mut ys = Vec::new();
     for &limbs in sizes {
         let (a, b) = operands(limbs, rng);
-        let t = time_best(5, 2.0, || a.mul_with(&b, alg));
+        let t = sample(0.1, || a.mul_with(&b, alg)).median;
         xs.push(limbs as f64);
         ys.push(t);
     }
@@ -60,7 +60,7 @@ fn main() {
     let mut ys = Vec::new();
     for limbs in [4096usize, 8192, 16384, 32768] {
         let (a, b) = operands(limbs, &mut rng);
-        let t = time_best(20, 1.0, || &a + &b);
+        let t = sample(0.1, || &a + &b).median;
         xs.push(limbs as f64);
         ys.push(t.max(1e-9));
     }
@@ -72,7 +72,7 @@ fn main() {
     for limbs in [256usize, 512, 1024, 2048] {
         let (q, d) = operands(limbs, &mut rng);
         let u = &q * &d;
-        let t = time_best(5, 2.0, || u.divrem(&d));
+        let t = sample(0.1, || u.divrem(&d)).median;
         xs.push(limbs as f64);
         ys.push(t);
     }
@@ -88,7 +88,7 @@ fn main() {
     let mut ys = Vec::new();
     for limbs in [256usize, 512, 1024, 2048] {
         let (a, _) = operands(limbs, &mut rng);
-        let t = time_best(5, 2.0, || a.sqrt_rem());
+        let t = sample(0.1, || a.sqrt_rem()).median;
         xs.push(limbs as f64);
         ys.push(t);
     }

@@ -2,7 +2,7 @@
 //! 4096×4096-bit multiplication — time, area, power, bandwidth, and the
 //! relative factors.
 
-use apc_bench::{fmt_seconds, header, time_best};
+use apc_bench::{fmt_seconds, header, sample};
 use apc_bignum::Nat;
 use cambricon_p::mpapca::Device;
 use cambricon_p::ArchConfig;
@@ -78,7 +78,7 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(3);
     let a = Nat::random_exact_bits(4096, &mut rng);
     let b = Nat::random_exact_bits(4096, &mut rng);
-    let host = time_best(50, 2.0, || &a * &b);
+    let host = sample(0.5, || &a * &b).median;
     println!(
         "host 4096-bit multiply: {} → {:.0}x over modeled Cambricon-P time",
         fmt_seconds(host),

@@ -2,11 +2,16 @@
 //!
 //! One binary per table/figure of the paper's evaluation (see DESIGN.md
 //! for the experiment index) plus Criterion micro-benchmarks. This library
-//! holds the shared report formatting and small statistics helpers.
+//! holds the shared report formatting, the one sampler every timed point
+//! goes through ([`sample`]) and the one writer of the `BENCH_*.json`
+//! files ([`Report`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use apc_trace::export::{to_json, Metric};
+use apc_trace::HistogramSnapshot;
+use std::path::PathBuf;
 use std::time::Instant;
 
 /// Formats seconds with an adaptive unit.
@@ -68,28 +73,152 @@ pub fn loglog_slope(xs: &[f64], ys: &[f64]) -> f64 {
     num / den
 }
 
-/// Times a closure, returning (result, seconds). Runs once — callers
-/// decide about repetition.
-pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let t0 = Instant::now();
-    let r = f();
-    (r, t0.elapsed().as_secs_f64())
+/// Sample floor of the `BENCH_*.json` bins: each timed point repeats
+/// until it has run for at least this many seconds.
+pub const BENCH_FLOOR_SECONDS: f64 = 1.0;
+
+/// Fewest repetitions behind a [`Sample`], whatever the time floor.
+const MIN_REPS: usize = 5;
+
+/// The spread of one timed point: quartiles of the per-repetition wall
+/// times, in seconds.
+#[derive(Debug, Clone, Copy)]
+pub struct Sample {
+    /// Median seconds per repetition.
+    pub median: f64,
+    /// First quartile.
+    pub q1: f64,
+    /// Third quartile.
+    pub q3: f64,
+    /// Repetitions behind the quartiles.
+    pub reps: usize,
 }
 
-/// Times a closure with up to `max_reps` repetitions or until
-/// `budget_seconds` is exhausted, returning the minimum observed time.
-pub fn time_best<T>(max_reps: u32, budget_seconds: f64, mut f: impl FnMut() -> T) -> f64 {
-    let mut best = f64::INFINITY;
+/// Runs `f` until it has run for at least `min_seconds` and at least
+/// five times, timing each repetition.
+pub fn sample<T>(min_seconds: f64, mut f: impl FnMut() -> T) -> Sample {
     let start = Instant::now();
-    for _ in 0..max_reps.max(1) {
+    let mut times = Vec::new();
+    while times.len() < MIN_REPS || start.elapsed().as_secs_f64() < min_seconds {
         let t0 = Instant::now();
-        let _ = f();
-        best = best.min(t0.elapsed().as_secs_f64());
-        if start.elapsed().as_secs_f64() > budget_seconds {
-            break;
+        std::hint::black_box(f());
+        times.push(t0.elapsed().as_secs_f64());
+    }
+    times.sort_by(f64::total_cmp);
+    Sample {
+        median: quantile(&times, 0.5),
+        q1: quantile(&times, 0.25),
+        q3: quantile(&times, 0.75),
+        reps: times.len(),
+    }
+}
+
+/// The `q`-quantile (0 ≤ q ≤ 1) of an ascending, non-empty slice, linearly
+/// interpolated between the two nearest order statistics.
+///
+/// ```
+/// assert_eq!(apc_bench::quantile(&[1.0, 2.0, 3.0, 4.0], 0.5), 2.5);
+/// ```
+pub fn quantile(sorted: &[f64], q: f64) -> f64 {
+    assert!(!sorted.is_empty(), "quantile of empty slice");
+    let pos = q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+}
+
+/// One `BENCH_<name>.json` report: a header plus labelled per-point
+/// metrics, rendered by `apc_trace::export::to_json` (the schema the
+/// `/metrics` JSON endpoints use).
+///
+/// The header is one `bench_info` gauge whose labels name the bench, the
+/// executed code path, the structural `kernel_backend`, `pool_threads`,
+/// `parallel_feature`, `parallel_effective` and the sample floor.
+pub struct Report {
+    name: String,
+    parallel_effective: bool,
+    metrics: Vec<Metric>,
+}
+
+impl Report {
+    /// Starts the report for `BENCH_<name>.json`; `path` names the code
+    /// path the bin executes. Prints a note when parallel dispatch is not
+    /// effective.
+    pub fn new(name: &str, path: &str) -> Report {
+        let parallel_feature = apc_bignum::par::parallel_enabled();
+        let pool_threads = apc_bignum::par::pool_threads();
+        let parallel_effective = parallel_feature && pool_threads > 1;
+        if !parallel_effective {
+            println!(
+                "note: parallel dispatch is not effective (feature: {parallel_feature}, pool \
+                 workers: {pool_threads}); parallel ratios are left out of the JSON"
+            );
+        }
+        let backend = cambricon_p::accelerator::Accelerator::new_default().effective_backend();
+        let info = Metric::gauge("bench_info", "Run header.", 1.0)
+            .with_label("bench", name)
+            .with_label("path", path)
+            .with_label("kernel_backend", backend.name())
+            .with_label("pool_threads", &pool_threads.to_string())
+            .with_label("parallel_feature", &parallel_feature.to_string())
+            .with_label("parallel_effective", &parallel_effective.to_string())
+            .with_label("sample_floor_seconds", &BENCH_FLOOR_SECONDS.to_string());
+        Report {
+            name: name.to_string(),
+            parallel_effective,
+            metrics: vec![info],
         }
     }
-    best
+
+    /// Records a plain value.
+    pub fn gauge(&mut self, name: &str, labels: &[(&str, String)], value: f64) {
+        self.metrics
+            .push(labelled(Metric::gauge(name, "", value), labels));
+    }
+
+    /// Records a timed point: `name` carries the median, q1 and q3 (label
+    /// `stat`), `<name>_reps` the repetition count.
+    pub fn sample(&mut self, name: &str, labels: &[(&str, String)], s: &Sample) {
+        for (stat, value) in [("median", s.median), ("q1", s.q1), ("q3", s.q3)] {
+            let m = labelled(Metric::gauge(name, "", value), labels).with_label("stat", stat);
+            self.metrics.push(m);
+        }
+        let reps = Metric::counter(&format!("{name}_reps"), "", s.reps as u64);
+        self.metrics.push(labelled(reps, labels));
+    }
+
+    /// Records a parallel-over-sequential ratio, or nothing when the
+    /// parallel dispatch did not run on more than one thread.
+    pub fn parallel_ratio(&mut self, name: &str, labels: &[(&str, String)], value: f64) {
+        if self.parallel_effective {
+            self.gauge(name, labels, value);
+        }
+    }
+
+    /// Records a histogram.
+    pub fn histogram(&mut self, name: &str, labels: &[(&str, String)], h: &HistogramSnapshot) {
+        self.metrics
+            .push(labelled(Metric::histogram(name, "", h.clone()), labels));
+    }
+
+    /// The report as JSON.
+    pub fn to_json(&self) -> String {
+        to_json(&self.metrics)
+    }
+
+    /// Writes `BENCH_<name>.json` at the repository root.
+    pub fn write(&self) {
+        let file = format!("BENCH_{}.json", self.name);
+        let out: PathBuf = [env!("CARGO_MANIFEST_DIR"), "..", "..", file.as_str()]
+            .iter()
+            .collect();
+        std::fs::write(&out, self.to_json()).unwrap_or_else(|e| panic!("write {file}: {e}"));
+        println!();
+        println!("wrote {}", out.display());
+    }
+}
+
+fn labelled(metric: Metric, labels: &[(&str, String)]) -> Metric {
+    labels.iter().fold(metric, |m, (k, v)| m.with_label(k, v))
 }
 
 /// Prints a section header for the experiment reports.
@@ -128,11 +257,97 @@ mod tests {
     }
 
     #[test]
-    fn timers_run() {
-        let (v, t) = time_once(|| 42);
-        assert_eq!(v, 42);
-        assert!(t >= 0.0);
-        let best = time_best(3, 1.0, || 7);
-        assert!(best >= 0.0);
+    fn quantile_interpolates_odd_even_and_single() {
+        let odd = [1.0, 2.0, 3.0, 4.0, 5.0];
+        assert_eq!(
+            [
+                quantile(&odd, 0.25),
+                quantile(&odd, 0.5),
+                quantile(&odd, 0.75)
+            ],
+            [2.0, 3.0, 4.0]
+        );
+        let even = [1.0, 2.0, 3.0, 4.0];
+        assert_eq!(
+            [
+                quantile(&even, 0.25),
+                quantile(&even, 0.5),
+                quantile(&even, 0.75)
+            ],
+            [1.75, 2.5, 3.25]
+        );
+        assert_eq!(quantile(&even, 0.0), 1.0);
+        assert_eq!(quantile(&even, 1.0), 4.0);
+        for q in [0.0, 0.25, 0.5, 0.99, 1.0] {
+            assert_eq!(quantile(&[7.0], q), 7.0);
+        }
+    }
+
+    #[test]
+    fn sample_respects_its_time_and_repetition_floor() {
+        let pause = || std::thread::sleep(std::time::Duration::from_millis(1));
+        // A closure far faster than the floor repeats until the floor.
+        let t0 = Instant::now();
+        let mut calls = 0usize;
+        let s = sample(0.03, || {
+            calls += 1;
+            pause();
+        });
+        assert!(t0.elapsed().as_secs_f64() >= 0.03);
+        assert_eq!(s.reps, calls);
+        assert!(s.reps > MIN_REPS);
+        assert!(s.q1 <= s.median && s.median <= s.q3);
+        // With no time floor, the repetition floor alone.
+        let mut calls = 0usize;
+        let s = sample(0.0, || {
+            calls += 1;
+            pause();
+        });
+        assert_eq!((s.reps, calls), (MIN_REPS, MIN_REPS));
+        assert!(s.q1 >= 0.001, "{s:?}");
+    }
+
+    #[test]
+    fn report_renders_header_samples_and_histograms() {
+        let mut report = Report::new("unit", "test path");
+        let s = Sample {
+            median: 2.0,
+            q1: 1.5,
+            q3: 3.0,
+            reps: 9,
+        };
+        report.sample("seconds", &[("bits", "1024".into())], &s);
+        report.parallel_ratio("speedup", &[], 2.0);
+        let mut h = HistogramSnapshot::default();
+        h.buckets[3] = 2;
+        h.count = 2;
+        h.sum = 10;
+        report.histogram("wait_ns", &[("clients", "4".into())], &h);
+        let json = report.to_json();
+        for label in [
+            "\"bench\": \"unit\"",
+            "\"path\": \"test path\"",
+            "\"kernel_backend\": \"sliced64\"",
+            "\"pool_threads\": ",
+            "\"parallel_feature\": ",
+            "\"parallel_effective\": ",
+            "\"sample_floor_seconds\": \"1\"",
+        ] {
+            assert!(json.contains(label), "missing {label} in {json}");
+        }
+        for (stat, value) in [("median", "2"), ("q1", "1.5"), ("q3", "3")] {
+            let line = format!(
+                "{{\"name\": \"seconds\", \"labels\": {{\"bits\": \"1024\", \"stat\": \"{stat}\"}}, \"type\": \"gauge\", \"value\": {value}}}"
+            );
+            assert!(json.contains(&line), "missing {line} in {json}");
+        }
+        assert!(json.contains(
+            "{\"name\": \"seconds_reps\", \"labels\": {\"bits\": \"1024\"}, \"type\": \"counter\", \"value\": 9}"
+        ));
+        assert!(json.contains(
+            "\"name\": \"wait_ns\", \"labels\": {\"clients\": \"4\"}, \"type\": \"histogram\", \"value\": {\"count\": 2, \"sum\": 10"
+        ), "{json}");
+        let effective = apc_bignum::par::parallel_enabled() && apc_bignum::par::pool_threads() > 1;
+        assert_eq!(json.contains("\"name\": \"speedup\""), effective);
     }
 }

@@ -9,11 +9,10 @@
 //! is bit-identical to the sequential path.
 //!
 //! Without the `parallel` feature everything here degrades to plain
-//! sequential loops, so callers need no `cfg` of their own. With the
-//! feature on, a process-wide switch ([`set_parallel_enabled`]) lets
-//! benchmarks time both paths from one binary; the library-internal call
-//! sites (Toom-k, SSA) consult it, while callers that pass an explicit
-//! `parallel` flag (the `cambricon-p` structural model) are unaffected.
+//! sequential loops, so callers need no `cfg` of their own. [`sequential`]
+//! keeps every dispatch a closure reaches on the calling thread, so
+//! benchmarks and tests compare both paths in one process without a
+//! process-wide switch.
 //!
 //! Dispatch rides on the vendored rayon work-stealing pool: tasks split
 //! recursively via `rayon::join` down to a grain sized from the *actual*
@@ -27,54 +26,39 @@
 //! runs sequentially on that worker. The pool would handle nested forks
 //! fine; the guard keeps the task tree (and thus scheduling overhead)
 //! bounded by the outermost split and the per-task work deterministic in
-//! shape.
+//! shape. [`sequential`] is the same guard, set on the caller's thread.
 
+#[cfg(feature = "parallel")]
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Process-wide runtime switch consulted by the library-internal parallel
-/// call sites. `true` by default; irrelevant without the `parallel`
-/// feature.
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
+#[cfg(feature = "parallel")]
 thread_local! {
     /// Set while this thread is executing work items for an enclosing
-    /// `map_indexed`, to keep nested calls sequential.
+    /// `map_indexed`, or is inside [`sequential`], to keep dispatch on
+    /// this thread.
     static IN_PARALLEL_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Turns the library-internal parallel dispatch on or off at runtime
-/// (process-wide). A no-op without the `parallel` feature.
-pub fn set_parallel_enabled(enabled: bool) {
-    // Release pairs with the Acquire load in `parallel_enabled`: a thread
-    // that observes the switch also observes everything the switching
-    // thread published before flipping it.
-    ENABLED.store(enabled, Ordering::Release);
-}
-
-/// Whether library-internal call sites will currently dispatch in
-/// parallel: the `parallel` feature is compiled in and the runtime switch
-/// is on.
+/// Whether the library-internal call sites (Toom-k, SSA) dispatch in
+/// parallel, i.e. the `parallel` feature is compiled in.
 pub fn parallel_enabled() -> bool {
-    cfg!(feature = "parallel") && ENABLED.load(Ordering::Acquire)
+    cfg!(feature = "parallel")
 }
 
-/// Number of worker threads a parallel dispatch may use *right now*: the
-/// pool size when dispatch is live, `1` when it is sequential (feature
-/// off, or the runtime switch turned off). Callers sizing grains or
-/// batches from this value therefore never plan for threads that will
-/// not run.
-pub fn max_threads() -> usize {
-    if parallel_enabled() {
-        pool_threads()
-    } else {
-        1
-    }
+/// Runs `op` with every [`map_indexed`] and [`join`] it reaches kept on
+/// the calling thread, whatever their `parallel` flag says. The scope is
+/// this thread's alone, so concurrent callers are unaffected. Without
+/// the `parallel` feature this is just `op()`.
+pub fn sequential<R>(op: impl FnOnce() -> R) -> R {
+    #[cfg(feature = "parallel")]
+    return in_worker(op);
+    #[cfg(not(feature = "parallel"))]
+    op()
 }
 
 /// Worker count of the underlying pool (the enclosing `ThreadPool`'s on
-/// a pool worker, the global pool's otherwise), independent of the
-/// runtime switch. `1` without the `parallel` feature.
+/// a pool worker, the global pool's otherwise). `1` without the
+/// `parallel` feature.
 pub fn pool_threads() -> usize {
     #[cfg(feature = "parallel")]
     {
@@ -137,13 +121,18 @@ where
 }
 
 /// Runs `f` with the nested-parallelism guard set, restoring the previous
-/// state afterwards.
+/// state afterwards (also when `f` unwinds, so a panicking task cannot
+/// leave its thread stuck sequential).
 #[cfg(feature = "parallel")]
 fn in_worker<R>(f: impl FnOnce() -> R) -> R {
-    let prev = IN_PARALLEL_WORKER.with(|flag| flag.replace(true));
-    let out = f();
-    IN_PARALLEL_WORKER.with(|flag| flag.set(prev));
-    out
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            IN_PARALLEL_WORKER.with(|flag| flag.set(self.0));
+        }
+    }
+    let _restore = Restore(IN_PARALLEL_WORKER.with(|flag| flag.replace(true)));
+    f()
 }
 
 #[cfg(feature = "parallel")]
@@ -167,33 +156,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard, PoisonError};
-
-    /// Serializes tests that mutate the process-global `ENABLED` switch
-    /// (the default test harness runs siblings concurrently) and restores
-    /// the prior state on drop — including the panic path, so one failing
-    /// assertion cannot leak a disabled switch into other tests.
-    struct SwitchGuard {
-        prev: bool,
-        _lock: MutexGuard<'static, ()>,
-    }
-
-    impl SwitchGuard {
-        fn acquire() -> SwitchGuard {
-            static SWITCH_TESTS: Mutex<()> = Mutex::new(());
-            let lock = SWITCH_TESTS.lock().unwrap_or_else(PoisonError::into_inner);
-            SwitchGuard {
-                prev: ENABLED.load(Ordering::Acquire),
-                _lock: lock,
-            }
-        }
-    }
-
-    impl Drop for SwitchGuard {
-        fn drop(&mut self) {
-            set_parallel_enabled(self.prev);
-        }
-    }
+    use std::thread::{self, ThreadId};
 
     #[test]
     fn map_preserves_index_order() {
@@ -221,30 +184,46 @@ mod tests {
     }
 
     #[test]
-    fn runtime_switch_round_trips() {
-        let _guard = SwitchGuard::acquire();
-        set_parallel_enabled(false);
-        assert!(!parallel_enabled());
-        set_parallel_enabled(true);
+    fn threads_reported_positive() {
+        assert!(pool_threads() >= 1);
         assert_eq!(parallel_enabled(), cfg!(feature = "parallel"));
     }
 
-    #[test]
-    fn threads_reported_positive() {
-        assert!(max_threads() >= 1);
-        assert!(pool_threads() >= 1);
+    /// Runs `map_indexed(.., true, ..)` and `join(true, ..)` inside
+    /// `sequential` and checks every item ran on the calling thread.
+    fn all_items_stay_on_the_calling_thread() {
+        let caller = thread::current().id();
+        let ids: Vec<ThreadId> = sequential(|| {
+            let mut ids = map_indexed(64, true, &|_| thread::current().id());
+            let (a, b) = join(true, || thread::current().id(), || thread::current().id());
+            ids.extend([a, b]);
+            ids
+        });
+        assert_eq!(ids.len(), 66);
+        assert!(
+            ids.iter().all(|&id| id == caller),
+            "an item left the calling thread"
+        );
     }
 
     #[test]
-    fn max_threads_is_one_when_dispatch_is_sequential() {
-        let _guard = SwitchGuard::acquire();
-        set_parallel_enabled(false);
-        assert_eq!(
-            max_threads(),
-            1,
-            "grain sizing must not plan for threads that will never run"
-        );
-        set_parallel_enabled(true);
-        assert_eq!(max_threads(), if cfg!(feature = "parallel") { pool_threads() } else { 1 });
+    fn sequential_scope_keeps_dispatch_on_the_calling_thread() {
+        #[cfg(feature = "parallel")]
+        {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(8)
+                .build()
+                .expect("build 8-worker pool");
+            assert_eq!(pool.install(pool_threads), 8);
+            pool.install(all_items_stay_on_the_calling_thread);
+            // The scope ends with `sequential`, also when `op` unwinds.
+            pool.install(|| {
+                let unwound = std::panic::catch_unwind(|| sequential(|| panic!("op failed")));
+                assert!(unwound.is_err());
+                assert!(!IN_PARALLEL_WORKER.with(Cell::get));
+            });
+            pool.shutdown();
+        }
+        all_items_stay_on_the_calling_thread();
     }
 }

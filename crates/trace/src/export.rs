@@ -180,7 +180,7 @@ fn escape_json(v: &str) -> String {
 
 /// Renders one histogram as a JSON object (`count`, `sum`, `p50`, `p99`,
 /// sparse `buckets` with inclusive upper bounds).
-pub fn histogram_json(h: &HistogramSnapshot) -> String {
+fn histogram_json(h: &HistogramSnapshot) -> String {
     let mut buckets = String::new();
     let mut first = true;
     for i in 0..BUCKET_COUNT {

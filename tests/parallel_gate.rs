@@ -7,9 +7,6 @@
 //! property suite (which contains the parallel-vs-sequential equivalence
 //! properties) under `--features parallel`, in a separate target directory
 //! so the nested cargo does not contend for the outer build lock.
-//!
-//! Set `APC_SKIP_PARALLEL_GATE=1` to skip (e.g. on machines where the
-//! extra feature build is too expensive).
 
 #![cfg(not(feature = "parallel"))]
 
@@ -17,10 +14,6 @@ use std::process::Command;
 
 #[test]
 fn parallel_feature_tests_pass() {
-    if std::env::var_os("APC_SKIP_PARALLEL_GATE").is_some() {
-        eprintln!("APC_SKIP_PARALLEL_GATE set; skipping the parallel feature gate");
-        return;
-    }
     let root = xtask::default_workspace_root();
     let output = Command::new(env!("CARGO"))
         .args(["test", "-q", "--features", "parallel", "--test", "properties"])

@@ -7,33 +7,9 @@ use cambricon_p_repro::cambricon_p::accelerator::Accelerator;
 use cambricon_p_repro::cambricon_p::gu::{gather_carry_parallel, gather_reference};
 use cambricon_p_repro::cambricon_p::Device;
 use proptest::prelude::*;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 fn arb_nat(max_limbs: usize) -> impl Strategy<Value = Nat> {
     prop::collection::vec(any::<u64>(), 0..=max_limbs).prop_map(Nat::from_limbs)
-}
-
-/// Serializes tests that flip the process-global `par` runtime switch (the
-/// test harness runs siblings concurrently) and restores the documented
-/// default (`true`) on drop — including the panic path, so a failing
-/// assertion cannot leak a disabled switch into unrelated tests.
-struct SwitchGuard {
-    _lock: MutexGuard<'static, ()>,
-}
-
-impl SwitchGuard {
-    fn acquire() -> SwitchGuard {
-        static SWITCH_TESTS: Mutex<()> = Mutex::new(());
-        SwitchGuard {
-            _lock: SWITCH_TESTS.lock().unwrap_or_else(PoisonError::into_inner),
-        }
-    }
-}
-
-impl Drop for SwitchGuard {
-    fn drop(&mut self) {
-        cambricon_p_repro::apc_bignum::par::set_parallel_enabled(true);
-    }
 }
 
 proptest! {
@@ -113,12 +89,10 @@ proptest! {
     ) {
         // Exercises the Toom-k pointwise-product dispatch in apc-bignum
         // (operands up to ~76k bits reach Toom-2/3/4 with the default
-        // thresholds). The runtime switch must not change any product bit.
+        // thresholds). Keeping the dispatch on this thread must not change
+        // any product bit.
         use cambricon_p_repro::apc_bignum::par;
-        let _guard = SwitchGuard::acquire();
-        par::set_parallel_enabled(false);
-        let seq = &a * &b;
-        par::set_parallel_enabled(true);
+        let seq = par::sequential(|| &a * &b);
         let par_product = &a * &b;
         prop_assert_eq!(par_product, seq);
     }
@@ -136,7 +110,6 @@ fn eight_worker_pool_is_bit_identical_to_sequential() {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    let _guard = SwitchGuard::acquire();
     let mut rng = StdRng::seed_from_u64(0xA9C);
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(8)
@@ -161,9 +134,7 @@ fn eight_worker_pool_is_bit_identical_to_sequential() {
     // pointwise products fan out across the pool.
     let a = Nat::random_exact_bits(128_000, &mut rng);
     let b = Nat::random_exact_bits(128_000, &mut rng);
-    par::set_parallel_enabled(false);
-    let seq_product = &a * &b;
-    par::set_parallel_enabled(true);
+    let seq_product = par::sequential(|| &a * &b);
     let par_product = pool.install(|| &a * &b);
     assert_eq!(par_product, seq_product);
 
