@@ -12,7 +12,7 @@ use crate::bops::BopsTally;
 use crate::config::ArchConfig;
 use crate::converter::{generate_patterns, generate_patterns_sliced, Patterns};
 use crate::gu::add_shifted;
-use crate::ipu::bit_indexed_inner_product_sliced_into;
+use crate::ipu::{pattern_bits, Indicators};
 use crate::pattern_cache::{self, PatternTables};
 use crate::pe::pe_pass_with_patterns;
 use crate::stats::StageCycles;
@@ -152,6 +152,105 @@ fn reversed_words(yw: &[Limb], c: usize, len: usize) -> Vec<Limb> {
         .collect()
 }
 
+/// The pass-skip predicate (§VII sparsity): PE(b, w) with
+/// `base = top + bq` reads exactly `yr[base − (N_IPU − 1) .. base + q]`,
+/// so it contributes only if one of those index words is nonzero.
+fn pass_reads_nonzero(yr: &[Limb], base: usize, q: usize, n_ipu: usize) -> bool {
+    yr[base + 1 - n_ipu..base + q].iter().any(|&v| v != 0)
+}
+
+/// The Sliced64 passes of one output window (Fig. 9a), walked by index
+/// tuple: returns the executed pass count, adds the window's lanes into
+/// `acc` and its counts into `tally`.
+///
+/// IPU k of PE(b, w) reads the tuple `yr[m..][..q]` at `m = base_b − k`,
+/// so a tuple start m is shared by every block with `base_b − m` in
+/// `[0, N_IPU)`. The walk visits each such m once, in increasing order:
+/// it splits the tuple's indicators once ([`Indicators::split`], BIPS
+/// stage 2) and multiplies them into each live block's table
+/// ([`Indicators::select_accumulate`], stage 3), adding the partial into
+/// lane slot `k = base_b − m`. The N_IPU lane slots sum each IPU's
+/// partials across blocks (the Adder Tree), and at window end one
+/// [`add_shifted`] per lane at `k·L` does the GU gather.
+///
+/// A lane slot is a `u128` plus an overflow word: one partial is below
+/// 2^(2L+⌈log₂ q⌉) ≤ 2^127, but a sum over blocks can pass 2^128.
+///
+/// The skip rule, pass count and per-pass `pattern_generation` charge are
+/// those of the pass grid; the IPU counts are charged per visited
+/// (block, tuple) pair, so the tally is bit-identical to one IPU call per
+/// PE(b, w)·k. A block's table is live for N_IPU consecutive tuple starts
+/// and blocks start q apart, so at most `(N_IPU − 1)/q + 1` tables are
+/// live at once: their [`pattern_bits`] sit in a ring of that many slots
+/// (rounded up to a power of two), computed once per block per window.
+fn sliced_window<const Q: usize>(
+    tables: &PatternTables,
+    yr: &[Limb],
+    top: usize,
+    (q, n_ipu, lb): (usize, usize, u64),
+    acc: &mut [Limb],
+    tally: &mut BopsTally,
+) -> u64 {
+    // `Q` is q fixed at compile time, or 0 for "read q at run time".
+    debug_assert!(Q == 0 || Q == q, "a constant-q copy runs only its own q");
+    let q = if Q == 0 { q } else { Q };
+    let blocks = tables.len();
+    // A power of two, so a block's slot is a mask, not a division.
+    let ring = ((n_ipu - 1) / q + 1).next_power_of_two();
+    let mut live: Vec<Option<&[Limb]>> = vec![None; ring];
+    let mut bits: Vec<u8> = vec![0; ring << q];
+    let mut indicators = Indicators::new(q, lb);
+    let mut lanes: Vec<(u128, u64)> = vec![(0, 0); n_ipu];
+    let mut passes = 0u64;
+    // Tuple start m = top + 1 − N_IPU + d; block b reads d in
+    // [bq, bq + N_IPU), at lane k = bq + N_IPU − 1 − d. Blocks
+    // `oldest..next` are the ones that read the current d.
+    let first = top + 1 - n_ipu;
+    let (mut oldest, mut next) = (0, 0);
+    for d in 0..(blocks - 1) * q + n_ipu {
+        if next < blocks && d == next * q {
+            // Block `next` enters: apply the pass-skip predicate once and
+            // take the slot of a block that is done.
+            let slot = next & (ring - 1);
+            live[slot] = match &tables[next] {
+                Some((patterns, generation_bops))
+                    if pass_reads_nonzero(yr, top + next * q, q, n_ipu) =>
+                {
+                    tally.pattern_generation += generation_bops;
+                    passes += 1;
+                    pattern_bits(patterns, &mut bits[slot << q..][..1 << q]);
+                    Some(patterns.as_slice())
+                }
+                _ => None,
+            };
+            next += 1;
+        }
+        if oldest * q + n_ipu == d {
+            oldest += 1;
+        }
+        if !(oldest..next).any(|b| live[b & (ring - 1)].is_some()) {
+            continue;
+        }
+        indicators.split(&yr[first + d..][..q]);
+        for b in oldest..next {
+            let slot = b & (ring - 1);
+            let Some(patterns) = live[slot] else {
+                continue;
+            };
+            let (patterns, bits) = (&patterns[..1 << q], &bits[slot << q..][..1 << q]);
+            let partial = indicators.select_accumulate(patterns, bits, lb, tally);
+            let lane = &mut lanes[b * q + n_ipu - 1 - d];
+            let (sum, carried) = lane.0.overflowing_add(partial);
+            *lane = (sum, lane.1 + u64::from(carried));
+        }
+    }
+    for (k, &(sum, overflow)) in lanes.iter().enumerate() {
+        let (low, high) = wide_parts(sum);
+        add_shifted(acc, &[low, high, overflow], k as u64 * lb);
+    }
+    passes
+}
+
 impl Accelerator {
     /// A device with the given configuration (Fig. 9a organization).
     pub fn new(config: ArchConfig) -> Self {
@@ -221,6 +320,16 @@ impl Accelerator {
     /// windows of N_IPU positions; PE(b, w) computes block b's
     /// contribution to window w; the GU gathers each PE's strided outputs
     /// and the Adder Tree sums across blocks.
+    ///
+    /// On the Sliced64 engine a window's passes run by index tuple: the
+    /// Memory Agent hands IPU k of PE(b, w) the q index words starting at
+    /// its own position (§V-B2), so one tuple is read by up to
+    /// `(N_IPU − 1)/q + 1` blocks. Each tuple's indicators are split once
+    /// and multiplied into every live block's table, each IPU position's
+    /// partials sum across blocks in a lane slot (a `u128` plus an
+    /// overflow word — the Adder Tree), and one GU fold per lane lands
+    /// them in the window. Every count is still charged per IPU, so the
+    /// outcome is identical to one call per PE(b, w) IPU.
     ///
     /// ```
     /// use apc_bignum::Nat;
@@ -330,14 +439,16 @@ impl Accelerator {
             ),
         };
 
-        // One task per output window w: it walks the blocks, runs every
-        // PE(b, w) pass that can contribute, and accumulates the passes'
-        // strided IPU outputs in place into its own window limbs (the GU
-        // writing into the Adder Tree, Fig. 9a). A window holds N_IPU
-        // partials at stride L, each below 2^(2L+4) (q ≤ 16), summed over
-        // fewer than 2^64 blocks, so it fits (N_IPU+1)·L + 128 bits.
+        // One task per output window w: it runs every PE(b, w) pass that
+        // can contribute and accumulates the passes' strided IPU outputs
+        // in place into its own window limbs (the GU writing into the
+        // Adder Tree, Fig. 9a). A window holds N_IPU lanes at stride L;
+        // each lane is a sum of fewer than 2^64 IPU partials below
+        // 2^(2L+4) (q ≤ 16), kept as a 192-bit slot (see
+        // `sliced_window`), so the slots and their sum fit
+        // (N_IPU+1)·L + 192 bits.
         let window_words =
-            crate::cast::usize_from(((n_ipu as u64 + 1) * lb + 128).div_ceil(u64::from(LIMB_BITS)));
+            crate::cast::usize_from(((n_ipu as u64 + 1) * lb + 192).div_ceil(u64::from(LIMB_BITS)));
         // Output t reaches at most windows·N_IPU − 1 and bq at most
         // (blocks − 1)·q, so c = windows·N_IPU − 1 keeps every slice start
         // c − t + bq non-negative and `blocks·q` more words cover its end.
@@ -345,36 +456,30 @@ impl Accelerator {
         let yr = reversed_words(&yw, c, c + blocks * q);
         let run_window = |w: usize| -> (Vec<Limb>, BopsTally, u64) {
             let mut acc: Vec<Limb> = vec![0; window_words];
-            let mut ind: Vec<Limb> = vec![0; 1 << q];
             let mut tally = BopsTally::default();
-            let mut passes = 0u64;
-            for b in 0..blocks {
-                // IPU k's index words are yr[base − k ..][..q].
-                let base = c - w * n_ipu + b * q;
-                // Skip passes that cannot contribute to the window: the
-                // pass reads exactly yr[base − (N_IPU − 1) .. base + q].
-                if yr[base + 1 - n_ipu..base + q].iter().all(|&v| v == 0) {
-                    continue;
+            // Block b's pass reads IPU k's index words yr[base − k ..][..q]
+            // with base = top + bq.
+            let top = c - w * n_ipu;
+            let passes = match &tables {
+                // q = 4, the §IV-B optimum and the default, runs a copy
+                // with q constant-folded, so the kernel loops have fixed
+                // trip counts; every other q runs the generic copy.
+                BlockTables::Sliced(tables) if q == 4 => {
+                    sliced_window::<4>(tables, &yr, top, (q, n_ipu, lb), &mut acc, &mut tally)
                 }
-                match &tables {
-                    BlockTables::Sliced(tables) => {
-                        let Some((patterns, generation_bops)) = &tables[b] else {
+                BlockTables::Sliced(tables) => {
+                    sliced_window::<0>(tables, &yr, top, (q, n_ipu, lb), &mut acc, &mut tally)
+                }
+                BlockTables::Scalar(tables) => {
+                    let mut passes = 0u64;
+                    for (b, patterns) in tables.iter().enumerate() {
+                        let base = top + b * q;
+                        let Some(patterns) = patterns else {
                             continue;
                         };
-                        tally.pattern_generation += generation_bops;
-                        for k in 0..n_ipu {
-                            let ys = &yr[base - k..][..q];
-                            let partial = bit_indexed_inner_product_sliced_into(
-                                patterns, lb, ys, lb, &mut ind, &mut tally,
-                            );
-                            let (low, high) = wide_parts(partial);
-                            add_shifted(&mut acc, &[low, high], k as u64 * lb);
+                        if !pass_reads_nonzero(&yr, base, q, n_ipu) {
+                            continue;
                         }
-                    }
-                    BlockTables::Scalar(tables) => {
-                        let Some(patterns) = &tables[b] else {
-                            continue;
-                        };
                         let ys_per_ipu: Vec<Vec<Nat>> = (0..n_ipu)
                             .map(|k| yr[base - k..][..q].iter().map(|&v| Nat::from(v)).collect())
                             .collect();
@@ -383,10 +488,11 @@ impl Accelerator {
                             .expect("PE pass preconditions hold by construction");
                         tally.merge(&pe.tally);
                         add_shifted(&mut acc, pe.gathered.limbs(), 0);
+                        passes += 1;
                     }
+                    passes
                 }
-                passes += 1;
-            }
+            };
             (acc, tally, passes)
         };
         let window_runs = apc_bignum::par::map_indexed(windows, parallel, &run_window);

@@ -91,91 +91,152 @@ pub fn bit_indexed_inner_product(patterns: &Patterns, ys: &[Nat], index_bits: u6
 
 /// The bitsliced form of [`bit_indexed_inner_product`]: all `index_bits`
 /// bitflow steps of one IPU pass (BIPS stages 2+3, Fig. 8) collapse into
-/// ~2^(q+1) word ops.
-///
-/// The scalar pass accumulates `V = Σ_t pattern(sel(t))·2^t`, one shifted
-/// addition per cycle `t`. Regrouping by *which* pattern each column
-/// selects gives `V = Σ_mask pattern[mask]·I[mask]`, where the **indicator
-/// word** `I[mask] = Σ_{t: sel(t)=mask} 2^t` packs every cycle that
-/// selected `mask` into one machine word. The 2^q indicators are computed
-/// with a subset-split AND network over the q index words (the carry-free
-/// AND/NOT half of the carry-save rewrite; the carries reappear only in
-/// the final per-mask MACs, which are exact in 128-bit arithmetic under
-/// the sliced-support envelope —
-/// [`crate::accelerator::Accelerator::effective_backend`]).
+/// ~2^(q+1) word ops — [`Indicators::split`] followed by
+/// [`Indicators::select_accumulate`].
 ///
 /// Returns the inner product and a [`BopsTally`] **bit-identical** to the
-/// scalar pass: `skipped_zero` is `popcount(I[0])`, and the per-cycle
-/// `weighted_gather` charges regroup into `popcount(I[mask]) ·
-/// bits(pattern[mask])` — the same multiset of u64 additions in a
-/// different order.
+/// scalar pass.
 pub fn bit_indexed_inner_product_sliced(
     patterns: &[Limb],
     element_bits: u64,
     ys: &[Limb],
     index_bits: u64,
 ) -> (u128, BopsTally) {
-    let (mut ind, mut tally) = (vec![0; patterns.len()], BopsTally::default());
-    let value = bit_indexed_inner_product_sliced_into(
-        patterns, element_bits, ys, index_bits, &mut ind, &mut tally,
-    );
+    let mut indicators = Indicators::new(ys.len(), index_bits);
+    indicators.split(ys);
+    let mut bits = vec![0; patterns.len()];
+    pattern_bits(patterns, &mut bits);
+    let mut tally = BopsTally::default();
+    let value = indicators.select_accumulate(patterns, &bits, element_bits, &mut tally);
     (value, tally)
 }
 
-/// [`bit_indexed_inner_product_sliced`] over caller-held state, so a PE
-/// pass (Fig. 9a) allocates nothing: `ind` (at least 2^q words) is the
-/// indicator scratch and is overwritten, and the pass's counts are
-/// *added* into `tally` rather than returned.
+/// The gather width each pattern word charges when selected (Fig. 8
+/// stage 3): `bits[mask] = max(1, bit_len(patterns[mask]))`, one shifted
+/// accumulation of that many bits per selecting cycle. A PE computes it
+/// once per table and reuses it for every index tuple the table meets.
 #[inline]
-pub fn bit_indexed_inner_product_sliced_into(
-    patterns: &[Limb],
-    element_bits: u64,
-    ys: &[Limb],
+pub fn pattern_bits(patterns: &[Limb], bits: &mut [u8]) {
+    for (b, &p) in bits.iter_mut().zip(patterns) {
+        *b = u8::try_from(bit_len(p).max(1)).unwrap_or(u8::MAX);
+    }
+}
+
+/// The one-hot selection of one index tuple (BIPS stage 2, Fig. 8),
+/// bitsliced: the **indicator word** `I[mask] = Σ_{t: sel(t)=mask} 2^t`
+/// packs every cycle whose q index bits equal `mask` into one machine
+/// word, and `popcount(I[mask])` counts those cycles.
+///
+/// The scalar pass accumulates `V = Σ_t pattern(sel(t))·2^t`, one shifted
+/// addition per cycle `t`. Regrouping by *which* pattern each column
+/// selects gives `V = Σ_mask pattern[mask]·I[mask]`. The selection depends
+/// on the index words alone — not on the pattern table — so a tuple that
+/// several PEs read (the Memory Agent hands each IPU "the 4 bitflows
+/// starting from different positions", §V-B2) is split once and then
+/// multiplied into every table that reads it. The scratch is 2^q words
+/// plus 2^q counts, reused across tuples.
+#[derive(Debug, Clone)]
+pub struct Indicators {
+    words: Vec<Limb>,
+    ones: Vec<u8>,
     index_bits: u64,
-    ind: &mut [Limb],
-    tally: &mut BopsTally,
-) -> u128 {
-    let q = crate::cast::usize_from(u64::from(patterns.len().trailing_zeros()));
-    debug_assert_eq!(ys.len(), q, "one index word per pattern input");
-    debug_assert!(index_bits <= u64::from(LIMB_BITS), "index stream exceeds one word");
-    let active = low_mask(u32::try_from(index_bits).unwrap_or(LIMB_BITS));
-    let ind = &mut ind[..patterns.len()];
+}
 
-    // Indicator network: split the active cycle set by each index word in
-    // turn. After processing word i, ind[m] (m < 2^(i+1)) holds the cycles
-    // whose low i+1 index bits equal m, so every entry is written before
-    // it is read. 2^(q+1) − 2 word ops total — the "64 bitflow steps per
-    // u64 op" collapse.
-    ind[0] = active;
-    let mut half = 1usize;
-    for (i, &y) in ys.iter().enumerate() {
-        debug_assert_eq!(y & !active, 0, "index {i} has bits beyond {index_bits}");
-        for m in 0..half {
-            ind[m | half] = ind[m] & y;
-            ind[m] &= !y;
+impl Indicators {
+    /// Scratch for q-word index tuples of `index_bits` cycles each
+    /// (`index_bits ≤ 64`, Fig. 8 stage 2).
+    pub fn new(q: usize, index_bits: u64) -> Self {
+        debug_assert!(index_bits <= u64::from(LIMB_BITS), "index stream exceeds one word");
+        Indicators {
+            words: vec![0; 1 << q],
+            ones: vec![0; 1 << q],
+            index_bits,
         }
-        half <<= 1;
     }
 
-    tally.bit_serial_reference += q as u64 * element_bits * index_bits;
-    // Cycles whose index column is all zeros select z₀ ≡ 0 and are
-    // skipped — popcount(I[0]) of them at once (bit-sparsity).
-    tally.skipped_zero += u64::from(ind[0].count_ones());
-    let mut value = 0u128;
-    for (mask, &w) in ind.iter().enumerate().skip(1) {
-        if w == 0 {
-            continue;
+    /// The indicator network (BIPS stage 2, Fig. 8) over one tuple of q
+    /// index words: split the active cycle set by each index word in turn. After word i,
+    /// `I[m]` (m < 2^(i+1)) holds the cycles whose low i+1 index bits
+    /// equal m, so every entry is written before it is read — 2^(q+1) − 2
+    /// word ops, the "64 bitflow steps per u64 op" collapse — and then
+    /// the 2^q popcounts, taken once per tuple.
+    #[inline]
+    pub fn split(&mut self, ys: &[Limb]) {
+        // Lengths follow `ys`, so a caller with a constant q gets loops
+        // with constant trip counts.
+        debug_assert_eq!(self.words.len(), 1 << ys.len(), "one index word per pattern input");
+        let (ind, ones) = (&mut self.words[..1 << ys.len()], &mut self.ones[..1 << ys.len()]);
+        let active = low_mask(u32::try_from(self.index_bits).unwrap_or(LIMB_BITS));
+        if ys.iter().all(|&y| y == 0) {
+            // Every column is zero and selects z₀ (bit-sparsity).
+            ind.fill(0);
+            ones.fill(0);
+            ind[0] = active;
+            ones[0] = u8::try_from(self.index_bits).unwrap_or(u8::MAX);
+            return;
         }
-        let p = patterns[mask];
-        tally.weighted_gather += u64::from(w.count_ones()) * u64::from(bit_len(p)).max(1);
-        value += u128::from(p) * u128::from(w);
+        ind[0] = active;
+        let mut half = 1usize;
+        for (i, &y) in ys.iter().enumerate() {
+            debug_assert_eq!(y & !active, 0, "index {i} has bits beyond {}", self.index_bits);
+            for m in 0..half {
+                ind[m | half] = ind[m] & y;
+                ind[m] &= !y;
+            }
+            half <<= 1;
+        }
+        for (n, &w) in ones.iter_mut().zip(ind.iter()) {
+            *n = u8::try_from(w.count_ones()).unwrap_or(u8::MAX);
+        }
     }
-    debug_assert!(
-        element_bits + index_bits >= 124
-            || value < (u128::from(q as u64) << (element_bits + index_bits)),
-        "sliced IPU bound (Fig. 8): V < q·2^(p_x + p_y)"
-    );
-    value
+
+    /// Pattern selection and accumulation (BIPS stage 3, Fig. 8) of the
+    /// last [`Indicators::split`] tuple against one 2^q-word table:
+    /// returns `Σ_mask patterns[mask]·I[mask]`, exact in 128 bits under
+    /// the sliced-support envelope
+    /// ([`crate::accelerator::Accelerator::effective_backend`]), and adds
+    /// the pass's counts into `tally`. `bits` is the table's
+    /// [`pattern_bits`].
+    ///
+    /// The counts are bit-identical to the scalar pass: `skipped_zero` is
+    /// `popcount(I[0])` (all-zero columns select z₀ ≡ 0 — bit-sparsity),
+    /// and the per-cycle `weighted_gather` charges regroup into
+    /// `popcount(I[mask])·bits[mask]`, the same multiset of u64 additions
+    /// in a different order.
+    #[inline]
+    pub fn select_accumulate(
+        &self,
+        patterns: &[Limb],
+        bits: &[u8],
+        element_bits: u64,
+        tally: &mut BopsTally,
+    ) -> u128 {
+        let n = patterns.len();
+        debug_assert_eq!(n, self.words.len(), "one pattern per mask");
+        let (words, ones, bits) = (&self.words[..n], &self.ones[..n], &bits[..n]);
+        let q = u64::from(n.trailing_zeros());
+        tally.bit_serial_reference += q * element_bits * self.index_bits;
+        tally.skipped_zero += u64::from(ones[0]);
+        if u64::from(ones[0]) == self.index_bits {
+            // Every cycle skipped: nothing is selected.
+            return 0;
+        }
+        let mut value = 0u128;
+        for (&p, &w) in patterns.iter().zip(words).skip(1) {
+            value += u128::from(p) * u128::from(w);
+        }
+        // Σ popcount·bits ≤ 64·64, so 16-bit lanes suffice; a separate
+        // loop lets the compiler vectorize it.
+        let gather: u16 =
+            bits.iter().zip(ones).skip(1).map(|(&b, &n)| u16::from(b) * u16::from(n)).sum();
+        tally.weighted_gather += u64::from(gather);
+        debug_assert!(
+            element_bits + self.index_bits >= 124
+                || value < (u128::from(q) << (element_bits + self.index_bits)),
+            "sliced IPU bound (Fig. 8): V < q·2^(p_x + p_y)"
+        );
+        value
+    }
 }
 
 /// The straightforward bit-serial MAC scheme of Fig. 6(b) — used as the
@@ -306,6 +367,50 @@ mod tests {
         assert_eq!(value, 0);
         assert_eq!(tally.skipped_zero, 32);
         assert_eq!(tally.weighted_gather, 0);
+    }
+
+    #[test]
+    fn split_network_and_select_accumulate_match_scalar_pass() {
+        // One scratch per (q, L) serves every tuple in turn, as in a
+        // window walk: dense, sparse and all-zero index words, then dense
+        // again after the all-zero shortcut.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for q in 1..=6usize {
+            for l in [1u32, 8, 31, 32, 54] {
+                let mask = low_mask(l);
+                let words: Vec<Limb> = (0..q).map(|_| next() & mask).collect();
+                let xs: Vec<Nat> = words.iter().map(|&v| Nat::from(v)).collect();
+                let scalar_patterns = generate_patterns(&xs, u64::from(l)).expect("valid inputs");
+                let (patterns, _) = crate::converter::generate_patterns_sliced(&words, u64::from(l));
+                let mut bits = vec![0; patterns.len()];
+                pattern_bits(&patterns, &mut bits);
+                let mut indicators = Indicators::new(q, u64::from(l));
+                for kind in ["dense", "sparse", "zero", "dense"] {
+                    let index_words: Vec<Limb> = (0..q)
+                        .map(|_| match kind {
+                            "dense" => next() & mask,
+                            "sparse" => next() & next() & next() & mask,
+                            _ => 0,
+                        })
+                        .collect();
+                    let ys: Vec<Nat> = index_words.iter().map(|&v| Nat::from(v)).collect();
+                    let scalar = bit_indexed_inner_product(&scalar_patterns, &ys, u64::from(l));
+                    indicators.split(&index_words);
+                    let mut tally = BopsTally::default();
+                    let value =
+                        indicators.select_accumulate(&patterns, &bits, u64::from(l), &mut tally);
+                    let what = format!("q={q} L={l} {kind}");
+                    assert_eq!(scalar.value.to_u128(), Some(value), "value: {what}");
+                    assert_eq!(scalar.tally, tally, "tally: {what}");
+                }
+            }
+        }
     }
 
     #[test]

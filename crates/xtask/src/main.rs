@@ -7,7 +7,8 @@
 //!   `--json`, emits one stable machine-readable object (schema:
 //!   `root`, `count`, `findings[{rule, path, line, message, allowed}]`).
 //! - `ci` — run the full tier-1 gate (release build, the workspace test
-//!   suite, the root suite with the `parallel` feature, the bench bins
+//!   suite, the root suite with the `parallel` feature, the apc-bignum
+//!   and cambricon-p tests with the `parallel` feature, the bench bins
 //!   with the `parallel` feature, the network bins,
 //!   the perfbench benchmark, the workspace docs with broken intra-doc
 //!   links denied, then lint) and print a one-line PASS/FAIL summary.
@@ -130,7 +131,10 @@ fn json_escape(s: &str) -> String {
 /// Runs the tier-1 sequence — release build, the whole workspace's test
 /// suite (every crate's unit and integration tests, the root gates
 /// included), the root suite again with the `parallel` feature (so every
-/// Device path runs under both dispatchers), the bench binaries with the
+/// Device path runs under both dispatchers), the unit tests of apc-bignum
+/// and cambricon-p with the `parallel` feature (the 8-worker arm of the
+/// bignum `par` tests and the core kernels under window-parallel dispatch
+/// run nowhere else), the bench binaries with the
 /// `parallel` feature (`bench_json`'s parallel leg is built nowhere
 /// else), the network crate's binaries (its server/client bins are not part of the root package's
 /// build graph), the `perfbench` benchmark (a workspace of its own, so a
@@ -140,11 +144,15 @@ fn json_escape(s: &str) -> String {
 /// and prints a one-line summary.
 /// Stops at the first failing step so the summary names the culprit.
 fn ci() -> ExitCode {
-    let steps: [(&str, &[&str]); 8] = [
+    let steps: [(&str, &[&str]); 9] = [
         ("build", &["build", "--release"]),
         ("test(workspace)", &["test", "--workspace", "-q"]),
         ("build(parallel)", &["build", "--release", "--features", "parallel"]),
         ("test(parallel)", &["test", "-q", "--features", "parallel"]),
+        (
+            "test(core+bignum, parallel)",
+            &["test", "-q", "-p", "apc-bignum", "-p", "cambricon-p", "--features", "parallel"],
+        ),
         (
             "build(bench bins, parallel)",
             &["build", "--release", "-p", "apc-bench", "--bins", "--features", "parallel"],
@@ -187,7 +195,7 @@ fn ci() -> ExitCode {
     match xtask::lint_tree(&root) {
         Ok(v) if v.is_empty() => {
             println!(
-                "ci: PASS (build, test x {{workspace,parallel}}, bench bins (parallel), net bins, perfbench, doc, lint)"
+                "ci: PASS (build, test x {{workspace,parallel,core+bignum parallel}}, bench bins (parallel), net bins, perfbench, doc, lint)"
             );
             ExitCode::SUCCESS
         }

@@ -209,3 +209,30 @@ fn sparse_operands_match_scalar_bit_for_bit() {
         assert!(passes < (grid.blocks * grid.windows) as u64, "{passes} passes skip none");
     }
 }
+
+#[test]
+fn envelope_edge_configs_match_scalar_bit_for_bit() {
+    // The widest limbs the Sliced64 envelope admits at q = 4, 16 and 8:
+    // one IPU partial nearly fills 128 bits (below 2^126 at L = 62), so
+    // the per-IPU lane sums across blocks must carry past 2^128 exactly.
+    // All-ones operands make every partial maximal.
+    for (limb_bits, q) in [(62u32, 4u32), (60, 16), (56, 8)] {
+        let acc = Accelerator::new(ArchConfig {
+            limb_bits,
+            q,
+            ..ArchConfig::default()
+        });
+        assert_eq!(acc.effective_backend(), KernelBackend::Sliced64, "L={limb_bits} q={q}");
+        for limbs in [3u64, 40, 130] {
+            let ones = Nat::power_of_two(limbs * u64::from(limb_bits)) - Nat::one();
+            let what = format!("{limbs} all-ones limbs (q={q}, L={limb_bits})");
+            let (got, oracle) = (acc.multiply(&ones, &ones), acc.multiply_scalar(&ones, &ones));
+            assert_eq!(got.product, oracle.product, "product diverged: {what}");
+            assert_eq!(got.tally, oracle.tally, "tally diverged: {what}");
+            assert_eq!(got.pe_passes, oracle.pe_passes, "pe_passes diverged: {what}");
+            assert_eq!(got.cycles, oracle.cycles, "cycles diverged: {what}");
+            assert_eq!(got.pe_slots, oracle.pe_slots, "pe_slots diverged: {what}");
+            assert_eq!(got.product, &ones * &ones, "must match the software oracle: {what}");
+        }
+    }
+}
