@@ -7,7 +7,7 @@
 //! offered load scales with the client count. At 1 client the service
 //! degenerates to serial one-job-at-a-time operation (every batch holds
 //! one job — the baseline); at higher client counts the free worker forms
-//! real batches and the per-batch cost (channel wake + source lock +
+//! real batches and the per-batch cost (condvar wake + queue lock +
 //! batch formation) amortizes across the batch. The paper's §VII utilization
 //! argument, transplanted to the host: group compatible work so the
 //! compute resources spend their time computing, not synchronizing.

@@ -17,9 +17,10 @@
 
 use crate::accelerator::Accelerator;
 use crate::config::ArchConfig;
-use crate::stats::{DeviceStats, OpClass, SharedDeviceStats};
+use crate::stats::{DeviceStats, OpClass};
 use apc_bignum::nat::mont::MontgomeryCtx;
 use apc_bignum::Nat;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// MPApca's fast-multiplication thresholds, in operand bits.
 ///
@@ -99,7 +100,7 @@ impl MpapcaThresholds {
 pub struct Device {
     config: ArchConfig,
     thresholds: MpapcaThresholds,
-    stats: SharedDeviceStats,
+    stats: Mutex<DeviceStats>,
 }
 
 impl Device {
@@ -109,7 +110,7 @@ impl Device {
         Device {
             config,
             thresholds: MpapcaThresholds::default(),
-            stats: SharedDeviceStats::default(),
+            stats: Mutex::new(DeviceStats::default()),
         }
     }
 
@@ -134,37 +135,32 @@ impl Device {
         &self.thresholds
     }
 
-    /// A snapshot of the accumulated statistics (§VII-B accounting). The
-    /// counters are atomic, so this is safe to call while other threads
-    /// are issuing operations on the same handle.
+    /// A copy of the accumulated statistics (§VII-B accounting), taken
+    /// under the stats lock, so it is safe to call while other threads
+    /// are issuing operations on the same handle. Take one before and
+    /// one after a batch of operations, and [`DeviceStats::delta_since`]
+    /// yields the batch's exact service cost.
     pub fn stats(&self) -> DeviceStats {
-        self.stats.snapshot()
-    }
-
-    /// A cheap counter snapshot for delta attribution (§VII-B
-    /// accounting): semantically identical to [`Device::stats`], named for
-    /// the snapshot/delta idiom — take one before and one after a batch of
-    /// operations and [`DeviceStats::delta_since`] yields the batch's
-    /// exact service cost. The snapshot is 16 relaxed atomic loads plus a
-    /// small copy; no locks are taken, so concurrent issuers are never
-    /// stalled by an observer.
-    pub fn stats_snapshot(&self) -> DeviceStats {
-        self.stats.snapshot()
+        self.lock_stats().clone()
     }
 
     /// Clears the accumulated statistics (§VII-B accounting).
     pub fn reset_stats(&self) {
-        self.stats.reset();
+        *self.lock_stats() = DeviceStats::default();
     }
 
     /// Seconds of device time accumulated so far (§VII-A clock).
     pub fn seconds(&self) -> f64 {
-        self.stats.snapshot().seconds(&self.config)
+        self.lock_stats().seconds(&self.config)
     }
 
     /// Energy in joules accumulated so far (§VII-A power model).
     pub fn energy_joules(&self) -> f64 {
-        self.stats.snapshot().energy_joules(&self.config)
+        self.lock_stats().energy_joules(&self.config)
+    }
+
+    fn lock_stats(&self) -> MutexGuard<'_, DeviceStats> {
+        self.stats.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     // ------------------------------------------------------------------
@@ -236,9 +232,10 @@ impl Device {
     /// observability runs, not application-scale workloads.
     pub fn mul_structural(&self, a: &Nat, b: &Nat) -> Nat {
         let out = Accelerator::new(self.config.clone()).multiply(a, b);
-        self.stats.record_stages(&out.stages, out.pe_passes, out.pe_slots);
-        self.stats.record_bops(&out.tally);
-        self.record(
+        let mut stats = self.lock_stats();
+        stats.record_stages(&out.stages, out.pe_passes, out.pe_slots);
+        stats.bops.merge(&out.tally);
+        stats.record(
             OpClass::Mul,
             out.cycles,
             (a.bit_len() + b.bit_len() + out.product.bit_len()) / 8,
@@ -472,7 +469,7 @@ impl Device {
     }
 
     fn record(&self, class: OpClass, cycles: u64, llc_bytes: u64) {
-        self.stats.record(class, cycles, llc_bytes);
+        self.lock_stats().record(class, cycles, llc_bytes);
     }
 }
 
@@ -560,10 +557,9 @@ mod tests {
     #[test]
     fn device_is_send_and_sync() {
         // Compile-time assertion: the handle must be shareable across
-        // threads (its stats are atomic, not a RefCell).
+        // threads (its stats sit behind a mutex, not in a RefCell).
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Device>();
-        assert_send_sync::<crate::stats::SharedDeviceStats>();
     }
 
     #[test]

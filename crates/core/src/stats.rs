@@ -2,8 +2,7 @@
 
 use crate::bops::BopsTally;
 use crate::config::ArchConfig;
-use apc_trace::{HistogramSnapshot, Log2Histogram};
-use std::sync::atomic::{AtomicU64, Ordering};
+use apc_trace::HistogramSnapshot;
 
 /// Operation classes tracked by the runtime (matching the Fig. 2
 /// breakdown categories).
@@ -225,8 +224,8 @@ impl DeviceStats {
     /// The counter increments accumulated since `baseline` was taken
     /// (§VII-B accounting): every field is the saturating difference
     /// `self − baseline`. This is the delta half of the cheap
-    /// snapshot/delta attribution API — take a [`crate::mpapca::Device::stats_snapshot`]
-    /// before a batch of operations and another after, and the delta is
+    /// snapshot/delta attribution API — take a [`crate::mpapca::Device::stats`]
+    /// snapshot before a batch of operations and another after, and the delta is
     /// the batch's exact service cost (the counters are monotone, so on a
     /// single-owner handle the difference cannot go negative).
     pub fn delta_since(&self, baseline: &DeviceStats) -> DeviceStats {
@@ -278,130 +277,6 @@ impl DeviceStats {
     }
 }
 
-/// Thread-safe accumulator behind [`crate::mpapca::Device`]'s `&self`
-/// operator API (§VII-B accounting): every counter is a relaxed atomic,
-/// so one device handle can serve concurrent callers (the inter-IPU
-/// parallelism of §III extended to the runtime layer) without locks and
-/// without making the handle `!Sync`.
-///
-/// Counter increments are independent saturating-free additions, so the
-/// totals are exact regardless of interleaving; only cross-counter
-/// consistency of a [`SharedDeviceStats::snapshot`] taken *during* a
-/// racing operation is approximate, which mirrors what a hardware
-/// performance-counter read would observe.
-#[derive(Debug, Default)]
-pub struct SharedDeviceStats {
-    cycles: AtomicU64,
-    cycles_by_class: [AtomicU64; 7],
-    ops_by_class: [AtomicU64; 7],
-    llc_bytes: AtomicU64,
-    pattern_generation: AtomicU64,
-    weighted_gather: AtomicU64,
-    bit_serial_reference: AtomicU64,
-    skipped_zero: AtomicU64,
-    stage_converter: AtomicU64,
-    stage_ipu: AtomicU64,
-    stage_gu: AtomicU64,
-    stage_at: AtomicU64,
-    pe_passes: AtomicU64,
-    pe_slots: AtomicU64,
-    op_cycles: Log2Histogram,
-}
-
-impl SharedDeviceStats {
-    /// Records an operation (§VII-B accounting), like
-    /// [`DeviceStats::record`] but through `&self`.
-    pub fn record(&self, class: OpClass, cycles: u64, llc_bytes: u64) {
-        self.cycles.fetch_add(cycles, Ordering::Relaxed);
-        self.cycles_by_class[class.index()].fetch_add(cycles, Ordering::Relaxed);
-        self.ops_by_class[class.index()].fetch_add(1, Ordering::Relaxed);
-        self.llc_bytes.fetch_add(llc_bytes, Ordering::Relaxed);
-        // Observability extra (gated inside `record` on the apc-trace
-        // switch): never affects the counters above.
-        self.op_cycles.record(cycles);
-    }
-
-    /// Folds a structural run's per-stage attribution and PE-grid
-    /// occupancy into the totals (§VII utilization analysis), like
-    /// [`DeviceStats::record_stages`] but through `&self`.
-    pub fn record_stages(&self, stages: &StageCycles, pe_passes: u64, pe_slots: u64) {
-        self.stage_converter.fetch_add(stages.converter, Ordering::Relaxed);
-        self.stage_ipu.fetch_add(stages.ipu, Ordering::Relaxed);
-        self.stage_gu.fetch_add(stages.gu, Ordering::Relaxed);
-        self.stage_at.fetch_add(stages.adder_tree, Ordering::Relaxed);
-        self.pe_passes.fetch_add(pe_passes, Ordering::Relaxed);
-        self.pe_slots.fetch_add(pe_slots, Ordering::Relaxed);
-    }
-
-    /// Folds a bops tally from the functional units into the totals
-    /// (§VI-B metric).
-    pub fn record_bops(&self, tally: &BopsTally) {
-        self.pattern_generation
-            .fetch_add(tally.pattern_generation, Ordering::Relaxed);
-        self.weighted_gather
-            .fetch_add(tally.weighted_gather, Ordering::Relaxed);
-        self.bit_serial_reference
-            .fetch_add(tally.bit_serial_reference, Ordering::Relaxed);
-        self.skipped_zero
-            .fetch_add(tally.skipped_zero, Ordering::Relaxed);
-    }
-
-    /// A plain [`DeviceStats`] copy of the current totals (§VII-B
-    /// accounting).
-    pub fn snapshot(&self) -> DeviceStats {
-        let mut s = DeviceStats {
-            cycles: self.cycles.load(Ordering::Relaxed),
-            llc_bytes: self.llc_bytes.load(Ordering::Relaxed),
-            ..DeviceStats::default()
-        };
-        for i in 0..7 {
-            s.cycles_by_class[i] = self.cycles_by_class[i].load(Ordering::Relaxed);
-            s.ops_by_class[i] = self.ops_by_class[i].load(Ordering::Relaxed);
-        }
-        s.bops = BopsTally {
-            pattern_generation: self.pattern_generation.load(Ordering::Relaxed),
-            weighted_gather: self.weighted_gather.load(Ordering::Relaxed),
-            bit_serial_reference: self.bit_serial_reference.load(Ordering::Relaxed),
-            skipped_zero: self.skipped_zero.load(Ordering::Relaxed),
-        };
-        s.stage_cycles = StageCycles {
-            converter: self.stage_converter.load(Ordering::Relaxed),
-            ipu: self.stage_ipu.load(Ordering::Relaxed),
-            gu: self.stage_gu.load(Ordering::Relaxed),
-            adder_tree: self.stage_at.load(Ordering::Relaxed),
-        };
-        s.pe_passes = self.pe_passes.load(Ordering::Relaxed);
-        s.pe_slots = self.pe_slots.load(Ordering::Relaxed);
-        s.op_cycles = self.op_cycles.snapshot();
-        s
-    }
-
-    /// Zeroes every counter (§VII-B accounting).
-    pub fn reset(&self) {
-        self.cycles.store(0, Ordering::Relaxed);
-        self.llc_bytes.store(0, Ordering::Relaxed);
-        for i in 0..7 {
-            self.cycles_by_class[i].store(0, Ordering::Relaxed);
-            self.ops_by_class[i].store(0, Ordering::Relaxed);
-        }
-        for counter in [
-            &self.pattern_generation,
-            &self.weighted_gather,
-            &self.bit_serial_reference,
-            &self.skipped_zero,
-            &self.stage_converter,
-            &self.stage_ipu,
-            &self.stage_gu,
-            &self.stage_at,
-            &self.pe_passes,
-            &self.pe_slots,
-        ] {
-            counter.store(0, Ordering::Relaxed);
-        }
-        self.op_cycles.reset();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -445,12 +320,12 @@ mod tests {
 
     #[test]
     fn delta_since_isolates_a_batch() {
-        let shared = SharedDeviceStats::default();
-        shared.record(OpClass::Mul, 100, 64);
-        let before = shared.snapshot();
-        shared.record(OpClass::Mul, 40, 8);
-        shared.record(OpClass::Div, 7, 2);
-        let delta = shared.snapshot().delta_since(&before);
+        let mut stats = DeviceStats::default();
+        stats.record(OpClass::Mul, 100, 64);
+        let before = stats.clone();
+        stats.record(OpClass::Mul, 40, 8);
+        stats.record(OpClass::Div, 7, 2);
+        let delta = stats.delta_since(&before);
         assert_eq!(delta.cycles, 47);
         assert_eq!(delta.cycles_for(OpClass::Mul), 40);
         assert_eq!(delta.ops_for(OpClass::Mul), 1);
@@ -462,9 +337,8 @@ mod tests {
 
     #[test]
     fn delta_since_of_identical_snapshots_is_zero() {
-        let shared = SharedDeviceStats::default();
-        shared.record(OpClass::Sqrt, 9, 1);
-        let s = shared.snapshot();
+        let mut s = DeviceStats::default();
+        s.record(OpClass::Sqrt, 9, 1);
         let delta = s.delta_since(&s);
         assert_eq!(delta, DeviceStats::default());
     }
@@ -478,19 +352,18 @@ mod tests {
 
     #[test]
     fn stage_attribution_merges_and_deltas() {
-        let shared = SharedDeviceStats::default();
-        shared.record_stages(
+        let mut now = DeviceStats::default();
+        now.record_stages(
             &StageCycles { converter: 10, ipu: 10, gu: 10, adder_tree: 4 },
             5,
             8,
         );
-        let before = shared.snapshot();
-        shared.record_stages(
+        let before = now.clone();
+        now.record_stages(
             &StageCycles { converter: 6, ipu: 6, gu: 6, adder_tree: 2 },
             3,
             4,
         );
-        let now = shared.snapshot();
         assert_eq!(now.stage_cycles.for_stage(Stage::Converter), 16);
         assert_eq!(now.stage_cycles.for_stage(Stage::AdderTree), 6);
         assert_eq!(now.pe_passes, 8);
@@ -509,12 +382,11 @@ mod tests {
 
     #[test]
     fn op_cycle_histogram_tracks_recorded_operations() {
-        let shared = SharedDeviceStats::default();
-        shared.record(OpClass::Mul, 100, 0);
-        let before = shared.snapshot();
-        shared.record(OpClass::Mul, 40, 0);
-        shared.record(OpClass::Div, 7, 0);
-        let now = shared.snapshot();
+        let mut now = DeviceStats::default();
+        now.record(OpClass::Mul, 100, 0);
+        let before = now.clone();
+        now.record(OpClass::Mul, 40, 0);
+        now.record(OpClass::Div, 7, 0);
         assert_eq!(now.op_cycles.count, 3);
         assert_eq!(now.op_cycles.sum, 147);
         let delta = now.delta_since(&before);

@@ -10,10 +10,9 @@
 //!   per-job deadline ([`JobSpec`]);
 //! - a **bounded submission queue** with explicit admission control —
 //!   rejections are typed ([`SubmitError`]), never a panic, never a
-//!   silent drop; admission is lock-free (one MPSC channel plus an
-//!   atomic capacity reservation — see the `queue` module and DESIGN.md
-//!   §"Admission and caching"), so submitters never serialize on a
-//!   queue-wide mutex;
+//!   silent drop; one mutex guards the whole queue and one condvar
+//!   wakes idle workers (see the `queue` module and DESIGN.md
+//!   §"Admission and caching");
 //! - **batching workers**: each worker owns a `Device`, and whichever
 //!   worker is free forms the next batch of compatible jobs (one
 //!   operand-bitwidth bucket, [`operand_bucket`], taken in submission
@@ -147,18 +146,16 @@ impl ServeHandle {
     /// ceiling below the 64-bit smallest bucket) are typed
     /// [`ConfigError`]s, not silently clamped values.
     pub fn try_start(config: ServeConfig) -> Result<ServeHandle, ConfigError> {
-        let (queue, source) =
-            JobQueue::with_source(config.queue_capacity, config.max_operand_bits)?;
+        let queue = Arc::new(JobQueue::new(config.queue_capacity, config.max_operand_bits)?);
         let metrics = Arc::new(ServeMetrics::default());
-        let source = Arc::new(Mutex::new(source));
         let threads = (0..config.workers.max(1))
             .map(|index| {
                 let device = Device::new(config.arch.clone());
-                let source = Arc::clone(&source);
+                let slot = queue.add_worker();
                 let metrics = Arc::clone(&metrics);
                 let batch_max = config.batch_max;
                 thread::spawn(move || {
-                    worker::worker_loop(index, device, source, batch_max, metrics);
+                    worker::worker_loop(index, device, slot, batch_max, metrics);
                 })
             })
             .collect();
@@ -221,7 +218,7 @@ impl ServeHandle {
 
     /// Submits and blocks for the terminal report.
     pub fn submit_wait(&self, job: Job, spec: JobSpec) -> Result<JobReport, ServeError> {
-        Ok(self.submit(job, spec)?.wait()?)
+        self.submit(job, spec)?.wait()
     }
 
     /// Graceful shutdown: stops admissions, drains every job already
@@ -451,7 +448,7 @@ mod tests {
         serve.shutdown();
         let m = serve.metrics();
         assert_eq!(m.completed, threads * per_thread);
-        assert_eq!(m.cycles_for(cambricon_p::stats::OpClass::Mul) > 0, true);
+        assert!(m.cycles_for(cambricon_p::stats::OpClass::Mul) > 0);
     }
 
     #[test]

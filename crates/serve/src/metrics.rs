@@ -1,8 +1,7 @@
 //! Service observability counters and latency histograms.
 //!
-//! Everything is a relaxed atomic (the `SharedDeviceStats` idiom from
-//! `cambricon-p`), so tenants and workers all record without locks and
-//! a snapshot never stalls the service. Latency
+//! Everything is a relaxed atomic, so tenants and workers all record
+//! without locks and a snapshot never stalls the service. Latency
 //! distributions are `apc_trace::Log2Histogram`s — five `Instant`-domain
 //! spans covering the full job path (admission → queue wait → batch
 //! formation → dispatch wait → kernel service) plus one cycle-domain
@@ -86,7 +85,7 @@ impl ServeMetrics {
     }
 
     /// Records one dispatched batch of `jobs` jobs that took `form_ns`
-    /// nanoseconds to form under the batch-source lock.
+    /// nanoseconds to form under the queue lock.
     pub(crate) fn record_batch(&self, jobs: usize, form_ns: u64) {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.batched_jobs.fetch_add(jobs as u64, Ordering::Relaxed);
@@ -202,11 +201,11 @@ pub struct MetricsSnapshot {
     pub submit_ns: HistogramSnapshot,
     /// Per-job wait from acceptance to worker pickup (ns).
     pub queue_wait_ns: HistogramSnapshot,
-    /// Per-batch formation time under the batch-source lock (ns).
+    /// Per-batch formation time under the queue lock (ns).
     pub batch_form_ns: HistogramSnapshot,
     /// Per-batch wait between formation and pickup (ns). The worker that
     /// forms a batch runs it, so this is near zero: it spans only the
-    /// source-lock release and the batch bookkeeping.
+    /// queue-lock release and the batch bookkeeping.
     pub dispatch_wait_ns: HistogramSnapshot,
     /// Per-job kernel wall time on the worker's device (ns).
     pub service_ns: HistogramSnapshot,

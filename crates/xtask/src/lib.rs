@@ -19,7 +19,7 @@
 //! | L4 | every `crates/core` public item cites a paper anchor (`§`, `Eq.`, `Fig.`) |
 //! | L5 | Cargo.toml hygiene: workspace-inherited metadata, `lints.workspace`, no path deps escaping the workspace |
 //! | L6 | no `RefCell`/`Cell` fields in `pub` structs on library paths (keeps exported handles `Sync`) |
-//! | L7 | no `thread::sleep`, timed wait (`wait_timeout`, `recv_timeout`, `park_timeout`) or socket `set_read_timeout` on `crates/serve` / `crates/net` library paths (the service blocks on channels, `accept` and socket reads, never polls or falls back on a timer) |
+//! | L7 | no `thread::sleep`, timed wait (`wait_timeout`, `recv_timeout`, `park_timeout`) or socket `set_read_timeout` on `crates/serve` / `crates/net` library paths or in `vendor/rayon/src` (the service blocks on condvars, `accept` and socket reads, the pool parks on its condvar; none polls or falls back on a timer) |
 //! | L8 | no bare `.lock().unwrap()` / `.lock().expect(..)` on library paths (recover poisoned locks explicitly) |
 //! | L9 | no cycles in the "mutex A held while acquiring B" graph (cross-file, call-resolved) |
 //! | L10 | no expression mixes apc-trace's cycle domain and Instant-ns domain |
@@ -142,7 +142,7 @@ impl RuleId {
                 "no RefCell/Cell fields in pub structs on library paths (exported handles stay Sync)"
             }
             RuleId::L7 => {
-                "no thread::sleep or timed wait (wait_timeout/recv_timeout/park_timeout) on crates/serve or crates/net library paths (block on channels/socket reads, never poll)"
+                "no thread::sleep or timed wait (wait_timeout/recv_timeout/park_timeout) on crates/serve, crates/net or vendor/rayon library paths (block on condvars/channels/socket reads, never poll)"
             }
             RuleId::L8 => {
                 "no bare .lock().unwrap()/.lock().expect() on library paths (recover poison explicitly)"

@@ -36,8 +36,9 @@ pub(crate) fn is_library_source(rel: &str) -> bool {
 
 /// The work-stealing pool behind the vendored rayon facade. Not library
 /// source (its unsafe job plumbing is exempt from L1/L2 by design), but
-/// its gate/park atomics are in L12's scope: a relaxed access on the
-/// latch or termination flag is precisely the bug class L12 exists for.
+/// its gate/park atomics are in L12's scope — a relaxed access on the
+/// latch or termination flag is precisely the bug class L12 exists for —
+/// and its parking is in L7's: a timed park hides a lost wakeup.
 pub(crate) fn is_pool_source(rel: &str) -> bool {
     rel.starts_with("vendor/rayon/src/")
 }
@@ -298,8 +299,8 @@ fn doc_block_above(file: &SourceFile, idx: usize) -> String {
 /// L6: no `RefCell<..>` / `Cell<..>` fields in `pub` structs on library
 /// paths. Interior mutability in an exported handle silently makes it
 /// `!Sync`, so one instance can never serve concurrent callers — the
-/// exact trap the `Device` stats block fell into before it moved to
-/// atomics. Use atomics (or a lock) for shared accounting, keep the cell
+/// exact trap the `Device` stats block fell into before it moved
+/// behind a lock. Use atomics (or a lock) for shared accounting, keep the cell
 /// in a private type, or justify the single-threaded design with
 /// `// apc-lint: allow(L6) -- <reason>`.
 pub fn l6_no_interior_mutability_in_pub_structs(file: &SourceFile) -> Vec<Violation> {
@@ -353,7 +354,7 @@ pub fn l6_no_interior_mutability_in_pub_structs(file: &SourceFile) -> Vec<Violat
                         format!(
                             "`{needle}<..>` field in a pub struct makes the exported \
                              handle !Sync — use atomics or a lock (see \
-                             SharedDeviceStats), or add `// apc-lint: allow(L6) \
+                             Device's Mutex<DeviceStats>), or add `// apc-lint: allow(L6) \
                              -- <reason>`"
                         ),
                     ));
@@ -368,17 +369,18 @@ pub fn l6_no_interior_mutability_in_pub_structs(file: &SourceFile) -> Vec<Violat
 /// L7: no `thread::sleep`, no timed wait (`wait_timeout`,
 /// `wait_timeout_while`, `recv_timeout`, `park_timeout`) and no socket
 /// `set_read_timeout` on library paths in `crates/serve` or
-/// `crates/net`. The serving layer is event-driven end to end:
-/// submitters send on the admission channel, and the worker forming a
-/// batch blocks in a plain `recv`. The network layer is the same —
-/// connection workers block in `accept` and in plain socket reads, and
-/// the drain wakes them by shutting read halves, so a read timeout
-/// there could only be a drain poll. A sleep on any of these paths is
-/// a latency floor and a busy-poll in disguise, and a timed wait is a
-/// fallback that turns a lost wakeup into latency instead of a failure.
-/// Tests may sleep and time out; library code blocks on the event that
-/// actually changes state, or justifies itself with
-/// `// apc-lint: allow(L7) -- <reason>`.
+/// `crates/net`, or in the `vendor/rayon` pool. The serving layer is
+/// event-driven end to end: submitters stage jobs under the queue lock,
+/// and an idle worker waits on the queue's condvar with no timeout. The
+/// network layer is the same — connection workers block in `accept`
+/// and in plain socket reads, and the drain wakes them by shutting read
+/// halves, so a read timeout there could only be a drain poll. The pool
+/// parks on its event-counter condvar, again with no timer. A sleep on
+/// any of these paths is a latency floor and a busy-poll in disguise,
+/// and a timed wait is a fallback that turns a lost wakeup into latency
+/// instead of a failure. Tests may sleep and time out; library code
+/// blocks on the event that actually changes state, or justifies itself
+/// with `// apc-lint: allow(L7) -- <reason>`.
 pub fn l7_no_sleep_in_serve(file: &SourceFile) -> Vec<Violation> {
     const TIMED: [&str; 6] = [
         "thread::sleep",
@@ -389,7 +391,9 @@ pub fn l7_no_sleep_in_serve(file: &SourceFile) -> Vec<Violation> {
         "set_read_timeout",
     ];
     let rel = &file.rel_path;
-    let in_scope = (rel.starts_with("crates/serve/src/") || rel.starts_with("crates/net/src/"))
+    let in_scope = (rel.starts_with("crates/serve/src/")
+        || rel.starts_with("crates/net/src/")
+        || is_pool_source(rel))
         && !rel.contains("/bin/");
     if !in_scope {
         return Vec::new();
@@ -406,7 +410,7 @@ pub fn l7_no_sleep_in_serve(file: &SourceFile) -> Vec<Violation> {
                 rel,
                 line_no,
                 format!(
-                    "`{token}` on a serving-layer library path — block on the \
+                    "`{token}` on a serving-layer or pool library path — block on the \
                      channel or condvar that signals the state change, with no \
                      timeout, or add `// apc-lint: allow(L7) -- <reason>`"
                 ),

@@ -79,7 +79,7 @@ fn repeated_operand_workload(seed: u64) -> (Vec<Nat>, DeviceStats) {
             products.push(device.mul_structural(x, &y));
         }
     }
-    (products, device.stats_snapshot())
+    (products, device.stats())
 }
 
 #[test]

@@ -16,8 +16,8 @@
 //! 4. **Metrics conservation** — under a randomized concurrent mix of
 //!    submissions, rejections and completions, no job and no cycle is
 //!    lost or double-counted in [`apc_serve::ServeMetrics`].
-//! 5. **No lost wakeup** — workers block in a plain `recv` with no
-//!    timeout, so a missed wake would hang shutdown forever. Repeated
+//! 5. **No lost wakeup** — idle workers wait on the queue's condvar with
+//!    no timeout, so a missed wake would hang shutdown forever. Repeated
 //!    start → race → shutdown cycles run under a watchdog that turns
 //!    such a hang into a test failure.
 
@@ -381,10 +381,9 @@ fn sharded_queue_conserves_every_job_across_shutdown() {
 }
 
 /// One start → race → shutdown cycle: submitters spin on a tiny queue,
-/// so most attempts reserve a slot and roll it back (QueueFull), and
-/// shutdown lands after a random number of attempts — while some
-/// submitter may sit between its reservation and its rollback. Returns
-/// the QueueFull rollbacks the cycle saw.
+/// so most attempts are refused (QueueFull), and shutdown lands after a
+/// random number of attempts — while submitters are still pushing.
+/// Returns the QueueFull refusals (rollbacks) the cycle saw.
 fn race_shutdown_against_rollbacks(seed: u64) -> u64 {
     const SUBMITTERS: u64 = 3;
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x1057_3A4E + seed);
@@ -448,8 +447,8 @@ fn shutdown_racing_rollbacks_never_loses_a_wakeup() {
             let _ = done_tx.send(rollbacks);
         })
     };
-    // The watchdog: a worker that missed its wake blocks forever in
-    // `recv`, and so does the `shutdown` joining it. Fail, don't hang.
+    // The watchdog: a worker that missed its wake blocks forever in its
+    // condvar wait, and so does the `shutdown` joining it. Fail, don't hang.
     match done_rx.recv_timeout(Duration::from_secs(60)) {
         Ok(rollbacks) => {
             assert!(rollbacks > 0, "the cycles must exercise QueueFull rollbacks");

@@ -82,7 +82,7 @@ fn run_workload(seed: u64) -> (Vec<Nat>, Vec<u64>) {
         values.push(device.mul(&a, &b));
         values.push(device.mul_structural(&a, &b));
     }
-    let stats = device.stats_snapshot();
+    let stats = device.stats();
     cycles.push(stats.cycles);
     cycles.push(stats.pe_passes);
     cycles.push(stats.pe_slots);
