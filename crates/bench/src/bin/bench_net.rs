@@ -126,7 +126,9 @@ fn main() {
 
     let mut report = Report::new(
         "net_throughput",
-        "analytic Device::mul via apc-net and apc-serve",
+        "analytic Device::mul via apc-net and apc-serve submit_wait (on the connection \
+         worker's thread when its shard has a free device and nothing staged, else in a \
+         worker batch)",
     );
     for (name, value) in [
         ("operand_bits", OPERAND_BITS as usize),

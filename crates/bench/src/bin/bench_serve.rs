@@ -172,7 +172,9 @@ fn main() {
 
     let mut report = Report::new(
         "serve_throughput",
-        "analytic Device::mul via apc-serve; fixed-modulus point on Device::mul_structural",
+        "analytic Device::mul via apc-serve submit_wait (on the client's thread when a device \
+         is free and nothing is staged, else in a worker batch); fixed-modulus point on \
+         Device::mul_structural",
     );
     report.gauge("operand_bits", &[], OPERAND_BITS as f64);
     report.gauge("workers", &[], WORKERS as f64);

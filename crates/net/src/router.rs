@@ -8,8 +8,8 @@
 //! [`apc_serve::operand_bucket`], the same bucket each shard's queue
 //! batches by (a power of two, 64 bits and under sharing one). So:
 //!
-//! - capacity scales horizontally — every shard owns its own queue and
-//!   worker devices;
+//! - capacity scales horizontally — every shard owns its own queue,
+//!   devices and workers;
 //! - every job of one bucket lands on the same shard, whose queue
 //!   batches them together;
 //! - adding or removing a shard remaps only the ring arcs it owned,
@@ -154,10 +154,15 @@ impl Router {
         }
     }
 
-    /// Per-shard `apc_net_shard_*` metric families (jobs routed and
-    /// live queue occupancy, labelled by shard index).
+    /// Per-shard metric families, labelled by shard index: jobs routed
+    /// and live queue occupancy (`apc_net_shard_*`), and the shard
+    /// service's completed jobs and the share of them that ran on the
+    /// submitting connection worker's thread (the service's own
+    /// `apc_serve_*` families of those names).
     pub fn export_metrics(&self) -> Vec<Metric> {
-        let mut out = Vec::with_capacity(self.shards.len() * 2);
+        const SERVE_FAMILIES: [&str; 2] =
+            ["apc_serve_jobs_completed_total", "apc_serve_inline_jobs_total"];
+        let mut out = Vec::with_capacity(self.shards.len() * (2 + SERVE_FAMILIES.len()));
         for (i, shard) in self.shards.iter().enumerate() {
             let label = i.to_string();
             out.push(
@@ -176,7 +181,19 @@ impl Router {
                 )
                 .with_label("shard", &label),
             );
+            out.extend(
+                shard
+                    .handle
+                    .metrics()
+                    .export_metrics()
+                    .into_iter()
+                    .filter(|m| SERVE_FAMILIES.contains(&m.name.as_str()))
+                    .map(|m| m.with_label("shard", &label)),
+            );
         }
+        // The text format wants each family's samples together, under
+        // one HELP/TYPE header; the stable sort keeps shard order.
+        out.sort_by(|a, b| a.name.cmp(&b.name));
         out
     }
 
@@ -223,6 +240,34 @@ mod tests {
         let used: std::collections::BTreeSet<usize> =
             (0..20).map(|i| router.shard_for_bits(64u64 << i)).collect();
         assert!(used.len() > 1, "ring degenerated to one shard: {used:?}");
+        router.shutdown();
+    }
+
+    #[test]
+    fn export_shows_which_path_served_each_shard_s_jobs() {
+        let router = Router::start(2, ServeConfig { workers: 1, ..ServeConfig::default() });
+        let a = apc_bignum::Nat::from(0xFFFF_0001u64);
+        let shard = router.shard_for_bits(a.bit_len());
+        // A serial caller always finds its shard idle, so its job runs
+        // on the caller's thread.
+        router
+            .submit_wait(Job::Mul { a: a.clone(), b: a }, JobSpec::default())
+            .expect("accepted and completed");
+        let text = apc_trace::export::to_prometheus(&router.export_metrics());
+        for family in [
+            "apc_net_shard_routed_total",
+            "apc_net_shard_queue_depth",
+            "apc_serve_jobs_completed_total",
+            "apc_serve_inline_jobs_total",
+        ] {
+            let header = format!("# TYPE {family} ");
+            assert_eq!(text.matches(&header).count(), 1, "one header per family: {text}");
+        }
+        for family in ["apc_serve_jobs_completed_total", "apc_serve_inline_jobs_total"] {
+            assert!(text.contains(&format!("{family}{{shard=\"{shard}\"}} 1")), "{text}");
+            let other = 1 - shard;
+            assert!(text.contains(&format!("{family}{{shard=\"{other}\"}} 0")), "{text}");
+        }
         router.shutdown();
     }
 

@@ -92,7 +92,8 @@ pub enum ServeError {
     /// The job was rejected at admission (see the inner [`SubmitError`]).
     Rejected(SubmitError),
     /// The service side vanished without delivering a report — only
-    /// possible if a worker thread panicked mid-job.
+    /// possible if a job panicked, on a worker thread or on the thread
+    /// of a `ServeHandle::submit_wait` caller.
     WorkerLost,
 }
 

@@ -105,7 +105,7 @@ impl Job {
     }
 
     /// Executes the job on one device handle. Results are bit-exact and
-    /// independent of which worker ran it: the operators resolve through
+    /// independent of which device or thread ran it: the operators resolve through
     /// the `apc_bignum` oracle, and with the `parallel` feature compiled
     /// in, its deterministic fixed-order reduce keeps even the
     /// thread-dispatched sub-products identical to solo execution.
@@ -200,12 +200,16 @@ pub struct JobReport {
     pub op_class: OpClass,
     /// Bitwidth-bucket ceiling the job was scheduled under.
     pub bucket_bits: u64,
-    /// Index of the worker (device handle) that executed it.
+    /// Index of the device that executed it, among the service's
+    /// devices. Workers and callers of `ServeHandle::submit_wait` take
+    /// devices from one free list, so this names no thread.
     pub worker: usize,
-    /// Time spent queued before a worker picked the job's batch up.
+    /// Time spent queued before a worker picked the job's batch up; zero
+    /// when the job ran on its submitter's thread.
     pub queue_wait: Duration,
-    /// Device cycles attributed to this job (snapshot/delta on the
-    /// worker's own device, so concurrent tenants never blur each other).
+    /// Device cycles attributed to this job (snapshot/delta on the device
+    /// it held alone while it ran, so concurrent tenants never blur each
+    /// other).
     pub service_cycles: u64,
     /// The service cycles at the device clock, in seconds.
     pub service_seconds: f64,

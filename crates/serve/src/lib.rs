@@ -13,18 +13,24 @@
 //!   silent drop; one mutex guards the whole queue and one condvar
 //!   wakes idle workers (see the `queue` module and DESIGN.md
 //!   §"Admission and caching");
-//! - **batching workers**: each worker owns a `Device`, and whichever
-//!   worker is free forms the next batch of compatible jobs (one
-//!   operand-bitwidth bucket, [`operand_bucket`], taken in submission
-//!   order) itself — there is no scheduler thread (see
-//!   DESIGN.md §"Serving layer" for how this maps onto the paper's §VII
-//!   utilization argument);
+//! - **a device free list and batching workers**: the service's
+//!   `Device`s sit in a free list under the queue lock, and no worker
+//!   owns one. Whichever worker is free takes the next batch of
+//!   compatible jobs (one operand-bitwidth bucket, [`operand_bucket`],
+//!   taken in submission order) together with a free device — there is
+//!   no scheduler thread (see DESIGN.md §"Serving layer" for how this
+//!   maps onto the paper's §VII utilization argument);
+//! - **a caller that may run its own job**: when a device is free and
+//!   nothing is staged, [`ServeHandle::submit_wait`] runs the job on the
+//!   calling thread, through the same code a worker uses, with no
+//!   channel and no thread hand-off;
 //! - a **completion side**: every accepted job gets exactly one terminal
 //!   [`JobReport`] with its bit-exact result, queue wait, attributed
-//!   service cycles (snapshot/delta on the worker's device), and
+//!   service cycles (snapshot/delta on the claimed device), and
 //!   deadline outcome;
 //! - **lifecycle**: [`ServeHandle::shutdown`] drains everything already
-//!   admitted before the threads exit, so no job ever leaks.
+//!   admitted and waits for every device to come back before it
+//!   returns, so no job ever leaks.
 //!
 //! Results are bit-identical to direct `Device` execution: the operators
 //! resolve through the same `apc_bignum` oracle, and under the
@@ -59,7 +65,8 @@ pub use metrics::{MetricsSnapshot, ServeMetrics};
 pub use queue::operand_bucket;
 
 use cambricon_p::{ArchConfig, Device};
-use queue::{JobQueue, Pending};
+use queue::{Admission, Admitted, JobQueue};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -72,14 +79,17 @@ pub struct ServeConfig {
     /// Bound on jobs queued awaiting dispatch (admission returns
     /// [`SubmitError::QueueFull`] beyond it).
     pub queue_capacity: usize,
-    /// Worker threads, each owning one `Device` handle.
+    /// Worker threads, and devices: the service builds one `Device` per
+    /// worker and keeps them in a free list that workers, and callers of
+    /// [`ServeHandle::submit_wait`], take a device from for each batch or
+    /// job.
     pub workers: usize,
     /// Most jobs one dispatched batch may carry.
     pub batch_max: usize,
     /// Admission ceiling on operand width, rounded up to the ceiling of
     /// its [`operand_bucket`] (the largest bucket). At least 64.
     pub max_operand_bits: u64,
-    /// Architecture of every worker device.
+    /// Architecture of every device.
     pub arch: ArchConfig,
 }
 
@@ -104,8 +114,8 @@ struct Inner {
 }
 
 /// A cloneable handle to one running service instance. All clones share
-/// the same queue, worker pool, and metrics; any clone may submit, and
-/// any clone may initiate shutdown.
+/// the same queue, devices, worker pool, and metrics; any clone may
+/// submit, and any clone may initiate shutdown.
 #[derive(Clone)]
 pub struct ServeHandle {
     inner: Arc<Inner>,
@@ -134,29 +144,30 @@ impl JobTicket {
     }
 
     /// Blocks until the terminal report arrives. [`ServeError::WorkerLost`]
-    /// is only possible if a worker thread panicked mid-job.
+    /// is only possible if a worker thread panicked mid-job, or every
+    /// worker exited before the job ran.
     pub fn wait(self) -> Result<JobReport, ServeError> {
         self.receiver.recv().map_err(|_| ServeError::WorkerLost)
     }
 }
 
 impl ServeHandle {
-    /// Starts the service: spawns `workers` device workers (at least
-    /// one). Degenerate configurations (zero queue capacity, an operand
-    /// ceiling below the 64-bit smallest bucket) are typed
-    /// [`ConfigError`]s, not silently clamped values.
+    /// Starts the service: builds `workers` devices and spawns as many
+    /// worker threads (at least one of each). Degenerate configurations
+    /// (zero queue capacity, an operand ceiling below the 64-bit smallest
+    /// bucket) are typed [`ConfigError`]s, not silently clamped values.
     pub fn try_start(config: ServeConfig) -> Result<ServeHandle, ConfigError> {
-        let queue = Arc::new(JobQueue::new(config.queue_capacity, config.max_operand_bits)?);
+        let workers = config.workers.max(1);
+        let devices = (0..workers).map(|_| Device::new(config.arch.clone())).collect();
+        let queue =
+            Arc::new(JobQueue::new(config.queue_capacity, config.max_operand_bits, devices)?);
         let metrics = Arc::new(ServeMetrics::default());
-        let threads = (0..config.workers.max(1))
-            .map(|index| {
-                let device = Device::new(config.arch.clone());
+        let threads = (0..workers)
+            .map(|_| {
                 let slot = queue.add_worker();
                 let metrics = Arc::clone(&metrics);
                 let batch_max = config.batch_max;
-                thread::spawn(move || {
-                    worker::worker_loop(index, device, slot, batch_max, metrics);
-                })
+                thread::spawn(move || worker::worker_loop(slot, batch_max, metrics))
             })
             .collect();
         Ok(ServeHandle {
@@ -192,38 +203,72 @@ impl ServeHandle {
     /// why and nothing was enqueued.
     pub fn submit(&self, job: Job, spec: JobSpec) -> Result<JobTicket, SubmitError> {
         let started = Instant::now();
-        let admitted = self.admit(job, spec);
-        // Admission span covers every attempt — rejected submissions are
-        // latency the tenant observed too.
-        self.inner
-            .metrics
-            .record_submit_span(apc_trace::span::duration_ns(started.elapsed()));
-        if let Err(e) = &admitted {
-            self.inner.metrics.record_rejection(e);
-        }
-        admitted
+        let staged = self.accept(job, spec).and_then(|admitted| {
+            let id = JobId(admitted.id);
+            let (depth, receiver) = self.inner.queue.push(admitted)?;
+            Ok((depth, JobTicket { id, receiver }))
+        });
+        self.record_attempt(started, staged.as_ref().map(|(depth, _)| *depth));
+        staged.map(|(_, ticket)| ticket)
     }
 
-    fn admit(&self, job: Job, spec: JobSpec) -> Result<JobTicket, SubmitError> {
+    /// Submits and blocks for the terminal report. When a device is free
+    /// and no job is staged ahead of this one, the job runs on the calling
+    /// thread, recorded as a batch of one with zero queue wait (counted in
+    /// [`MetricsSnapshot::inline_jobs`]); otherwise it is staged for a
+    /// worker like [`ServeHandle::submit`]. A job that panics on the
+    /// calling thread answers [`ServeError::WorkerLost`], as it would on a
+    /// worker.
+    pub fn submit_wait(&self, job: Job, spec: JobSpec) -> Result<JobReport, ServeError> {
+        let started = Instant::now();
+        let admission =
+            self.accept(job, spec).and_then(|admitted| self.inner.queue.push_or_claim(admitted));
+        self.record_attempt(
+            started,
+            admission.as_ref().map(|admission| match admission {
+                Admission::Inline(..) => 0,
+                Admission::Staged(depth, _) => *depth,
+            }),
+        );
+        match admission? {
+            Admission::Staged(_, receiver) => receiver.recv().map_err(|_| ServeError::WorkerLost),
+            Admission::Inline(admitted, device) => {
+                let metrics = &self.inner.metrics;
+                metrics.record_inline();
+                let bucket_bits = operand_bucket(admitted.job.operand_bits()).0;
+                panic::catch_unwind(AssertUnwindSafe(|| {
+                    worker::run_job(&device, &admitted, admitted.submitted_at, bucket_bits, metrics)
+                }))
+                .map_err(|_| ServeError::WorkerLost)
+            }
+        }
+    }
+
+    /// Admission-time validation, then the job's identity and clock.
+    fn accept(&self, job: Job, spec: JobSpec) -> Result<Admitted, SubmitError> {
         job.validate()?;
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let (reporter, receiver) = mpsc::channel();
         let submitted_at = Instant::now();
         let deadline_at = spec.deadline.map(|d| submitted_at + d);
-        let depth =
-            self.inner.queue.push(Pending { id, job, submitted_at, deadline_at, reporter })?;
-        self.inner.metrics.record_submit(depth);
-        Ok(JobTicket { id: JobId(id), receiver })
+        Ok(Admitted { id, job, submitted_at, deadline_at })
     }
 
-    /// Submits and blocks for the terminal report.
-    pub fn submit_wait(&self, job: Job, spec: JobSpec) -> Result<JobReport, ServeError> {
-        self.submit(job, spec)?.wait()
+    /// Records one submission attempt: accepted at a queue depth, or
+    /// rejected. The admission span covers every attempt — rejected
+    /// submissions are latency the tenant observed too.
+    fn record_attempt(&self, started: Instant, outcome: Result<usize, &SubmitError>) {
+        let metrics = &self.inner.metrics;
+        metrics.record_submit_span(apc_trace::span::duration_ns(started.elapsed()));
+        match outcome {
+            Ok(depth) => metrics.record_submit(depth),
+            Err(e) => metrics.record_rejection(e),
+        }
     }
 
     /// Graceful shutdown: stops admissions, drains every job already
-    /// accepted (each still gets its terminal report), then joins the
-    /// worker threads. Idempotent; any clone may call it.
+    /// accepted (each still gets its terminal report), joins the worker
+    /// threads and waits for the jobs callers still run on their own
+    /// threads. Idempotent; any clone may call it.
     pub fn shutdown(&self) {
         self.inner.shutdown_and_join();
     }
@@ -250,7 +295,7 @@ impl ServeHandle {
         self.inner.metrics.snapshot()
     }
 
-    /// The worker devices' architecture configuration.
+    /// The devices' architecture configuration.
     pub fn arch(&self) -> &ArchConfig {
         &self.inner.arch
     }
@@ -259,13 +304,16 @@ impl ServeHandle {
 impl Inner {
     fn shutdown_and_join(&self) {
         self.queue.begin_shutdown();
-        let threads =
-            std::mem::take(&mut *self.threads.lock().unwrap_or_else(PoisonError::into_inner));
+        let threads = {
+            let mut threads = self.threads.lock().unwrap_or_else(PoisonError::into_inner);
+            std::mem::take(&mut *threads)
+        };
         for t in threads {
             // A worker that panicked already lost its jobs' reports;
             // joining the others is still the right cleanup.
             let _ = t.join();
         }
+        self.queue.wait_devices_home();
     }
 }
 

@@ -41,6 +41,7 @@ pub struct ServeMetrics {
     deadline_missed: AtomicU64,
     batches: AtomicU64,
     batched_jobs: AtomicU64,
+    inline_jobs: AtomicU64,
     max_queue_depth: AtomicUsize,
     cycles_by_class: [AtomicU64; N_CLASSES],
     jobs_by_class: [AtomicU64; N_CLASSES],
@@ -98,6 +99,14 @@ impl ServeMetrics {
         self.dispatch_wait_ns.record(ns);
     }
 
+    /// Records one job about to run on its submitter's thread: a batch of
+    /// one that took no time to form and no time to dispatch.
+    pub(crate) fn record_inline(&self) {
+        self.inline_jobs.fetch_add(1, Ordering::Relaxed);
+        self.record_batch(1, 0);
+        self.record_dispatch_wait(0);
+    }
+
     /// Records one completed job: attributed service cycles by class,
     /// deadline outcome, and the job's queue-wait and kernel-wall spans.
     pub(crate) fn record_completion(
@@ -149,6 +158,7 @@ impl ServeMetrics {
             deadline_missed: self.deadline_missed.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
             batched_jobs: self.batched_jobs.load(Ordering::Relaxed),
+            inline_jobs: self.inline_jobs.load(Ordering::Relaxed),
             max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
             cycles_by_class,
             jobs_by_class,
@@ -182,10 +192,15 @@ pub struct MetricsSnapshot {
     pub rejected_invalid: u64,
     /// Completed jobs that missed their deadline.
     pub deadline_missed: u64,
-    /// Batches dispatched to the worker pool.
+    /// Batches dispatched to the worker pool, plus one per job run on
+    /// its submitter's thread.
     pub batches: u64,
     /// Jobs carried by those batches.
     pub batched_jobs: u64,
+    /// Jobs `ServeHandle::submit_wait` ran on the calling thread because
+    /// a device was free and nothing was staged. Each is also counted as
+    /// a batch of one, with zero queue wait, formation and dispatch wait.
+    pub inline_jobs: u64,
     /// Highest queue depth observed at submission time.
     pub max_queue_depth: usize,
     /// Attributed device service cycles, indexed like `OpClass::ALL`.
@@ -199,7 +214,8 @@ pub struct MetricsSnapshot {
     pub jobs_unattributed: u64,
     /// Admission-span latency (ns), over all submission attempts.
     pub submit_ns: HistogramSnapshot,
-    /// Per-job wait from acceptance to worker pickup (ns).
+    /// Per-job wait from acceptance to worker pickup (ns); 0 for a job
+    /// run on its submitter's thread.
     pub queue_wait_ns: HistogramSnapshot,
     /// Per-batch formation time under the queue lock (ns).
     pub batch_form_ns: HistogramSnapshot,
@@ -207,7 +223,7 @@ pub struct MetricsSnapshot {
     /// forms a batch runs it, so this is near zero: it spans only the
     /// queue-lock release and the batch bookkeeping.
     pub dispatch_wait_ns: HistogramSnapshot,
-    /// Per-job kernel wall time on the worker's device (ns).
+    /// Per-job kernel wall time on the claimed device (ns).
     pub service_ns: HistogramSnapshot,
     /// Per-job attributed service cost in *device cycles* (cycle domain,
     /// not wall time — the device model never reads a clock).
@@ -272,13 +288,18 @@ impl MetricsSnapshot {
         ));
         out.push(Metric::counter(
             "apc_serve_batches_total",
-            "Batches dispatched to the worker pool.",
+            "Batches dispatched, a job run on its submitter's thread counting as one.",
             self.batches,
         ));
         out.push(Metric::counter(
             "apc_serve_batched_jobs_total",
             "Jobs carried by dispatched batches.",
             self.batched_jobs,
+        ));
+        out.push(Metric::counter(
+            "apc_serve_inline_jobs_total",
+            "Jobs run on the submitting thread: a device was free and nothing was staged.",
+            self.inline_jobs,
         ));
         for (i, class) in OpClass::ALL.iter().enumerate() {
             out.push(
@@ -443,6 +464,21 @@ mod tests {
         assert_eq!(s.service_ns.sum, 9_000);
         assert_eq!(s.service_cycles.sum, 64);
         assert_eq!(s.service_cycles.count, 1);
+    }
+
+    #[test]
+    fn inline_jobs_count_as_batches_of_one_with_zero_spans() {
+        let m = ServeMetrics::default();
+        m.record_batch(3, 400);
+        m.record_dispatch_wait(900);
+        m.record_inline();
+        let s = m.snapshot();
+        assert_eq!(s.inline_jobs, 1);
+        assert_eq!((s.batches, s.batched_jobs), (2, 4));
+        assert_eq!((s.batch_form_ns.count, s.batch_form_ns.sum), (2, 400));
+        assert_eq!((s.dispatch_wait_ns.count, s.dispatch_wait_ns.sum), (2, 900));
+        let prom = s.to_prometheus();
+        assert!(prom.contains("apc_serve_inline_jobs_total 1"), "{prom}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Tier-1 gate for the serving layer (`apc-serve`).
 //!
-//! Five contracts, each load-bearing for the multi-tenant story:
+//! Six contracts, each load-bearing for the multi-tenant story:
 //!
 //! 1. **Bit-exactness** — a randomized job mix spanning several bitwidth
 //!    buckets, submitted through the service, must produce results
@@ -20,9 +20,14 @@
 //!    no timeout, so a missed wake would hang shutdown forever. Repeated
 //!    start → race → shutdown cycles run under a watchdog that turns
 //!    such a hang into a test failure.
+//! 6. **Two paths, one ledger** — `submit_wait` runs a job on the
+//!    caller's thread when a device is free and nothing is staged, and
+//!    stages it for a worker otherwise. Mixed with `submit` + `wait` and
+//!    a mid-stream shutdown, every accepted job still gets exactly one
+//!    bit-exact report and is counted once, on one of the two paths.
 
 use apc_bignum::Nat;
-use apc_serve::{Job, JobOutput, JobSpec, ServeConfig, ServeHandle, SubmitError};
+use apc_serve::{Job, JobOutput, JobSpec, ServeConfig, ServeError, ServeHandle, SubmitError};
 use cambricon_p::Device;
 use rand::{Rng, RngCore, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -463,4 +468,103 @@ fn shutdown_racing_rollbacks_never_loses_a_wakeup() {
             cycle.load(Ordering::Relaxed)
         ),
     }
+}
+
+#[test]
+fn caller_thread_and_worker_runs_conserve_every_job_across_shutdown() {
+    const THREADS: u64 = 4;
+    const PER_THREAD: u64 = 40;
+    let serve = ServeHandle::start(ServeConfig {
+        queue_capacity: 64,
+        workers: 1,
+        batch_max: 4,
+        ..ServeConfig::default()
+    });
+    let oracle = Device::new_default();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x1A11E);
+
+    // An idle service runs a submit_wait on the caller's thread, and
+    // never a submit.
+    let job = random_job(&mut rng);
+    let report = serve.submit_wait(job.clone(), JobSpec::default()).expect("idle service");
+    assert_eq!(report.output, direct(&oracle, &job));
+    let ticket = serve.submit(job.clone(), JobSpec::default()).expect("idle service");
+    let first_ids = vec![report.id.as_u64(), ticket.id().as_u64()];
+    assert_eq!(ticket.wait().expect("staged job reports").output, direct(&oracle, &job));
+    let m = serve.metrics();
+    assert_eq!((m.inline_jobs, m.batches, m.completed), (1, 2, 2));
+
+    // Submitters alternate submit_wait with submit + wait; the shutdown
+    // thread fires when every submitter is halfway through.
+    let barrier = Barrier::new(THREADS as usize + 1);
+    let report_ids = Mutex::new(first_ids);
+    let accepted_waits = AtomicU64::new(1);
+    thread::scope(|s| {
+        for t in 0..THREADS {
+            let (serve, oracle, barrier) = (serve.clone(), &oracle, &barrier);
+            let (report_ids, accepted_waits) = (&report_ids, &accepted_waits);
+            s.spawn(move || {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(0x1A11E + t + 1);
+                let mut ids = Vec::new();
+                for i in 0..PER_THREAD {
+                    if i == PER_THREAD / 2 {
+                        barrier.wait();
+                    }
+                    let job = random_job(&mut rng);
+                    let want = direct(oracle, &job);
+                    let report = if (t + i) % 2 == 0 {
+                        match serve.submit_wait(job, JobSpec::default()) {
+                            Ok(report) => {
+                                accepted_waits.fetch_add(1, Ordering::Relaxed);
+                                report
+                            }
+                            Err(ServeError::Rejected(SubmitError::Shutdown)) => continue,
+                            Err(e) => unreachable!("submit_wait failed: {e}"),
+                        }
+                    } else {
+                        match serve.submit(job, JobSpec::default()) {
+                            Ok(ticket) => ticket.wait().expect("every accepted job reports"),
+                            Err(SubmitError::Shutdown) => continue,
+                            Err(e) => unreachable!("submit failed: {e}"),
+                        }
+                    };
+                    assert_eq!(report.output, want, "result diverged from direct device");
+                    ids.push(report.id.as_u64());
+                }
+                report_ids.lock().expect("no panics hold this lock").extend(ids);
+            });
+        }
+        let (serve, barrier) = (serve.clone(), &barrier);
+        s.spawn(move || {
+            barrier.wait();
+            serve.shutdown();
+        });
+    });
+
+    // After shutdown a submit_wait is refused and runs nowhere.
+    let before = serve.metrics();
+    let refused = serve.submit_wait(random_job(&mut rng), JobSpec::default());
+    assert_eq!(refused.err(), Some(ServeError::Rejected(SubmitError::Shutdown)));
+    let m = serve.metrics();
+    assert_eq!(m.rejected_shutdown, before.rejected_shutdown + 1);
+    assert_eq!((m.inline_jobs, m.completed), (before.inline_jobs, before.completed));
+
+    // Exactly one report per accepted job.
+    let mut ids = report_ids.into_inner().expect("scope joined");
+    let reports = ids.len() as u64;
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len() as u64, reports, "a job was reported twice");
+    assert_eq!(m.submitted, reports, "an accepted job never reported");
+    assert_eq!(m.completed, reports);
+    // Each job counted once, on the caller's thread or in a worker's
+    // batch (a caller-thread run is a batch of one), and only
+    // submit_wait runs on the caller's thread.
+    assert_eq!(m.batched_jobs, m.completed, "a job ran in no batch or in two");
+    assert!(m.inline_jobs >= 1 && m.inline_jobs <= accepted_waits.load(Ordering::Relaxed));
+    assert!(m.batches > m.inline_jobs, "the staged jobs ran in worker batches");
+    assert_eq!(m.queue_wait_ns.count, m.completed);
+    assert_eq!(m.batch_form_ns.count, m.batches);
+    assert_eq!(m.dispatch_wait_ns.count, m.batches);
+    assert_eq!(serve.queue_depth(), 0);
 }
