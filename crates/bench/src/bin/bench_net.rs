@@ -3,10 +3,11 @@
 //! root.
 //!
 //! Closed-loop clients drive a real `NetServer` fronting a 2-shard
-//! consistent-hash `Router` (each shard its own `ServeHandle` + worker
-//! `Device`s): every client holds one authenticated connection and
-//! submits its next multiply only after decoding the previous response,
-//! so offered load scales with the client count and every result
+//! `Router` (each shard its own `ServeHandle` + worker `Device`s) that
+//! sends each job to the live shard with the fewest jobs in flight,
+//! ties to the job's consistent-hash ring owner. Every client holds
+//! one authenticated connection and submits its next multiply only
+//! after decoding the previous response, so offered load scales with the client count and every result
 //! crosses the full encode → TCP → decode → route → serve → encode →
 //! TCP → decode loop. An in-process `submit_wait` loop against an
 //! identical single service is timed as the no-network reference, which
@@ -126,9 +127,9 @@ fn main() {
 
     let mut report = Report::new(
         "net_throughput",
-        "analytic Device::mul via apc-net and apc-serve submit_wait (on the connection \
-         worker's thread when its shard has a free device and nothing staged, else in a \
-         worker batch)",
+        "analytic Device::mul via apc-net, routed to the least-loaded live shard (ties to \
+         the ring owner), and apc-serve submit_wait (on the connection worker's thread \
+         when its shard has a free device and nothing staged, else in a worker batch)",
     );
     for (name, value) in [
         ("operand_bits", OPERAND_BITS as usize),

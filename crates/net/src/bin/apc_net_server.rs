@@ -1,4 +1,4 @@
-//! Standalone apc-net server: a consistent-hash router of Device-backed
+//! Standalone apc-net server: a least-loaded router of Device-backed
 //! serving shards behind one TCP endpoint.
 //!
 //! ```text
@@ -13,6 +13,18 @@
 use apc_net::{NetServer, NetServerConfig, Router};
 use apc_serve::ServeConfig;
 use std::process::ExitCode;
+
+/// Parses a count flag's value. Zero is refused, not clamped: a server
+/// with no shard or no worker device could serve nothing.
+fn positive(flag: &str, value: &str) -> Result<usize, ()> {
+    match value.parse() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => {
+            eprintln!("{flag} wants a positive integer, got {value}");
+            Err(())
+        }
+    }
+}
 
 fn main() -> ExitCode {
     let mut addr = String::from("127.0.0.1:7311");
@@ -31,26 +43,12 @@ fn main() -> ExitCode {
         };
         let parsed = match flag.as_str() {
             "--addr" => take("--addr").map(|v| addr = v),
-            "--shards" => take("--shards").and_then(|v| match v.parse() {
-                Ok(n) => {
-                    shards = n;
-                    Ok(())
-                }
-                Err(_) => {
-                    eprintln!("--shards wants a positive integer, got {v}");
-                    Err(())
-                }
-            }),
-            "--workers" => take("--workers").and_then(|v| match v.parse() {
-                Ok(n) => {
-                    workers = n;
-                    Ok(())
-                }
-                Err(_) => {
-                    eprintln!("--workers wants a positive integer, got {v}");
-                    Err(())
-                }
-            }),
+            "--shards" => {
+                take("--shards").and_then(|v| positive("--shards", &v)).map(|n| shards = n)
+            }
+            "--workers" => {
+                take("--workers").and_then(|v| positive("--workers", &v)).map(|n| workers = n)
+            }
             "--token" => take("--token").map(|v| tokens.push(v.into_bytes())),
             other => {
                 eprintln!("unknown flag {other}");
@@ -69,8 +67,8 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let serve_cfg = ServeConfig { workers: workers.max(1), ..ServeConfig::default() };
-    let router = Router::start(shards.max(1), serve_cfg);
+    let serve_cfg = ServeConfig { workers, ..ServeConfig::default() };
+    let router = Router::start(shards, serve_cfg);
     let shard_count = router.shard_count();
     let server = match NetServer::start(
         addr.as_str(),
@@ -87,7 +85,7 @@ fn main() -> ExitCode {
         "apc-net serving on {} ({} shard(s) x {} worker device(s)); metrics at http://{}/metrics",
         server.local_addr(),
         shard_count,
-        workers.max(1),
+        workers,
         server.local_addr(),
     );
     // Serve until killed; the connection workers do all the work.

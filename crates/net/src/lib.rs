@@ -23,11 +23,13 @@
 //!   a minimal `GET /metrics` Prometheus responder on the same port;
 //! - [`NetClient`]: a blocking client with connect/request timeouts
 //!   and typed [`NetError`];
-//! - [`Router`]: N `Device`-backed `ServeHandle` shards behind an
-//!   FNV-1a consistent-hash ring keyed on the job's
-//!   [`apc_serve::operand_bucket`], the bucket each shard's queue
-//!   batches by, so one bucket's jobs always land on the same shard;
-//!   `Router::start(1, ..)` is the single-device deployment.
+//! - [`Router`]: N `Device`-backed `ServeHandle` shards; each job goes
+//!   to the live shard with the fewest jobs in flight, ties to the
+//!   job's ring owner (an FNV-1a consistent-hash ring keyed on the
+//!   job's [`apc_serve::operand_bucket`], the bucket each shard's queue
+//!   batches by), so concurrent callers run on idle devices instead of
+//!   queueing behind one; `Router::start(1, ..)` is the single-device
+//!   deployment.
 //!
 //! Results over the wire are **bit-identical** to direct `Device`
 //! execution: the wire carries exact limbs both ways and the serving
@@ -74,7 +76,8 @@ use apc_trace::export::Metric;
 
 /// What [`NetServer`] needs from the thing it fronts. Implemented by
 /// [`Router`], which serves a single device as a one-shard set
-/// (`Router::start(1, ..)`) and several as a consistent-hash ring.
+/// (`Router::start(1, ..)`) and several by sending each job to the
+/// least-loaded live shard, ties to the job's consistent-hash ring owner.
 pub trait NetBackend {
     /// Routes/submits one job and blocks for its terminal report.
     fn submit_wait(&self, job: Job, spec: JobSpec) -> Result<JobReport, ServeError>;

@@ -60,6 +60,11 @@ pub enum ConfigError {
     /// `queue_capacity` was 0 — every submission would be rejected with
     /// [`SubmitError::QueueFull`].
     ZeroCapacity,
+    /// `workers` was 0 — the service would have no device and no worker,
+    /// and every staged job would wait forever.
+    ZeroWorkers,
+    /// `batch_max` was 0 — no batch could carry a job.
+    ZeroBatchMax,
     /// `max_operand_bits` is below the 64-bit smallest bucket, so no
     /// bucket spans the range.
     MaxOperandBitsBelowFloor {
@@ -74,6 +79,8 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroCapacity => {
                 write!(f, "queue_capacity must be at least 1")
             }
+            ConfigError::ZeroWorkers => write!(f, "workers must be at least 1"),
+            ConfigError::ZeroBatchMax => write!(f, "batch_max must be at least 1"),
             ConfigError::MaxOperandBitsBelowFloor { max_operand_bits } => {
                 write!(
                     f,
@@ -132,6 +139,8 @@ mod tests {
     #[test]
     fn config_errors_render_their_context() {
         assert!(ConfigError::ZeroCapacity.to_string().contains("queue_capacity"));
+        assert!(ConfigError::ZeroWorkers.to_string().contains("workers"));
+        assert!(ConfigError::ZeroBatchMax.to_string().contains("batch_max"));
         let low = ConfigError::MaxOperandBitsBelowFloor { max_operand_bits: 32 }.to_string();
         assert!(low.contains("max_operand_bits (32)") && low.contains("64-bit"), "{low}");
     }

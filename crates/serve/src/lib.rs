@@ -82,9 +82,9 @@ pub struct ServeConfig {
     /// Worker threads, and devices: the service builds one `Device` per
     /// worker and keeps them in a free list that workers, and callers of
     /// [`ServeHandle::submit_wait`], take a device from for each batch or
-    /// job.
+    /// job. At least 1.
     pub workers: usize,
-    /// Most jobs one dispatched batch may carry.
+    /// Most jobs one dispatched batch may carry. At least 1.
     pub batch_max: usize,
     /// Admission ceiling on operand width, rounded up to the ceiling of
     /// its [`operand_bucket`] (the largest bucket). At least 64.
@@ -153,11 +153,18 @@ impl JobTicket {
 
 impl ServeHandle {
     /// Starts the service: builds `workers` devices and spawns as many
-    /// worker threads (at least one of each). Degenerate configurations
-    /// (zero queue capacity, an operand ceiling below the 64-bit smallest
-    /// bucket) are typed [`ConfigError`]s, not silently clamped values.
+    /// worker threads. Degenerate configurations (zero workers, zero
+    /// `batch_max`, zero queue capacity, an operand ceiling below the
+    /// 64-bit smallest bucket) are typed [`ConfigError`]s, not silently
+    /// clamped values.
     pub fn try_start(config: ServeConfig) -> Result<ServeHandle, ConfigError> {
-        let workers = config.workers.max(1);
+        let workers = config.workers;
+        if workers == 0 {
+            return Err(ConfigError::ZeroWorkers);
+        }
+        if config.batch_max == 0 {
+            return Err(ConfigError::ZeroBatchMax);
+        }
         let devices = (0..workers).map(|_| Device::new(config.arch.clone())).collect();
         let queue =
             Arc::new(JobQueue::new(config.queue_capacity, config.max_operand_bits, devices)?);
@@ -515,6 +522,13 @@ mod tests {
         })
         .expect_err("an operand ceiling below the smallest bucket must not start");
         assert_eq!(err, ConfigError::MaxOperandBitsBelowFloor { max_operand_bits: 32 });
+        // Regression: workers 0 and batch_max 0 used to be clamped to 1.
+        let err = ServeHandle::try_start(ServeConfig { workers: 0, ..ServeConfig::default() })
+            .expect_err("zero workers must not start");
+        assert_eq!(err, ConfigError::ZeroWorkers);
+        let err = ServeHandle::try_start(ServeConfig { batch_max: 0, ..ServeConfig::default() })
+            .expect_err("zero batch_max must not start");
+        assert_eq!(err, ConfigError::ZeroBatchMax);
         // A valid config still starts through the fallible path.
         let serve = ServeHandle::try_start(ServeConfig::default()).expect("valid config");
         serve.shutdown();

@@ -142,7 +142,7 @@ impl State {
             .iter_mut()
             .filter_map(|dq| Some((dq.front()?.admitted.id, dq)))
             .min_by_key(|(id, _)| *id)?;
-        let jobs: Vec<Pending> = bucket.drain(..batch_max.clamp(1, bucket.len())).collect();
+        let jobs: Vec<Pending> = bucket.drain(..batch_max.min(bucket.len())).collect();
         let bucket_bits = operand_bucket(jobs.first()?.admitted.job.operand_bits()).0;
         self.queued -= jobs.len();
         let formed_at = Instant::now();

@@ -1,11 +1,11 @@
 //! Tier-1 gate for the network layer (`apc-net`).
 //!
-//! Seven contracts, each load-bearing for the off-box serving story:
+//! Eight contracts, each load-bearing for the off-box serving story:
 //!
 //! 1. **Bit-exactness over the wire** — a randomized cross-bucket job
 //!    mix sent through `NetClient → NetServer → Router (2 shards)` must
 //!    decode to results identical to a private `Device`. TCP framing,
-//!    limb encoding, consistent-hash routing, and batch scheduling may
+//!    limb encoding, least-loaded routing, and batch scheduling may
 //!    reorder *execution*, never *values*.
 //! 2. **Fail-closed framing** — a frame whose length prefix exceeds the
 //!    cap derived from `max_operand_bits` is answered with the typed
@@ -27,6 +27,10 @@
 //! 7. **One bucket rule** — the router keys each job by the same
 //!    operand bucket its shard's queue batches it under, at every width
 //!    (64 bits and under share one bucket).
+//! 8. **No staging with a shard per caller** — N threads sending one
+//!    width through an N-shard router of one-device shards always find
+//!    a shard with nothing in flight, so every job runs on its caller's
+//!    thread and none waits in a queue.
 
 use apc_bignum::Nat;
 use apc_net::wire::{self, FrameError, Hello, Request, Response, ResponseBody};
@@ -34,7 +38,7 @@ use apc_net::{
     NetClient, NetClientConfig, NetError, NetServer, NetServerConfig, Rejection, Router,
     WireError, WireStatus,
 };
-use apc_serve::{operand_bucket, Job, JobOutput, JobSpec, ServeConfig};
+use apc_serve::{operand_bucket, Job, JobOutput, JobSpec, ServeConfig, ServeHandle};
 use cambricon_p::Device;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -149,6 +153,42 @@ fn router_keys_each_job_by_the_bucket_its_queue_reports() {
             "{bits}-bit job routed apart from its bucket"
         );
     }
+    router.shutdown();
+}
+
+#[test]
+fn one_caller_per_shard_never_stages_a_job() {
+    // Deterministic, with no timing involved: N callers hold at most N
+    // in-flight slots, so the least-loaded shard has none in flight;
+    // its one device is then free and nothing is staged on it.
+    const SHARDS: usize = 3;
+    const JOBS_PER_CALLER: usize = 200;
+    let cfg = ServeConfig { workers: 1, ..ServeConfig::default() };
+    let handles: Vec<ServeHandle> = (0..SHARDS).map(|_| ServeHandle::start(cfg.clone())).collect();
+    let router = Router::from_handles(handles.clone(), Router::DEFAULT_REPLICAS);
+    std::thread::scope(|scope| {
+        for caller in 0..SHARDS {
+            let router = &router;
+            scope.spawn(move || {
+                let mut rng = StdRng::seed_from_u64(0x5AAD + caller as u64);
+                let device = Device::new_default();
+                for _ in 0..JOBS_PER_CALLER {
+                    let (a, b) = (random_nat(&mut rng, 2048), random_nat(&mut rng, 2048));
+                    let job = Job::Mul { a, b };
+                    let expected = direct(&device, &job);
+                    let report = router.submit_wait(job, JobSpec::default()).expect("served");
+                    assert_eq!(report.output, expected, "caller {caller}: wrong product");
+                }
+            });
+        }
+    });
+    let mut completed = 0;
+    for (i, handle) in handles.iter().enumerate() {
+        let m = handle.metrics();
+        assert_eq!(m.inline_jobs, m.completed, "shard {i} staged a job: {m:?}");
+        completed += m.completed;
+    }
+    assert_eq!(completed, (SHARDS * JOBS_PER_CALLER) as u64);
     router.shutdown();
 }
 
