@@ -140,7 +140,7 @@ fn main() {
     ] {
         report.gauge(name, &[], value as f64);
     }
-    let router = Router::start(SHARDS, serve_config());
+    let router = Router::start(SHARDS, serve_config()).expect("valid shard config");
     let server = NetServer::start(
         "127.0.0.1:0",
         router,

@@ -70,13 +70,28 @@ pub fn pool_threads() -> usize {
     }
 }
 
+/// How many threads a [`map_indexed`] call made here with this
+/// `parallel` flag spreads its items over: the pool's worker count when
+/// it would fork, and 1 inside [`sequential`], inside another dispatch,
+/// for `parallel == false`, or without the `parallel` feature. A caller
+/// that cuts its work into this many pieces gives each thread one.
+pub fn dispatch_width(parallel: bool) -> usize {
+    #[cfg(feature = "parallel")]
+    {
+        if parallel && !IN_PARALLEL_WORKER.with(Cell::get) {
+            return rayon::current_num_threads();
+        }
+    }
+    let _ = parallel;
+    1
+}
+
 /// Maps `f` over `0..len`, returning results in index order.
 ///
-/// When `parallel` is `true` (and the feature is compiled in, and this is
-/// not already inside a parallel worker), the range is split recursively
-/// across threads down to a grain of `len / (4·threads)` items; otherwise
-/// this is a plain sequential map. Either way the output vector is in
-/// index order, so reductions over it are deterministic.
+/// When [`dispatch_width`] reports more than one thread, the range is
+/// split recursively across threads down to a grain of `len / (4·threads)`
+/// items; otherwise this is a plain sequential map. Either way the output
+/// vector is in index order, so reductions over it are deterministic.
 pub fn map_indexed<U, F>(len: usize, parallel: bool, f: &F) -> Vec<U>
 where
     U: Send,
@@ -84,9 +99,8 @@ where
 {
     #[cfg(feature = "parallel")]
     {
-        let nested = IN_PARALLEL_WORKER.with(Cell::get);
-        let threads = rayon::current_num_threads();
-        if parallel && !nested && threads > 1 && len > 1 {
+        let threads = dispatch_width(parallel);
+        if threads > 1 && len > 1 {
             let grain = len.div_ceil(4 * threads).max(1);
             return map_range(0, len, grain, f);
         }
@@ -189,6 +203,20 @@ mod tests {
         assert_eq!(parallel_enabled(), cfg!(feature = "parallel"));
     }
 
+    #[test]
+    fn dispatch_width_is_one_wherever_dispatch_stays_put() {
+        assert_eq!(dispatch_width(false), 1);
+        assert_eq!(sequential(|| dispatch_width(true)), 1);
+        let expected = if cfg!(feature = "parallel") {
+            pool_threads()
+        } else {
+            1
+        };
+        assert_eq!(dispatch_width(true), expected);
+        // A dispatched item is nested: its own dispatches stay put.
+        assert_eq!(map_indexed(4, true, &|_| dispatch_width(true)), vec![1; 4]);
+    }
+
     /// Runs `map_indexed(.., true, ..)` and `join(true, ..)` inside
     /// `sequential` and checks every item ran on the calling thread.
     fn all_items_stay_on_the_calling_thread() {
@@ -215,6 +243,8 @@ mod tests {
                 .build()
                 .expect("build 8-worker pool");
             assert_eq!(pool.install(pool_threads), 8);
+            assert_eq!(pool.install(|| dispatch_width(true)), 8);
+            assert_eq!(pool.install(|| sequential(|| dispatch_width(true))), 1);
             pool.install(all_items_stay_on_the_calling_thread);
             // The scope ends with `sequential`, also when `op` unwinds.
             pool.install(|| {

@@ -19,6 +19,7 @@ use crate::stats::StageCycles;
 use crate::transform::{to_limb_vector, to_limb_words};
 use apc_bignum::limb::{wide_parts, Limb, LIMB_BITS};
 use apc_bignum::Nat;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Which host engine executes the Fig. 9a bitflow stages.
@@ -137,8 +138,59 @@ pub struct Schedule {
 /// for the engine that runs it. `None` marks an all-zero block: it has no
 /// table and every pass skips it.
 enum BlockTables {
-    Sliced(Arc<PatternTables>),
+    Sliced(SlicedBlocks),
     Scalar(Vec<Option<Patterns>>),
+}
+
+/// The Sliced64 engine's per-call view of the blocks: their tables and,
+/// computed once per call, the running sums of their [`pattern_bits`]:
+/// `gather_prefix[b·2^q + mask]` is `Σ_{b' < b} bits_b'[mask]` for
+/// mask ≥ 1 and 0 at mask 0 (an all-zero block adds 0). So the
+/// `weighted_gather` of one index tuple against any run of blocks
+/// `lo..hi` is one dot product of its popcounts with a difference of two
+/// rows, whatever the run's length.
+struct SlicedBlocks {
+    tables: Arc<PatternTables>,
+    gather_prefix: Vec<u32>,
+}
+
+impl SlicedBlocks {
+    fn new(tables: Arc<PatternTables>, q: usize) -> Self {
+        let mut gather_prefix = vec![0; (tables.len() + 1) << q];
+        let mut bits = vec![0; 1 << q];
+        for (b, table) in tables.iter().enumerate() {
+            let (below, above) = gather_prefix.split_at_mut((b + 1) << q);
+            let row = &mut above[..1 << q];
+            row.copy_from_slice(&below[b << q..]);
+            if let Some((patterns, _)) = table {
+                pattern_bits(patterns, &mut bits);
+                for (sum, &bits) in row.iter_mut().zip(&bits).skip(1) {
+                    *sum += u32::from(bits);
+                }
+            }
+        }
+        SlicedBlocks {
+            tables,
+            gather_prefix,
+        }
+    }
+
+    /// The `weighted_gather` charge (Fig. 8 stage 3) of a tuple with
+    /// per-mask popcounts `ones` against each of the blocks `lo..hi`:
+    /// `Σ_b Σ_{mask ≥ 1} ones[mask]·bits_b[mask]`.
+    fn gather<const Q: usize>(&self, ones: &[u8], lo: usize, hi: usize) -> u64 {
+        let n = if Q == 0 { ones.len() } else { 1 << Q };
+        let q = n.trailing_zeros();
+        let (below, upto) = (
+            &self.gather_prefix[lo << q..][..n],
+            &self.gather_prefix[hi << q..][..n],
+        );
+        ones[..n]
+            .iter()
+            .zip(below.iter().zip(upto))
+            .map(|(&ones, (&below, &upto))| u64::from(ones) * u64::from(upto - below))
+            .sum()
+    }
 }
 
 /// The index operand y reversed and zero-padded: element `m` is
@@ -159,34 +211,38 @@ fn pass_reads_nonzero(yr: &[Limb], base: usize, q: usize, n_ipu: usize) -> bool 
     yr[base + 1 - n_ipu..base + q].iter().any(|&v| v != 0)
 }
 
-/// The Sliced64 passes of one output window (Fig. 9a), walked by index
-/// tuple: returns the executed pass count, adds the window's lanes into
-/// `acc` and its counts into `tally`.
+/// The Sliced64 passes of one chunk of output windows (Fig. 9a), walked
+/// by index tuple: returns the executed pass count, adds the chunk's
+/// outputs into `acc` (bit 0 is output `chunk.start·N_IPU`) and its
+/// counts into `tally`.
 ///
-/// IPU k of PE(b, w) reads the tuple `yr[m..][..q]` at `m = base_b − k`,
-/// so a tuple start m is shared by every block with `base_b − m` in
-/// `[0, N_IPU)`. The walk visits each such m once, in increasing order:
-/// it splits the tuple's indicators once ([`Indicators::split`], BIPS
-/// stage 2) and multiplies them into each live block's table
-/// ([`Indicators::select_accumulate`], stage 3), adding the partial into
-/// lane slot `k = base_b − m`. The N_IPU lane slots sum each IPU's
-/// partials across blocks (the Adder Tree), and at window end one
-/// [`add_shifted`] per lane at `k·L` does the GU gather.
+/// IPU k of PE(b, w) reads the tuple `yr[m..][..q]` at `m = c − t + bq`
+/// for output t = w·N_IPU + k, so a tuple is read by every block b whose
+/// output `t = c + bq − m` falls in the chunk. The walk visits each tuple
+/// once, in increasing m: it splits a nonzero tuple's indicators once
+/// ([`Indicators::split`], BIPS stage 2) and multiplies them into the
+/// table of every block that reads it ([`Indicators::mac`], stage 3),
+/// adding the partial into the lane of output t. The lanes sum each
+/// output's partials across blocks (the Adder Tree), and at chunk end one
+/// [`add_shifted`] per lane at its `t·L` does the GU gather.
 ///
-/// A lane slot is a `u128` plus an overflow word: one partial is below
+/// A lane is a `u128` plus an overflow word: one partial is below
 /// 2^(2L+⌈log₂ q⌉) ≤ 2^127, but a sum over blocks can pass 2^128.
 ///
-/// The skip rule, pass count and per-pass `pattern_generation` charge are
-/// those of the pass grid; the IPU counts are charged per visited
-/// (block, tuple) pair, so the tally is bit-identical to one IPU call per
-/// PE(b, w)·k. A block's table is live for N_IPU consecutive tuple starts
-/// and blocks start q apart, so at most `(N_IPU − 1)/q + 1` tables are
-/// live at once: their [`pattern_bits`] sit in a ring of that many slots
-/// (rounded up to a power of two), computed once per block per window.
-fn sliced_window<const Q: usize>(
-    tables: &PatternTables,
+/// Counts: a pass PE(b, w) is skipped exactly when every tuple it reads
+/// is all zero ([`pass_reads_nonzero`]), so every block with a table
+/// that reads a *nonzero* tuple runs, and an all-zero tuple adds nothing
+/// but skipped cycles. The skip rule, pass count and per-pass
+/// `pattern_generation`, `bit_serial_reference` (N_IPU·q·L²) and
+/// `skipped_zero` (N_IPU·L, every cycle) charges are therefore applied
+/// per PE(b, w) before the walk, and each nonzero tuple takes back its
+/// `L − popcount(I[0])` selecting cycles and charges its
+/// `weighted_gather` once per reader. So the tally is bit-identical to
+/// one [`Indicators::select_accumulate`] per PE(b, w)·k.
+fn sliced_chunk<const Q: usize>(
+    blocks: &SlicedBlocks,
     yr: &[Limb],
-    top: usize,
+    (c, chunk): (usize, Range<usize>),
     (q, n_ipu, lb): (usize, usize, u64),
     acc: &mut [Limb],
     tally: &mut BopsTally,
@@ -194,59 +250,60 @@ fn sliced_window<const Q: usize>(
     // `Q` is q fixed at compile time, or 0 for "read q at run time".
     debug_assert!(Q == 0 || Q == q, "a constant-q copy runs only its own q");
     let q = if Q == 0 { q } else { Q };
-    let blocks = tables.len();
-    // A power of two, so a block's slot is a mask, not a division.
-    let ring = ((n_ipu - 1) / q + 1).next_power_of_two();
-    let mut live: Vec<Option<&[Limb]>> = vec![None; ring];
-    let mut bits: Vec<u8> = vec![0; ring << q];
-    let mut indicators = Indicators::new(q, lb);
-    let mut lanes: Vec<(u128, u64)> = vec![(0, 0); n_ipu];
+    let tables = &blocks.tables[..];
     let mut passes = 0u64;
-    // Tuple start m = top + 1 − N_IPU + d; block b reads d in
-    // [bq, bq + N_IPU), at lane k = bq + N_IPU − 1 − d. Blocks
-    // `oldest..next` are the ones that read the current d.
-    let first = top + 1 - n_ipu;
-    let (mut oldest, mut next) = (0, 0);
-    for d in 0..(blocks - 1) * q + n_ipu {
-        if next < blocks && d == next * q {
-            // Block `next` enters: apply the pass-skip predicate once and
-            // take the slot of a block that is done.
-            let slot = next & (ring - 1);
-            live[slot] = match &tables[next] {
-                Some((patterns, generation_bops))
-                    if pass_reads_nonzero(yr, top + next * q, q, n_ipu) =>
-                {
+    for w in chunk.clone() {
+        let top = c - w * n_ipu;
+        for (b, table) in tables.iter().enumerate() {
+            if let Some((_, generation_bops)) = table {
+                if pass_reads_nonzero(yr, top + b * q, q, n_ipu) {
                     tally.pattern_generation += generation_bops;
                     passes += 1;
-                    pattern_bits(patterns, &mut bits[slot << q..][..1 << q]);
-                    Some(patterns.as_slice())
                 }
-                _ => None,
-            };
-            next += 1;
+            }
         }
-        if oldest * q + n_ipu == d {
-            oldest += 1;
-        }
-        if !(oldest..next).any(|b| live[b & (ring - 1)].is_some()) {
+    }
+    let ipu_cycles = passes * n_ipu as u64 * lb;
+    tally.bit_serial_reference += ipu_cycles * q as u64 * lb;
+    tally.skipped_zero += ipu_cycles;
+    let span = chunk.len() * n_ipu;
+    let mut indicators = Indicators::new(q, lb);
+    let mut lanes: Vec<(u128, u64)> = vec![(0, 0); span];
+    // Tuple start m = first + d. Block b reads d in [bq, bq + span), at
+    // chunk-local output j = bq + span − 1 − d.
+    let first = c + 1 - chunk.end * n_ipu;
+    for d in 0..(tables.len() - 1) * q + span {
+        let tuple = &yr[first + d..][..q];
+        if tuple.iter().all(|&v| v == 0) {
             continue;
         }
-        indicators.split(&yr[first + d..][..q]);
-        for b in oldest..next {
-            let slot = b & (ring - 1);
-            let Some(patterns) = live[slot] else {
+        let (lo, hi) = (
+            (d + 1).saturating_sub(span).div_ceil(q),
+            (d / q + 1).min(tables.len()),
+        );
+        let mut readers = 0u64;
+        for (b, table) in (lo..hi).zip(&tables[lo..hi]) {
+            let Some((patterns, _)) = table else {
                 continue;
             };
-            let (patterns, bits) = (&patterns[..1 << q], &bits[slot << q..][..1 << q]);
-            let partial = indicators.select_accumulate(patterns, bits, lb, tally);
-            let lane = &mut lanes[b * q + n_ipu - 1 - d];
+            if readers == 0 {
+                indicators.split(tuple);
+            }
+            readers += 1;
+            let partial = indicators.mac::<Q>(patterns);
+            let lane = &mut lanes[b * q + span - 1 - d];
             let (sum, carried) = lane.0.overflowing_add(partial);
             *lane = (sum, lane.1 + u64::from(carried));
         }
+        if readers > 0 {
+            let ones = indicators.ones();
+            tally.skipped_zero -= readers * (lb - u64::from(ones[0]));
+            tally.weighted_gather += blocks.gather::<Q>(ones, lo, hi);
+        }
     }
-    for (k, &(sum, overflow)) in lanes.iter().enumerate() {
+    for (j, &(sum, overflow)) in lanes.iter().enumerate() {
         let (low, high) = wide_parts(sum);
-        add_shifted(acc, &[low, high, overflow], k as u64 * lb);
+        add_shifted(acc, &[low, high, overflow], j as u64 * lb);
     }
     passes
 }
@@ -321,15 +378,16 @@ impl Accelerator {
     /// contribution to window w; the GU gathers each PE's strided outputs
     /// and the Adder Tree sums across blocks.
     ///
-    /// On the Sliced64 engine a window's passes run by index tuple: the
-    /// Memory Agent hands IPU k of PE(b, w) the q index words starting at
-    /// its own position (§V-B2), so one tuple is read by up to
-    /// `(N_IPU − 1)/q + 1` blocks. Each tuple's indicators are split once
-    /// and multiplied into every live block's table, each IPU position's
-    /// partials sum across blocks in a lane slot (a `u128` plus an
-    /// overflow word — the Adder Tree), and one GU fold per lane lands
-    /// them in the window. Every count is still charged per IPU, so the
-    /// outcome is identical to one call per PE(b, w) IPU.
+    /// On the Sliced64 engine the passes run by index tuple over a chunk
+    /// of consecutive windows: the Memory Agent hands IPU k of PE(b, w)
+    /// the q index words starting at its own position (§V-B2), so one
+    /// tuple is read by every block whose output lands in the chunk. Each
+    /// tuple's indicators are split once per chunk and multiplied into
+    /// the table of every running pass that reads it, each output's
+    /// partials sum across blocks in a lane (a `u128` plus an overflow
+    /// word — the Adder Tree), and one GU fold per lane lands them in the
+    /// product. Every count is still charged per PE(b, w) pass and IPU,
+    /// so the outcome is identical to one call per PE(b, w) IPU.
     ///
     /// ```
     /// use apc_bignum::Nat;
@@ -341,25 +399,45 @@ impl Accelerator {
     /// assert_eq!(acc.multiply(&a, &b).product, &a * &b);
     /// ```
     ///
-    /// With the `parallel` cargo feature the output windows are
-    /// dispatched across host threads — the §III inter-IPU/inter-PE
-    /// parallelism realized in the model — each accumulating its PE(b, w)
-    /// passes in place. Every sum is exact, so product, cycles and tally
-    /// are bit-identical to [`Accelerator::multiply_sequential`].
+    /// With the `parallel` cargo feature the windows are cut into one
+    /// chunk per thread that a dispatch from here gets
+    /// ([`apc_bignum::par::dispatch_width`]; one chunk, the whole
+    /// product, inside `par::sequential` or a nested dispatch), and the
+    /// chunks run across host threads — the §III inter-IPU/inter-PE
+    /// parallelism realized in the model. Every sum is exact, so product,
+    /// cycles and tally are bit-identical to
+    /// [`Accelerator::multiply_sequential`].
     ///
     /// # Panics
     ///
     /// Panics if the configured limb width L is outside `1..=64`.
     pub fn multiply(&self, x: &Nat, y: &Nat) -> RunOutcome {
-        self.multiply_with(x, y, self.effective_backend(), cfg!(feature = "parallel"))
+        let parallel = cfg!(feature = "parallel");
+        let chunks = apc_bignum::par::dispatch_width(parallel);
+        self.multiply_with(x, y, self.effective_backend(), chunks, parallel)
     }
 
-    /// [`Accelerator::multiply`] with the PE(b, w) grid forced onto one
-    /// host thread even when the `parallel` feature is compiled in — the
+    /// [`Accelerator::multiply`] on one host thread, with the whole
+    /// product as one chunk, so each index tuple is split once — the
     /// reference schedule the parallel dispatch is validated against
     /// (§III; the results must be bit-identical).
     pub fn multiply_sequential(&self, x: &Nat, y: &Nat) -> RunOutcome {
-        self.multiply_with(x, y, self.effective_backend(), false)
+        self.multiply_in_chunks(x, y, 1)
+    }
+
+    /// [`Accelerator::multiply`] with its output windows cut into
+    /// `chunks` contiguous chunks of near-equal size (at most one per
+    /// window), all run on the calling thread: the partition a
+    /// `chunks`-thread dispatch of the PE(b, w) grid uses (§III). Every
+    /// [`RunOutcome`] field is the same for every `chunks`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chunks` is 0 or the configured limb width L is outside
+    /// `1..=64`.
+    pub fn multiply_in_chunks(&self, x: &Nat, y: &Nat, chunks: usize) -> RunOutcome {
+        assert!(chunks >= 1, "a multiplication runs in at least one chunk");
+        self.multiply_with(x, y, self.effective_backend(), chunks, false)
     }
 
     /// [`Accelerator::multiply_sequential`] on the Scalar engine — the
@@ -368,10 +446,20 @@ impl Accelerator {
     /// Every [`RunOutcome`] field is identical to `multiply`'s on every
     /// configuration. It never touches the pattern cache.
     pub fn multiply_scalar(&self, x: &Nat, y: &Nat) -> RunOutcome {
-        self.multiply_with(x, y, KernelBackend::Scalar, false)
+        self.multiply_with(x, y, KernelBackend::Scalar, 1, false)
     }
 
-    fn multiply_with(&self, x: &Nat, y: &Nat, engine: KernelBackend, parallel: bool) -> RunOutcome {
+    /// Runs the PE(b, w) grid on `engine`, with the windows cut into
+    /// `chunks` chunks (at most one per window), dispatched across host
+    /// threads when `parallel`.
+    fn multiply_with(
+        &self,
+        x: &Nat,
+        y: &Nat,
+        engine: KernelBackend,
+        chunks: usize,
+        parallel: bool,
+    ) -> RunOutcome {
         let l = self.config.limb_bits;
         let q = crate::cast::usize_from(u64::from(self.config.q));
         let n_ipu = self.config.n_ipu;
@@ -423,7 +511,7 @@ impl Accelerator {
                         .collect()
                 });
                 debug_assert_eq!(tables.len(), blocks);
-                BlockTables::Sliced(tables)
+                BlockTables::Sliced(SlicedBlocks::new(tables, q))
             }
             KernelBackend::Scalar => BlockTables::Scalar(
                 (0..blocks)
@@ -439,73 +527,82 @@ impl Accelerator {
             ),
         };
 
-        // One task per output window w: it runs every PE(b, w) pass that
-        // can contribute and accumulates the passes' strided IPU outputs
-        // in place into its own window limbs (the GU writing into the
-        // Adder Tree, Fig. 9a). A window holds N_IPU lanes at stride L;
-        // each lane is a sum of fewer than 2^64 IPU partials below
-        // 2^(2L+4) (q ≤ 16), kept as a 192-bit slot (see
-        // `sliced_window`), so the slots and their sum fit
-        // (N_IPU+1)·L + 192 bits.
-        let window_words =
-            crate::cast::usize_from(((n_ipu as u64 + 1) * lb + 192).div_ceil(u64::from(LIMB_BITS)));
+        // One task per chunk of consecutive output windows: it runs every
+        // PE(b, w) pass of its windows that can contribute and
+        // accumulates the passes' strided IPU outputs in place into its
+        // own limbs (the GU writing into the Adder Tree, Fig. 9a). A
+        // chunk of v windows holds v·N_IPU lanes at stride L; each lane
+        // is a sum of fewer than 2^64 IPU partials below 2^(2L+4)
+        // (q ≤ 16), kept as a 192-bit slot (see `sliced_chunk`), so the
+        // slots and their sum fit (v·N_IPU + 1)·L + 192 bits.
+        let chunks = chunks.min(windows);
         // Output t reaches at most windows·N_IPU − 1 and bq at most
         // (blocks − 1)·q, so c = windows·N_IPU − 1 keeps every slice start
         // c − t + bq non-negative and `blocks·q` more words cover its end.
         let c = windows * n_ipu - 1;
         let yr = reversed_words(&yw, c, c + blocks * q);
-        let run_window = |w: usize| -> (Vec<Limb>, BopsTally, u64) {
-            let mut acc: Vec<Limb> = vec![0; window_words];
+        let run_chunk = |i: usize| -> (usize, Vec<Limb>, BopsTally, u64) {
+            let chunk = i * windows / chunks..(i + 1) * windows / chunks;
+            let span_bits = (chunk.len() * n_ipu + 1) as u64 * lb + 192;
+            let mut acc: Vec<Limb> =
+                vec![0; crate::cast::usize_from(span_bits.div_ceil(u64::from(LIMB_BITS)))];
             let mut tally = BopsTally::default();
-            // Block b's pass reads IPU k's index words yr[base − k ..][..q]
-            // with base = top + bq.
-            let top = c - w * n_ipu;
+            let start = chunk.start;
+            let shape = (q, n_ipu, lb);
             let passes = match &tables {
                 // q = 4, the §IV-B optimum and the default, runs a copy
                 // with q constant-folded, so the kernel loops have fixed
                 // trip counts; every other q runs the generic copy.
-                BlockTables::Sliced(tables) if q == 4 => {
-                    sliced_window::<4>(tables, &yr, top, (q, n_ipu, lb), &mut acc, &mut tally)
+                BlockTables::Sliced(blocks) if q == 4 => {
+                    sliced_chunk::<4>(blocks, &yr, (c, chunk), shape, &mut acc, &mut tally)
                 }
-                BlockTables::Sliced(tables) => {
-                    sliced_window::<0>(tables, &yr, top, (q, n_ipu, lb), &mut acc, &mut tally)
+                BlockTables::Sliced(blocks) => {
+                    sliced_chunk::<0>(blocks, &yr, (c, chunk), shape, &mut acc, &mut tally)
                 }
                 BlockTables::Scalar(tables) => {
                     let mut passes = 0u64;
-                    for (b, patterns) in tables.iter().enumerate() {
-                        let base = top + b * q;
-                        let Some(patterns) = patterns else {
-                            continue;
-                        };
-                        if !pass_reads_nonzero(&yr, base, q, n_ipu) {
-                            continue;
+                    for w in chunk {
+                        // Block b's pass reads IPU k's index words
+                        // yr[base − k ..][..q] with base = top + bq.
+                        let top = c - w * n_ipu;
+                        for (b, patterns) in tables.iter().enumerate() {
+                            let base = top + b * q;
+                            let Some(patterns) = patterns else {
+                                continue;
+                            };
+                            if !pass_reads_nonzero(&yr, base, q, n_ipu) {
+                                continue;
+                            }
+                            let ys_per_ipu: Vec<Vec<Nat>> = (0..n_ipu)
+                                .map(|k| {
+                                    yr[base - k..][..q].iter().map(|&v| Nat::from(v)).collect()
+                                })
+                                .collect();
+                            let pe = pe_pass_with_patterns(patterns, q, &ys_per_ipu, l)
+                                // apc-lint: allow(L2) -- every index tuple holds exactly q words, so the arity precondition holds by construction
+                                .expect("PE pass preconditions hold by construction");
+                            tally.merge(&pe.tally);
+                            let offset = ((w - start) * n_ipu) as u64 * lb;
+                            add_shifted(&mut acc, pe.gathered.limbs(), offset);
+                            passes += 1;
                         }
-                        let ys_per_ipu: Vec<Vec<Nat>> = (0..n_ipu)
-                            .map(|k| yr[base - k..][..q].iter().map(|&v| Nat::from(v)).collect())
-                            .collect();
-                        let pe = pe_pass_with_patterns(patterns, q, &ys_per_ipu, l)
-                            // apc-lint: allow(L2) -- every index tuple holds exactly q words, so the arity precondition holds by construction
-                            .expect("PE pass preconditions hold by construction");
-                        tally.merge(&pe.tally);
-                        add_shifted(&mut acc, pe.gathered.limbs(), 0);
-                        passes += 1;
                     }
                     passes
                 }
             };
-            (acc, tally, passes)
+            (start, acc, tally, passes)
         };
-        let window_runs = apc_bignum::par::map_indexed(windows, parallel, &run_window);
+        let chunk_runs = apc_bignum::par::map_indexed(chunks, parallel, &run_chunk);
 
-        // One fold: every sum is exact, so adding each window at its
+        // One fold: every sum is exact, so adding each chunk at its
         // offset w·N_IPU·L in any order gives the same product, and the
         // parallel run is bit-identical to the sequential one.
         let mut product: Vec<Limb> = vec![0; x.limb_len() + y.limb_len()];
         let mut tally = BopsTally::default();
         let mut pe_passes = 0u64;
-        for (w, (acc, window_tally, passes)) in window_runs.iter().enumerate() {
-            add_shifted(&mut product, acc, w as u64 * n_ipu as u64 * lb);
-            tally.merge(window_tally);
+        for (start, acc, chunk_tally, passes) in &chunk_runs {
+            add_shifted(&mut product, acc, (start * n_ipu) as u64 * lb);
+            tally.merge(chunk_tally);
             pe_passes += passes;
         }
 
@@ -769,6 +866,30 @@ mod tests {
             assert_eq!(v.stages, s.stages);
             assert_eq!(v.pe_slots, s.pe_slots);
         }
+    }
+
+    #[test]
+    fn chunk_counts_past_the_window_count_give_one_window_each() {
+        let acc = Accelerator::new_default();
+        let (a, b) = (pattern(40, 3), pattern(33, 4));
+        let windows = acc.schedule(a.bit_len(), b.bit_len()).windows;
+        let (one, many) = (
+            acc.multiply_sequential(&a, &b),
+            acc.multiply_in_chunks(&a, &b, 1000),
+        );
+        assert!(windows > 1 && windows < 1000);
+        assert_eq!(many.product, &a * &b);
+        assert_eq!(
+            (many.product, many.tally, many.pe_passes),
+            (one.product, one.tally, one.pe_passes)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one chunk")]
+    fn zero_chunks_is_refused() {
+        let x = pattern(4, 1);
+        Accelerator::new_default().multiply_in_chunks(&x, &x, 0);
     }
 
     #[test]

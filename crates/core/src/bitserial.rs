@@ -144,7 +144,7 @@ pub struct ClockedConverter {
 impl ClockedConverter {
     /// A Fig. 9b converter for `q ≤ 6` input flows.
     pub fn new(q: usize) -> Self {
-        assert!(q >= 1 && q <= 6, "converter fan-in out of range");
+        assert!((1..=6).contains(&q), "converter fan-in out of range");
         ClockedConverter {
             q,
             adders: vec![SerialAdder::new(); 1 << q],
@@ -210,7 +210,7 @@ impl ClockedIpu {
     /// A Fig. 9c IPU for `q` index flows whose pattern values fit in
     /// `pattern_bits` bits.
     pub fn new(q: usize, pattern_bits: usize) -> Self {
-        assert!(q >= 1 && q <= 6);
+        assert!((1..=6).contains(&q));
         ClockedIpu {
             q,
             window: pattern_bits,
@@ -425,9 +425,9 @@ mod tests {
                 }
             }
         }
-        for mask in 0..16usize {
+        for (mask, &flow) in flows.iter().enumerate() {
             let expect: u64 = (0..4).filter(|&i| mask & (1 << i) != 0).map(|i| xs[i]).sum();
-            assert_eq!(flows[mask], expect, "mask {mask:#b}");
+            assert_eq!(flow, expect, "mask {mask:#b}");
         }
     }
 

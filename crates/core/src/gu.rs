@@ -169,7 +169,10 @@ pub(crate) fn add_shifted(acc: &mut [Limb], value: &[Limb], offset: u64) {
 #[cfg(test)]
 pub(crate) fn gather_sliced(partials: &[u128], l: u32) -> Nat {
     use apc_bignum::limb::{wide_shl_parts, LIMB_BITS};
-    debug_assert!(l >= 1 && l <= LIMB_BITS, "section width must fit a limb");
+    debug_assert!(
+        (1..=LIMB_BITS).contains(&l),
+        "section width must fit a limb"
+    );
     if partials.is_empty() {
         return Nat::zero();
     }

@@ -167,14 +167,6 @@ impl Indicators {
         debug_assert_eq!(self.words.len(), 1 << ys.len(), "one index word per pattern input");
         let (ind, ones) = (&mut self.words[..1 << ys.len()], &mut self.ones[..1 << ys.len()]);
         let active = low_mask(u32::try_from(self.index_bits).unwrap_or(LIMB_BITS));
-        if ys.iter().all(|&y| y == 0) {
-            // Every column is zero and selects z₀ (bit-sparsity).
-            ind.fill(0);
-            ones.fill(0);
-            ind[0] = active;
-            ones[0] = u8::try_from(self.index_bits).unwrap_or(u8::MAX);
-            return;
-        }
         ind[0] = active;
         let mut half = 1usize;
         for (i, &y) in ys.iter().enumerate() {
@@ -203,7 +195,6 @@ impl Indicators {
     /// and the per-cycle `weighted_gather` charges regroup into
     /// `popcount(I[mask])·bits[mask]`, the same multiset of u64 additions
     /// in a different order.
-    #[inline]
     pub fn select_accumulate(
         &self,
         patterns: &[Limb],
@@ -213,7 +204,7 @@ impl Indicators {
     ) -> u128 {
         let n = patterns.len();
         debug_assert_eq!(n, self.words.len(), "one pattern per mask");
-        let (words, ones, bits) = (&self.words[..n], &self.ones[..n], &bits[..n]);
+        let (ones, bits) = (&self.ones[..n], &bits[..n]);
         let q = u64::from(n.trailing_zeros());
         tally.bit_serial_reference += q * element_bits * self.index_bits;
         tally.skipped_zero += u64::from(ones[0]);
@@ -221,14 +212,14 @@ impl Indicators {
             // Every cycle skipped: nothing is selected.
             return 0;
         }
-        let mut value = 0u128;
-        for (&p, &w) in patterns.iter().zip(words).skip(1) {
-            value += u128::from(p) * u128::from(w);
-        }
-        // Σ popcount·bits ≤ 64·64, so 16-bit lanes suffice; a separate
-        // loop lets the compiler vectorize it.
-        let gather: u16 =
-            bits.iter().zip(ones).skip(1).map(|(&b, &n)| u16::from(b) * u16::from(n)).sum();
+        let value = self.mac::<0>(patterns);
+        // Σ popcount·bits ≤ 64·64, so 16-bit lanes suffice.
+        let gather: u16 = bits
+            .iter()
+            .zip(ones)
+            .skip(1)
+            .map(|(&b, &n)| u16::from(b) * u16::from(n))
+            .sum();
         tally.weighted_gather += u64::from(gather);
         debug_assert!(
             element_bits + self.index_bits >= 124
@@ -237,6 +228,46 @@ impl Indicators {
         );
         value
     }
+
+    /// `popcount(I[mask])` for every mask of the last split tuple: how
+    /// many of its cycles select each pattern (Fig. 8 stage 3).
+    /// `ones()[0]` counts the all-zero columns, which select z₀ ≡ 0 and
+    /// are skipped (bit-sparsity).
+    #[inline]
+    pub fn ones(&self) -> &[u8] {
+        &self.ones
+    }
+
+    /// The selected patterns' sum `Σ_mask patterns[mask]·I[mask]` of the
+    /// last split tuple against one 2^q-word table: the BIPS stage 3
+    /// value (Fig. 8), without its counts. `Q` is q fixed at compile
+    /// time, or 0 to read it from `patterns.len()`.
+    #[inline]
+    pub fn mac<const Q: usize>(&self, patterns: &[Limb]) -> u128 {
+        let n = if Q == 0 { patterns.len() } else { 1 << Q };
+        mac_words::<Q>(&patterns[..n], &self.words[..n])
+    }
+}
+
+/// The IPU multiply-accumulate `Σ_mask patterns[mask]·words[mask]` over a
+/// 2^q-word table, q ≥ 1 (z₀ = 0, so mask 0 adds nothing and the masks
+/// pair up evenly). It is kept out of line so its accumulators stay
+/// in registers for the whole chain rather than being spilled between
+/// the caller's steps, and it keeps two of them, over even and odd masks,
+/// so two carry chains run side by side. `Q` as in [`Indicators::mac`],
+/// so q = 4 gets a copy with a fixed trip count.
+#[inline(never)]
+fn mac_words<const Q: usize>(patterns: &[Limb], words: &[Limb]) -> u128 {
+    let n = if Q == 0 { patterns.len() } else { 1 << Q };
+    let (mut even, mut odd) = (0u128, 0u128);
+    for (p, w) in patterns[..n]
+        .chunks_exact(2)
+        .zip(words[..n].chunks_exact(2))
+    {
+        even += u128::from(p[0]) * u128::from(w[0]);
+        odd += u128::from(p[1]) * u128::from(w[1]);
+    }
+    even + odd
 }
 
 /// The straightforward bit-serial MAC scheme of Fig. 6(b) — used as the
@@ -250,8 +281,10 @@ pub fn plain_bit_serial_inner_product(
 ) -> IpuOutput {
     assert_eq!(xs.len(), ys.len());
     let px = xs.iter().map(Nat::bit_len).max().unwrap_or(0);
-    let mut tally = BopsTally::default();
-    tally.bit_serial_reference = xs.len() as u64 * px * index_bits;
+    let mut tally = BopsTally {
+        bit_serial_reference: xs.len() as u64 * px * index_bits,
+        ..BopsTally::default()
+    };
     let mut acc = Nat::zero();
     for (x, y) in xs.iter().zip(ys) {
         for t in 0..index_bits {

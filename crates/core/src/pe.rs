@@ -97,7 +97,7 @@ pub fn pe_pass_with_patterns(
                 got: ys.len(),
             });
         }
-        let out = bit_indexed_inner_product(&patterns, ys, u64::from(limb_bits));
+        let out = bit_indexed_inner_product(patterns, ys, u64::from(limb_bits));
         tally.merge(&out.tally);
         per_ipu.push(out.value);
     }

@@ -26,7 +26,7 @@ pub fn to_limb_vector(x: &Nat, limb_bits: u32) -> Vec<Nat> {
 /// consume whole words, so the decomposition itself must not round-trip
 /// through per-limb big integers.
 pub fn to_limb_words(x: &Nat, limb_bits: u32) -> Vec<Limb> {
-    debug_assert!(limb_bits >= 1 && limb_bits <= 64, "word view needs L in 1..=64");
+    debug_assert!((1..=64).contains(&limb_bits), "word view needs L in 1..=64");
     let count = x.bit_len().div_ceil(u64::from(limb_bits)).max(1);
     let src = x.limbs();
     (0..count)

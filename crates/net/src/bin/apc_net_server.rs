@@ -68,7 +68,13 @@ fn main() -> ExitCode {
     }
 
     let serve_cfg = ServeConfig { workers, ..ServeConfig::default() };
-    let router = Router::start(shards, serve_cfg);
+    let router = match Router::start(shards, serve_cfg) {
+        Ok(router) => router,
+        Err(e) => {
+            eprintln!("refusing to start: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let shard_count = router.shard_count();
     let server = match NetServer::start(
         addr.as_str(),

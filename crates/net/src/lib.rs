@@ -41,7 +41,7 @@
 //! use apc_serve::{Job, JobOutput, ServeConfig};
 //! use apc_bignum::Nat;
 //!
-//! let router = Router::start(2, ServeConfig::default());
+//! let router = Router::start(2, ServeConfig::default()).expect("two valid shards");
 //! let server = NetServer::start(
 //!     "127.0.0.1:0",
 //!     router,
@@ -67,7 +67,7 @@ pub mod wire;
 
 pub use client::{NetClient, NetClientConfig, NetError};
 pub use metrics::NetMetrics;
-pub use router::Router;
+pub use router::{Router, RouterError};
 pub use server::{NetServer, NetServerConfig, ServerError};
 pub use wire::{Rejection, WireError, WireStatus};
 

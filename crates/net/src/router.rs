@@ -31,7 +31,8 @@
 
 use crate::NetBackend;
 use apc_serve::{
-    operand_bucket, Job, JobReport, JobSpec, ServeConfig, ServeError, ServeHandle, SubmitError,
+    operand_bucket, ConfigError, Job, JobReport, JobSpec, ServeConfig, ServeError, ServeHandle,
+    SubmitError,
 };
 use apc_trace::export::Metric;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -70,6 +71,29 @@ impl Drop for InFlight<'_> {
     }
 }
 
+/// Why [`Router::start`] cannot build a working router: a degenerate
+/// request is a typed error, not a silently clamped value.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RouterError {
+    /// `shards` was 0: the router would have no shard and reject every
+    /// job.
+    ZeroShards,
+    /// The shards' [`ServeConfig`] is degenerate (see
+    /// [`ServeHandle::try_start`]).
+    Config(ConfigError),
+}
+
+impl std::fmt::Display for RouterError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RouterError::ZeroShards => write!(f, "shards must be at least 1"),
+            RouterError::Config(e) => write!(f, "shard config: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for RouterError {}
+
 /// A least-loaded front over N independent [`ServeHandle`] shards.
 ///
 /// Cloneable is deliberately absent: the router owns its shards and is
@@ -97,10 +121,19 @@ impl Router {
 
     /// Starts `shards` independent service instances, each from a clone
     /// of `config`, with [`Self::DEFAULT_REPLICAS`] virtual nodes each.
-    /// `shards` is clamped to at least 1.
-    pub fn start(shards: usize, config: ServeConfig) -> Router {
-        let handles = (0..shards.max(1)).map(|_| ServeHandle::start(config.clone())).collect();
-        Router::from_handles(handles, Router::DEFAULT_REPLICAS)
+    /// Zero shards and a config that [`ServeHandle::try_start`] refuses
+    /// are [`RouterError`]s; the config is checked before any shard
+    /// starts.
+    pub fn start(shards: usize, config: ServeConfig) -> Result<Router, RouterError> {
+        if shards == 0 {
+            return Err(RouterError::ZeroShards);
+        }
+        // Every shard gets the same config, so only the first can fail.
+        let handles = (0..shards)
+            .map(|_| ServeHandle::try_start(config.clone()))
+            .collect::<Result<_, _>>()
+            .map_err(RouterError::Config)?;
+        Ok(Router::from_handles(handles, Router::DEFAULT_REPLICAS))
     }
 
     /// Builds the ring over already-running shards. Callers that need
@@ -309,7 +342,7 @@ mod tests {
     #[test]
     fn routing_is_deterministic_and_bucket_stable() {
         let cfg = ServeConfig { workers: 1, ..ServeConfig::default() };
-        let router = Router::start(4, cfg);
+        let router = Router::start(4, cfg).expect("valid router");
         // Same bucket (65..=128 bits) always lands on the same shard.
         let s = router.shard_for_bits(65);
         for bits in [66, 100, 127, 128] {
@@ -324,7 +357,8 @@ mod tests {
 
     #[test]
     fn export_shows_which_path_served_each_shard_s_jobs() {
-        let router = Router::start(2, ServeConfig { workers: 1, ..ServeConfig::default() });
+        let router = Router::start(2, ServeConfig { workers: 1, ..ServeConfig::default() })
+            .expect("valid router");
         let a = apc_bignum::Nat::from(0xFFFF_0001u64);
         let shard = router.shard_for_bits(a.bit_len());
         // A serial caller always finds its shard idle, so its job runs
@@ -382,6 +416,15 @@ mod tests {
         router.shutdown();
     }
 
+    #[test]
+    fn start_refuses_zero_shards_and_a_degenerate_config() {
+        let cfg = ServeConfig { workers: 1, ..ServeConfig::default() };
+        assert_eq!(Router::start(0, cfg.clone()).err(), Some(RouterError::ZeroShards));
+        let err = Router::start(2, ServeConfig { workers: 0, ..cfg }).err();
+        assert_eq!(err, Some(RouterError::Config(ConfigError::ZeroWorkers)));
+        assert_eq!(RouterError::ZeroShards.to_string(), "shards must be at least 1");
+    }
+
     /// Removing a shard moves the idle preference only for the buckets
     /// whose ring owner it was.
     #[test]
@@ -390,8 +433,8 @@ mod tests {
         // (no running services needed): dropping shard 3 of 4 must not
         // move any bucket that shard 3 did not own.
         let cfg = ServeConfig { workers: 1, ..ServeConfig::default() };
-        let four = Router::start(4, cfg.clone());
-        let three = Router::start(3, cfg);
+        let four = Router::start(4, cfg.clone()).expect("valid router");
+        let three = Router::start(3, cfg).expect("valid router");
         let mut moved_from_live_shard = 0u32;
         for i in 0..40u64 {
             let bits = 64u64 << (i % 24);

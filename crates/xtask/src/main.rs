@@ -133,7 +133,7 @@ fn json_escape(s: &str) -> String {
 /// included), the root suite again with the `parallel` feature (so every
 /// Device path runs under both dispatchers), the unit tests of apc-bignum
 /// and cambricon-p with the `parallel` feature (the 8-worker arm of the
-/// bignum `par` tests and the core kernels under window-parallel dispatch
+/// bignum `par` tests and the core kernels under chunk-parallel dispatch
 /// run nowhere else), the bench binaries with the
 /// `parallel` feature (`bench_json`'s parallel leg is built nowhere
 /// else), the network crate's binaries (its server/client bins are not part of the root package's

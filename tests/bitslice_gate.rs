@@ -14,7 +14,9 @@
 //! and sizes the grid exactly as the operands' Eq. 1 limb vectors do, and
 //! that each run executes exactly the passes those limb vectors call for.
 //! Sparse operands with zero runs longer than a block and a window drive
-//! the pass-skip path and the first and last window edges.
+//! the pass-skip path and the first and last window edges. The Sliced64
+//! walk runs over chunks of consecutive windows, one per dispatch thread;
+//! every partition of the windows into chunks must give the same outcome.
 
 use apc_bignum::Nat;
 use cambricon_p::accelerator::{Accelerator, RunOutcome};
@@ -233,6 +235,47 @@ fn envelope_edge_configs_match_scalar_bit_for_bit() {
             assert_eq!(got.cycles, oracle.cycles, "cycles diverged: {what}");
             assert_eq!(got.pe_slots, oracle.pe_slots, "pe_slots diverged: {what}");
             assert_eq!(got.product, &ones * &ones, "must match the software oracle: {what}");
+        }
+    }
+}
+
+#[test]
+fn every_chunk_partition_matches_scalar_bit_for_bit() {
+    // One chunk (the sequential walk), two, an uneven count and one chunk
+    // per window, on dense operands, on a y whose zero runs leave
+    // all-zero index tuples on both sides of chunk and window edges, and
+    // on an x with all-zero pattern blocks between dense ones.
+    let mut rng = StdRng::seed_from_u64(0x000C_40C5);
+    let dense = Nat::random_exact_bits(6000, &mut rng);
+    let other = Nat::random_exact_bits(5000, &mut rng);
+    let mut sparse_y = Nat::power_of_two(5999);
+    for lo in [0u64, 700, 2100, 2900, 4400] {
+        let run = Nat::random_exact_bits(150, &mut rng);
+        sparse_y = &sparse_y + &run.shl_bits(lo);
+    }
+    let zero_blocks_x = clear_bits(&clear_bits(&dense, 300, 1700), 2500, 4100);
+    let pairs = [
+        (&dense, &other),
+        (&dense, &sparse_y),
+        (&zero_blocks_x, &other),
+    ];
+    for cfg in &gate_configs()[..3] {
+        let acc = Accelerator::new(cfg.clone());
+        for (a, b) in pairs {
+            let windows = acc.schedule(a.bit_len(), b.bit_len()).windows;
+            assert!(windows >= 4, "{windows} windows leave no uneven partition");
+            let oracle = acc.multiply_scalar(a, b);
+            assert_eq!(oracle.product, a * b, "the oracle itself");
+            for chunks in [1, 2, windows / 2 + 1, windows] {
+                let what = format!(
+                    "{} x {} bits in {chunks} of {windows} windows (q={}, L={})",
+                    a.bit_len(),
+                    b.bit_len(),
+                    cfg.q,
+                    cfg.limb_bits
+                );
+                assert_identical(&acc.multiply_in_chunks(a, b, chunks), &oracle, &what);
+            }
         }
     }
 }

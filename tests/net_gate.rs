@@ -89,7 +89,7 @@ fn direct(device: &Device, job: &Job) -> JobOutput {
 
 fn start_server(shards: usize) -> NetServer<Router> {
     let serve_cfg = ServeConfig { workers: 1, ..ServeConfig::default() };
-    let router = Router::start(shards, serve_cfg);
+    let router = Router::start(shards, serve_cfg).expect("valid shard config");
     NetServer::start(
         "127.0.0.1:0",
         router,
@@ -140,7 +140,8 @@ fn loopback_round_trip_is_bit_identical_to_direct_device() {
 
 #[test]
 fn router_keys_each_job_by_the_bucket_its_queue_reports() {
-    let router = Router::start(4, ServeConfig { workers: 1, ..ServeConfig::default() });
+    let router = Router::start(4, ServeConfig { workers: 1, ..ServeConfig::default() })
+        .expect("valid shard config");
     for bits in [1u64, 7, 33, 63, 64, 65, 100, 2048, 4097] {
         let job = Job::Mul { a: Nat::power_of_two(bits - 1), b: Nat::one() };
         let report = router.submit_wait(job, JobSpec::default()).expect("accepted and completed");
