@@ -179,7 +179,10 @@ impl Session {
         self.kernel_ns
             .record(if ns.is_finite() && ns >= 0.0 { ns as u64 } else { 0 });
         let mut t = self.lock_tallies();
-        // apc-lint: allow(L2) -- OpClass::ALL enumerates every variant by construction
+        #[expect(
+            clippy::expect_used,
+            reason = "OpClass::ALL enumerates every variant by construction"
+        )]
         let idx = OpClass::ALL.iter().position(|&c| c == class).expect("known class");
         t[idx].ops += 1;
         t[idx].wall_seconds += wall;

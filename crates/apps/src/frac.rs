@@ -30,6 +30,10 @@ pub struct FracImage {
 /// The center coordinates are given as strings of the form "-0.7436439…"
 /// so that deep-zoom centers beyond f64 precision can be expressed; plain
 /// f64-range values work too.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the view (center, radius), the raster (width, height), the iteration cap, the precision and the session are independent inputs of one render"
+)]
 pub fn render_perturbation(
     center_re: f64,
     center_im: f64,
@@ -68,7 +72,10 @@ pub fn render_perturbation(
 /// # Panics
 ///
 /// Panics if a coordinate string is malformed.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the view (center, radius), the raster (width, height), the iteration cap, the precision and the session are independent inputs of one render"
+)]
 pub fn render_perturbation_str(
     center_re: &str,
     center_im: &str,
@@ -80,10 +87,12 @@ pub fn render_perturbation_str(
     session: &Session,
 ) -> FracImage {
     let ctx = FixedCtx::new(precision_bits);
+    #[expect(
+        clippy::expect_used,
+        reason = "caller-facing precondition documented under # Panics"
+    )]
     let c = FixedComplex {
-        // apc-lint: allow(L2) -- caller-facing precondition documented on render_tile
         re: ctx.from_decimal_str(center_re).expect("valid real coordinate"),
-        // apc-lint: allow(L2) -- caller-facing precondition documented on render_tile
         im: ctx.from_decimal_str(center_im).expect("valid imaginary coordinate"),
     };
     let orbit = reference_orbit(&ctx, session, &c, max_iter);
@@ -281,7 +290,7 @@ mod tests {
         }
         assert!(mismatches <= 4, "{mismatches}/81 pixels disagree after rebasing");
         // At least one interior pixel reaches the cap.
-        assert!(img.iterations.iter().any(|&i| i == 200));
+        assert!(img.iterations.contains(&200));
     }
 
     #[test]

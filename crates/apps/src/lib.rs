@@ -16,8 +16,7 @@
 //! model (`cambricon-p`, cycle-accounted). Running the same application on
 //! both sessions regenerates the Figure 13 comparisons.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod backend;
 pub mod complex;

@@ -84,11 +84,11 @@ pub fn decrypt_crt(key: &RsaKey, cipher: &Nat, session: &Session) -> Nat {
     let mp = session.pow_mod(&(cipher % &key.p), &dp, &key.p);
     let mq = session.pow_mod(&(cipher % &key.q), &dq, &key.q);
     // Garner recombination: m = mq + q·(qinv·(mp − mq) mod p)
-    let qinv = key
-        .q
-        .mod_inverse(&key.p)
-        // apc-lint: allow(L2) -- KeyPair generation guarantees p != q are prime
-        .expect("p, q are distinct primes");
+    #[expect(
+        clippy::expect_used,
+        reason = "KeyPair generation guarantees p != q are prime"
+    )]
+    let qinv = key.q.mod_inverse(&key.p).expect("p, q are distinct primes");
     let diff = if mp >= mq {
         session.sub(&mp, &mq)
     } else {

@@ -17,8 +17,7 @@
 //! baseline (running `apc-bignum` on the host) provides an independent
 //! sanity check of the shapes.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod accel;
 pub mod alu;

@@ -147,7 +147,6 @@ fn main() {
         NetServerConfig {
             conn_workers: CONN_WORKERS,
             tokens: vec![TOKEN.to_vec()],
-            ..NetServerConfig::default()
         },
     )
     .expect("bind loopback");

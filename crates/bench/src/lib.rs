@@ -6,9 +6,6 @@
 //! goes through ([`sample`]) and the one writer of the `BENCH_*.json`
 //! files ([`Report`]).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use apc_trace::export::{to_json, Metric};
 use apc_trace::HistogramSnapshot;
 use std::path::PathBuf;
@@ -285,6 +282,10 @@ mod tests {
 
     #[test]
     fn sample_respects_its_time_and_repetition_floor() {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a 1 ms stand-in workload, far below the sampling floor"
+        )]
         let pause = || std::thread::sleep(std::time::Duration::from_millis(1));
         // A closure far faster than the floor repeats until the floor.
         let t0 = Instant::now();

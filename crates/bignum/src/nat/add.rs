@@ -11,6 +11,10 @@ pub(crate) fn add_slices(a: &[Limb], b: &[Limb]) -> Vec<Limb> {
     let (long, short) = if a.len() >= b.len() { (a, b) } else { (b, a) };
     let mut out = Vec::with_capacity(long.len() + 1);
     let mut carry = 0;
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "one counted loop over the long operand keeps the carry chain a single pass; `short.get(i)` pads the short one"
+    )]
     for i in 0..long.len() {
         let rhs = short.get(i).copied().unwrap_or(0);
         let (s, c) = adc(long[i], rhs, carry);

@@ -22,9 +22,7 @@ impl Nat {
     #[inline]
     pub fn bit(&self, index: u64) -> bool {
         let (limb, bit) = bit_split(index);
-        self.limbs()
-            .get(limb)
-            .map_or(false, |&l| (l >> bit) & 1 == 1)
+        self.limbs().get(limb).is_some_and(|&l| (l >> bit) & 1 == 1)
     }
 
     /// Returns a copy of `self` with bit `index` set to `value`.

@@ -86,7 +86,10 @@ impl Nat {
 
 /// Knuth Algorithm D. `u >= v`, `v` at least 2 limbs.
 fn divrem_schoolbook(u: &Nat, v: &Nat) -> (Nat, Nat) {
-    // apc-lint: allow(L2) -- divrem dispatch rejects v == 0 before calling here
+    #[expect(
+        clippy::expect_used,
+        reason = "divrem dispatch rejects v == 0 before calling here"
+    )]
     let shift = v.limbs().last().expect("v nonzero").leading_zeros();
     let un = u.shl_bits(u64::from(shift));
     let vn = v.shl_bits(u64::from(shift));
@@ -149,7 +152,10 @@ fn divrem_schoolbook(u: &Nat, v: &Nat) -> (Nat, Nat) {
 /// Top-level Burnikel–Ziegler: normalize the divisor, then consume the
 /// dividend from the top in divisor-sized blocks via `div_2n_1n`.
 fn divrem_block_bz(u: &Nat, v: &Nat) -> (Nat, Nat) {
-    // apc-lint: allow(L2) -- divrem dispatch rejects v == 0 before calling here
+    #[expect(
+        clippy::expect_used,
+        reason = "divrem dispatch rejects v == 0 before calling here"
+    )]
     let shift = u64::from(v.limbs().last().expect("v nonzero").leading_zeros());
     let un = u.shl_bits(shift);
     let vn = v.shl_bits(shift);

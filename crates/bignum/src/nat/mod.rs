@@ -144,7 +144,7 @@ impl Nat {
     /// Whether this number is even (zero counts as even).
     #[inline]
     pub fn is_even(&self) -> bool {
-        self.limbs.first().map_or(true, |l| l & 1 == 0)
+        self.limbs.first().is_none_or(|l| l & 1 == 0)
     }
 
     /// The low 64 bits of the number.
@@ -206,13 +206,6 @@ impl Nat {
         while self.limbs.last() == Some(&0) {
             self.limbs.pop();
         }
-    }
-
-    /// Mutable access for in-crate kernels. Callers must re-normalize.
-    #[inline]
-    #[allow(dead_code)]
-    pub(crate) fn limbs_mut(&mut self) -> &mut Vec<Limb> {
-        &mut self.limbs
     }
 }
 

@@ -149,10 +149,10 @@ impl Ring {
             rest = hi;
             negate = !negate;
         }
-        self.from_signed(acc)
+        self.reduce_signed(acc)
     }
 
-    fn from_signed(&self, mut acc: Int) -> Nat {
+    fn reduce_signed(&self, mut acc: Int) -> Nat {
         let m = Int::from_nat(self.modulus.clone());
         while acc.is_negative() {
             acc += &m;
@@ -166,7 +166,7 @@ impl Ring {
     /// Modular addition of normalized elements.
     pub fn add(&self, a: &Nat, b: &Nat) -> Nat {
         let s = a + b;
-        if &s >= &self.modulus {
+        if s >= self.modulus {
             s - self.modulus.clone()
         } else {
             s

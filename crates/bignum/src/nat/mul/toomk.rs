@@ -41,6 +41,10 @@ pub fn mul(a: &Nat, b: &Nat, k: usize, algorithm: MulAlgorithm, th: &Thresholds)
     let inv = inverse_for(k);
     let m = 2 * k - 1;
     let mut acc = Int::zero();
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "i is the coefficient index: it picks the inverse row and the part shift"
+    )]
     for i in 0..m {
         let row = &inv[i];
         let d = row_lcm(row);
@@ -52,7 +56,10 @@ pub fn mul(a: &Nat, b: &Nat, k: usize, algorithm: MulAlgorithm, th: &Thresholds)
             let scale = r.num * (d / r.den);
             ci += &products[j].mul_i128(scale);
         }
-        // apc-lint: allow(L2) -- lcm of Toom denominators for k <= 8 fits in u64
+        #[expect(
+            clippy::expect_used,
+            reason = "lcm of Toom denominators for k <= 8 fits in u64"
+        )]
         let ci = ci.div_exact_u64(u64::try_from(d).expect("interpolation lcm fits in u64"));
         acc += &ci.shl_bits(part_bits * i as u64);
     }
@@ -95,12 +102,18 @@ fn split(x: &Nat, part_bits: u64, k: usize) -> Vec<Nat> {
 
 fn evaluate(parts: &[Nat], pt: Point) -> Int {
     match pt {
-        // apc-lint: allow(L2) -- split() always returns k >= 1 parts
+        #[expect(
+            clippy::expect_used,
+            reason = "split() always returns k >= 1 parts"
+        )]
         Point::Infinity => Int::from_nat(parts.last().expect("k >= 1 parts").clone()),
         Point::Finite(0) => Int::from_nat(parts[0].clone()),
         Point::Finite(a) => {
             // Horner evaluation from the top coefficient down.
-            // apc-lint: allow(L2) -- split() always returns k >= 1 parts
+            #[expect(
+                clippy::expect_used,
+                reason = "split() always returns k >= 1 parts"
+            )]
             let mut acc = Int::from_nat(parts.last().expect("k >= 1 parts").clone());
             for part in parts.iter().rev().skip(1) {
                 acc = acc.mul_i128(a);
@@ -138,7 +151,10 @@ impl Rat {
         self.num == 0
     }
 
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg_attr(
+        not(test),
+        expect(dead_code, reason = "only the inverse-identity test adds rationals")
+    )]
     fn add(self, o: Rat) -> Rat {
         Rat::new(self.num * o.den + o.num * self.den, self.den * o.den)
     }
@@ -206,9 +222,12 @@ fn inverse_for(k: usize) -> &'static Vec<Vec<Rat>> {
         }
         // Gauss-Jordan elimination with partial (nonzero) pivoting.
         for col in 0..m {
+            #[expect(
+                clippy::expect_used,
+                reason = "Vandermonde matrix at distinct points is nonsingular"
+            )]
             let pivot_row = (col..m)
                 .find(|&r| !aug[r][col].is_zero())
-                // apc-lint: allow(L2) -- Vandermonde matrix at distinct points is nonsingular
                 .expect("evaluation matrix is nonsingular");
             aug.swap(col, pivot_row);
             let pivot = aug[col][col];
@@ -218,6 +237,10 @@ fn inverse_for(k: usize) -> &'static Vec<Vec<Rat>> {
             for r in 0..m {
                 if r != col && !aug[r][col].is_zero() {
                     let factor = aug[r][col];
+                    #[expect(
+                        clippy::needless_range_loop,
+                        reason = "row r is updated from row col of the same matrix, so one borrow cannot iterate both"
+                    )]
                     for c in 0..2 * m {
                         let delta = factor.mul(aug[col][c]);
                         aug[r][c] = aug[r][c].sub(delta);
@@ -281,6 +304,10 @@ mod tests {
             let points = point_list(k);
             let m = 2 * k - 1;
             // A * inv == I
+            #[expect(
+                clippy::needless_range_loop,
+                reason = "j and l are matrix indices into inv, as in the A * inv product"
+            )]
             for (i, &pt) in points.iter().enumerate() {
                 for j in 0..m {
                     let mut acc = Rat::from_int(0);

@@ -93,7 +93,10 @@ impl Nat {
 /// padding at the front of the whole number.
 fn render(n: &Nat, powers: &[Nat], level: usize, leading: bool, out: &mut String) {
     if level == 0 {
-        // apc-lint: allow(L2) -- render invariant: n < powers[0] = 10^19 < 2^128
+        #[expect(
+            clippy::expect_used,
+            reason = "render invariant: n < powers[0] = 10^19 < 2^128"
+        )]
         let v = n.to_u128().expect("chunk below 10^19 fits");
         if leading {
             out.push_str(&v.to_string());

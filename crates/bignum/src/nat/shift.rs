@@ -209,7 +209,7 @@ mod tests {
     fn chunks_roundtrip_across_limb_sizes() {
         let n = Nat::from(0xfeed_face_cafe_f00du64) + Nat::power_of_two(199);
         for bits in [7u64, 32, 64, 100] {
-            let count = (n.bit_len() + bits - 1) / bits;
+            let count = n.bit_len().div_ceil(bits);
             let chunks = n.to_chunks(bits, count as usize);
             assert_eq!(Nat::from_chunks(&chunks, bits), n, "bits={bits}");
         }

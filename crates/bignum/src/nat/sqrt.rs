@@ -165,7 +165,7 @@ mod tests {
         for v in [0u128, 1, 2, 3, 4, u128::from(u64::MAX), 1 << 100, (1 << 100) + 12345] {
             let s = isqrt_u128(v);
             assert!(s * s <= v);
-            assert!((s + 1).checked_mul(s + 1).map_or(true, |sq| sq > v));
+            assert!((s + 1).checked_mul(s + 1).is_none_or(|sq| sq > v));
         }
     }
 }

@@ -14,6 +14,10 @@ pub(crate) fn sub_slices(a: &[Limb], b: &[Limb]) -> Vec<Limb> {
     debug_assert!(a.len() >= b.len(), "natural subtraction underflow");
     let mut out = Vec::with_capacity(a.len());
     let mut borrow = 0;
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "one counted loop over the long operand keeps the borrow chain a single pass; `b.get(i)` pads the short one"
+    )]
     for i in 0..a.len() {
         let rhs = b.get(i).copied().unwrap_or(0);
         let (d, br) = sbb(a[i], rhs, borrow);
@@ -22,27 +26,6 @@ pub(crate) fn sub_slices(a: &[Limb], b: &[Limb]) -> Vec<Limb> {
     }
     assert_eq!(borrow, 0, "natural subtraction underflow");
     out
-}
-
-/// Subtracts `b` from `a` in place at limb offset `offset`, returning the
-/// borrow out (0 or 1) after propagating through the rest of `a`.
-#[allow(dead_code)]
-pub(crate) fn sub_assign_at(a: &mut [Limb], b: &[Limb], offset: usize) -> Limb {
-    debug_assert!(a.len() >= offset + b.len());
-    let mut borrow = 0;
-    for (i, &bl) in b.iter().enumerate() {
-        let (d, br) = sbb(a[offset + i], bl, borrow);
-        a[offset + i] = d;
-        borrow = br;
-    }
-    let mut i = offset + b.len();
-    while borrow != 0 && i < a.len() {
-        let (d, br) = sbb(a[i], 0, borrow);
-        a[i] = d;
-        borrow = br;
-        i += 1;
-    }
-    borrow
 }
 
 impl Nat {
@@ -87,9 +70,12 @@ impl Sub<&Nat> for &Nat {
     ///
     /// Panics if `rhs > self`; use [`Nat::checked_sub`] for a fallible
     /// version.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented operator panic; checked_sub is the fallible API"
+    )]
     fn sub(self, rhs: &Nat) -> Nat {
         self.checked_sub(rhs)
-            // apc-lint: allow(L2) -- documented operator panic; checked_sub is the fallible API
             .expect("natural subtraction underflow")
     }
 }
@@ -155,13 +141,5 @@ mod tests {
         assert_eq!(a.abs_diff(&b), (Nat::from(15u64), true));
         assert_eq!(b.abs_diff(&a), (Nat::from(15u64), false));
         assert_eq!(a.abs_diff(&a), (Nat::zero(), false));
-    }
-
-    #[test]
-    fn sub_assign_at_borrow_propagation() {
-        let mut a = vec![0, 0, 1];
-        let borrow = sub_assign_at(&mut a, &[1], 0);
-        assert_eq!(borrow, 0);
-        assert_eq!(a, vec![u64::MAX, u64::MAX, 0]);
     }
 }

@@ -65,7 +65,7 @@ proptest! {
         zeros in 0usize..4,
     ) {
         let mut padded = limbs;
-        padded.extend(std::iter::repeat(0).take(zeros));
+        padded.extend(std::iter::repeat_n(0, zeros));
         let n = Nat::from_limbs(padded);
         invariants::check_normalized(n.limbs());
     }

@@ -70,7 +70,7 @@ proptest! {
     fn divrem_invariant(a in arb_nat(24), b in arb_nat(10)) {
         prop_assume!(!b.is_zero());
         let (q, r) = a.divrem(&b);
-        prop_assert!(&r < &b);
+        prop_assert!(r < b);
         prop_assert_eq!(&(&q * &b) + &r, a);
     }
 

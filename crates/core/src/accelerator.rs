@@ -513,13 +513,16 @@ impl Accelerator {
                 debug_assert_eq!(tables.len(), blocks);
                 BlockTables::Sliced(SlicedBlocks::new(tables, q))
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "q <= 16 (ArchConfig) and every limb <= L bits (to_limb_words), so the Converter preconditions hold by construction"
+            )]
             KernelBackend::Scalar => BlockTables::Scalar(
                 (0..blocks)
                     .map(|b| {
                         pattern_block(b).map(|block| {
                             let block: Vec<Nat> = block.into_iter().map(Nat::from).collect();
                             generate_patterns(&block, lb)
-                                // apc-lint: allow(L2) -- q <= 16 (ArchConfig) and every limb <= L bits (to_limb_words), so the Converter preconditions hold by construction
                                 .expect("Converter preconditions hold by construction")
                         })
                     })
@@ -578,8 +581,11 @@ impl Accelerator {
                                     yr[base - k..][..q].iter().map(|&v| Nat::from(v)).collect()
                                 })
                                 .collect();
+                            #[expect(
+                                clippy::expect_used,
+                                reason = "every index tuple holds exactly q words, so the arity precondition holds by construction"
+                            )]
                             let pe = pe_pass_with_patterns(patterns, q, &ys_per_ipu, l)
-                                // apc-lint: allow(L2) -- every index tuple holds exactly q words, so the arity precondition holds by construction
                                 .expect("PE pass preconditions hold by construction");
                             tally.merge(&pe.tally);
                             let offset = ((w - start) * n_ipu) as u64 * lb;

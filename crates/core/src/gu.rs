@@ -98,9 +98,15 @@ pub fn gather_carry_parallel(partials: &[Nat], l: u32) -> GatherResult {
                     let carry = acc.shr_bits(mask_bits);
                     // L ≤ 64 in every configuration we instantiate; wider
                     // sections would need Nat entries here.
-                    // apc-lint: allow(L2) -- model limit: instantiated configs keep L <= 64
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "model limit: instantiated configs keep L <= 64"
+                    )]
                     let low = low.to_u64().expect("section wider than 64 bits");
-                    // apc-lint: allow(L2) -- carry-out bounded by summand count (Eq. 2)
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "carry-out bounded by summand count (Eq. 2)"
+                    )]
                     let carry = carry.to_u64().expect("carry-out is small");
                     (low, carry)
                 })

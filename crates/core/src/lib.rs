@@ -39,8 +39,7 @@
 //! assert!(device.stats().cycles > 0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod accelerator;
 pub mod area;

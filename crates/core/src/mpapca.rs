@@ -183,7 +183,10 @@ impl Device {
     ///
     /// Panics if `b > a`.
     pub fn sub(&self, a: &Nat, b: &Nat) -> Nat {
-        // apc-lint: allow(L2) -- documented operator panic (see # Panics above)
+        #[expect(
+            clippy::expect_used,
+            reason = "documented operator panic (see # Panics above)"
+        )]
         let r = a.checked_sub(b).expect("device subtraction underflow");
         let cycles = self.linear_cycles(a.bit_len());
         self.record(OpClass::AddSub, cycles, (a.bit_len() + b.bit_len() + r.bit_len()) / 8);

@@ -131,7 +131,10 @@ impl NetClient {
         let resolved: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
         let first = resolved.first().ok_or(NetError::NoAddress)?;
         let mut stream = TcpStream::connect_timeout(first, config.connect_timeout)?;
-        // apc-lint: allow(L7) -- the caller's request deadline, not a drain poll
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the caller's request deadline, not a drain poll"
+        )]
         stream.set_read_timeout(Some(config.request_timeout))?;
         stream.set_nodelay(true)?;
         stream.write_all(&MAGIC)?;

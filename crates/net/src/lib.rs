@@ -56,8 +56,7 @@
 //! server.shutdown();
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod client;
 pub mod metrics;

@@ -50,8 +50,7 @@
 //! serve.shutdown();
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod error;
 pub mod job;
@@ -195,8 +194,11 @@ impl ServeHandle {
     ///
     /// Panics on a [`ConfigError`] — call [`ServeHandle::try_start`] to
     /// handle it as a value instead.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic (see # Panics); try_start is the fallible form"
+    )]
     pub fn start(config: ServeConfig) -> ServeHandle {
-        // apc-lint: allow(L2) -- documented panic (see # Panics); try_start is the fallible form
         ServeHandle::try_start(config).expect("degenerate ServeConfig: use try_start")
     }
 

@@ -675,6 +675,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test watchdog: a lost wakeup fails the test instead of hanging it"
+    )]
     fn idle_workers_wake_for_each_job_and_for_shutdown() {
         // A push that never notifies, or a shutdown that wakes nobody,
         // leaves a worker blocked forever: the watchdog turns that into
@@ -714,6 +718,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test watchdog: a lost wakeup fails the test instead of hanging it"
+    )]
     fn a_worker_waiting_for_a_device_wakes_when_one_is_released() {
         // The job is staged while the only device is out, so the push
         // has nobody to wake; the worker then waits with work in sight.
@@ -743,6 +751,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test watchdog: a lost wakeup fails the test instead of hanging it"
+    )]
     fn shutdown_waits_for_devices_claimed_by_callers() {
         const WATCHDOG: Duration = Duration::from_secs(20);
         let q = Arc::new(queue(4, 4096));

@@ -14,8 +14,7 @@
 //! - [`roofline`] — operational-intensity/attainable-performance curves
 //!   for Figure 3(c) and Figure 12.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod cache;
 pub mod lru;

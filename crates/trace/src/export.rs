@@ -15,8 +15,9 @@ pub enum MetricValue {
     Counter(u64),
     /// A point-in-time value.
     Gauge(f64),
-    /// A full log2 histogram.
-    Histogram(HistogramSnapshot),
+    /// A full log2 histogram (boxed: it is many times the other variants'
+    /// size).
+    Histogram(Box<HistogramSnapshot>),
 }
 
 /// One exported metric: name, help text, optional labels, value.
@@ -59,7 +60,7 @@ impl Metric {
             name: name.to_string(),
             help: help.to_string(),
             labels: Vec::new(),
-            value: MetricValue::Histogram(snapshot),
+            value: MetricValue::Histogram(Box::new(snapshot)),
         }
     }
 

@@ -34,8 +34,7 @@
 //! histogram *recording* off (counters owned by other crates are not
 //! affected — only the observability extras gate on it).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod export;
 pub mod histogram;

@@ -1,6 +1,3 @@
 //! Fixture bignum crate.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod nat;

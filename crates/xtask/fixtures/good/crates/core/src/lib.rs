@@ -1,9 +1,6 @@
 //! Fixture model crate — every public item cites the paper, as the real
 //! `cambricon-p` crate must (Eq. 1, §V).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 /// Saturating count conversion for the Eq. 1 limb vectors.
 pub fn checked_count(x: u64) -> usize {
     usize::try_from(x).unwrap_or(usize::MAX)

@@ -1,14 +1,9 @@
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-//! Fixture network file: the clean side of the net-layer rules — a
-//! connection worker that drains without sleeping (L7: the socket read
-//! *timeout* is the poll), recovers poisoned locks (L8), and uses
-//! Acquire/Release on its gate flag with Relaxed only on statistics
-//! (L12).
+//! Fixture network file: the clean side of L12 in the net layer — a
+//! connection worker that uses Acquire/Release on its gate flag and
+//! Relaxed only on statistics.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Receiver;
-use std::sync::{Mutex, PoisonError};
 
 /// Listener state shared with connection workers.
 pub struct Listener {
@@ -16,12 +11,10 @@ pub struct Listener {
     draining: AtomicBool,
     /// Frames seen: a statistic counter, Relaxed is right.
     frames: AtomicU64,
-    /// The accept hand-off queue.
-    queue: Mutex<Vec<u64>>,
 }
 
 impl Listener {
-    /// Begins the drain; workers observe it at their next timeout.
+    /// Begins the drain; workers observe it at their next connection.
     pub fn begin_drain(&self) {
         self.draining.store(true, Ordering::Release);
     }
@@ -29,13 +22,6 @@ impl Listener {
     /// One statistic tick.
     pub fn count_frame(&self) {
         self.frames.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Pops queued work, recovering a poisoned queue (single-step
-    /// transitions keep it consistent).
-    pub fn pop(&self) -> Option<u64> {
-        let mut q = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
-        q.pop()
     }
 
     /// Blocks on the channel — the event itself, never a timer. A

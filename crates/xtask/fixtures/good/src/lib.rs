@@ -1,15 +1,6 @@
-//! Fixture facade crate: carries the mandatory crate-root attributes.
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+//! Fixture facade crate.
 
 /// Adds one, panic-free.
 pub fn add_one(x: u64) -> u64 {
     x.wrapping_add(1)
-}
-
-/// Exercises the L2 escape hatch: the directive below must be honored.
-pub fn answer() -> u64 {
-    // apc-lint: allow(L2) -- fixture: proves a justified allow silences L2
-    "42".parse().unwrap()
 }

@@ -372,8 +372,8 @@ pub fn l10_time_domains(sources: &[SourceFile], ws: &Workspace) -> Vec<Violation
                 });
                 if is_sink {
                     let end = rhs_end(toks, i + 2, f.body_end);
-                    for j in i + 2..end {
-                        let tj = &toks[j];
+                    // `is_sink` saw token i + 1, so i + 2 <= toks.len().
+                    for tj in &toks[i + 2..end] {
                         if tj.kind == TokenKind::Ident
                             && domain_of(&tj.text) == Some(d.opposite())
                         {

@@ -237,8 +237,7 @@ impl Lexer<'_> {
         for _ in 0..hashes + 1 {
             self.take_code(); // the `#`s and the opening quote
         }
-        loop {
-            let Some(c) = self.peek(0) else { break };
+        while let Some(c) = self.peek(0) {
             if c == '"' {
                 let mut seen = 0usize;
                 while seen < hashes && self.peek(1 + seen) == Some('#') {
@@ -536,8 +535,8 @@ mod tests {
 
     #[test]
     fn line_comment_text_is_recoverable() {
-        let out = lex("let x = 1; // apc-lint: allow(L2) -- reason\n");
-        assert!(out.comment_lines[0].contains("apc-lint: allow(L2) -- reason"));
+        let out = lex("let x = 1; // apc-lint: allow(L3) -- reason\n");
+        assert!(out.comment_lines[0].contains("apc-lint: allow(L3) -- reason"));
         assert!(!out.code_lines[0].contains("apc-lint"));
     }
 

@@ -1,9 +1,9 @@
 //! # apc-lint — the workspace's repo-specific static-analysis pass
 //!
 //! A zero-dependency (std-only) lint engine encoding the bit-exactness
-//! contracts this reproduction depends on. It is wired into tier-1 via
-//! `tests/lint_gate.rs`, so `cargo test` fails on violations; it can also
-//! be run directly:
+//! contracts this reproduction depends on that rustc and clippy cannot
+//! check. It is wired into tier-1 via `tests/lint_gate.rs`, so `cargo
+//! test` fails on violations; it can also be run directly:
 //!
 //! ```text
 //! cargo run -p xtask -- lint
@@ -13,27 +13,26 @@
 //!
 //! | id | check |
 //! |----|-------|
-//! | L1 | every library crate root carries `#![forbid(unsafe_code)]` + `#![warn(missing_docs)]` |
-//! | L2 | no `.unwrap()` / `.expect(..)` / `panic!` in non-test library code |
 //! | L3 | no bare `as` narrowing casts in `crates/bignum/src/nat/**` and `crates/core/src/**` |
 //! | L4 | every `crates/core` public item cites a paper anchor (`§`, `Eq.`, `Fig.`) |
 //! | L5 | Cargo.toml hygiene: workspace-inherited metadata, `lints.workspace`, no path deps escaping the workspace |
 //! | L6 | no `RefCell`/`Cell` fields in `pub` structs on library paths (keeps exported handles `Sync`) |
-//! | L7 | no `thread::sleep`, timed wait (`wait_timeout`, `recv_timeout`, `park_timeout`) or socket `set_read_timeout` on `crates/serve` / `crates/net` library paths or in `vendor/rayon/src` (the service blocks on condvars, `accept` and socket reads, the pool parks on its condvar; none polls or falls back on a timer) |
-//! | L8 | no bare `.lock().unwrap()` / `.lock().expect(..)` on library paths (recover poisoned locks explicitly) |
 //! | L9 | no cycles in the "mutex A held while acquiring B" graph (cross-file, call-resolved) |
 //! | L10 | no expression mixes apc-trace's cycle domain and Instant-ns domain |
 //! | L11 | no bare `+`/`-`/`*`/`<<` on limb-typed values in the arithmetic kernels |
 //! | L12 | `Ordering::Relaxed` only on statistic counters, never on gate/flag `AtomicBool`s (library paths *and* the `vendor/rayon` pool) |
 //!
-//! L1–L8 are per-line checks over masked source; L9–L12 are *flow*
+//! L3–L6 are per-line checks over masked source; L9–L12 are *flow*
 //! rules, computed on the token-tree engine ([`lexer`] → [`items`] →
-//! [`summary`] → [`flow`]).
+//! [`summary`] → [`flow`]). The retired L1, L2, L7 and L8 are carried by
+//! rustc and clippy lints (`unsafe_code`, `missing_docs`,
+//! `clippy::{unwrap_used, expect_used, panic, disallowed_methods}`), and
+//! their escapes are reasoned `#[expect(..)]` attributes.
 //!
 //! Every rule has an escape hatch:
 //!
 //! ```text
-//! // apc-lint: allow(L2) -- divisor is checked nonzero three lines up
+//! // apc-lint: allow(L3) -- value masked to 32 bits on this line
 //! ```
 //!
 //! placed either at the end of the offending line or on the line directly
@@ -42,8 +41,7 @@
 //!
 //! See `LINTS.md` at the workspace root for the full rationale.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod flow;
 pub mod items;
@@ -60,10 +58,6 @@ use std::path::{Path, PathBuf};
 pub enum RuleId {
     /// Malformed `apc-lint:` directive (meta-rule).
     L0,
-    /// Library crate roots must forbid unsafe code and warn on missing docs.
-    L1,
-    /// No `.unwrap()` / `.expect(..)` / `panic!` in non-test library code.
-    L2,
     /// No bare `as` narrowing casts in the arithmetic kernels.
     L3,
     /// `crates/core` public items must cite a paper anchor.
@@ -72,10 +66,6 @@ pub enum RuleId {
     L5,
     /// No `RefCell`/`Cell` fields in `pub` structs on library paths.
     L6,
-    /// No `thread::sleep` on `crates/serve` library paths.
-    L7,
-    /// No bare `.lock().unwrap()` / `.lock().expect(..)` on library paths.
-    L8,
     /// No cycles in the cross-file lock-order graph.
     L9,
     /// No expression mixes the cycle and Instant-ns time domains.
@@ -87,18 +77,15 @@ pub enum RuleId {
 }
 
 impl RuleId {
-    /// Parses `"L2"` → `RuleId::L2`.
+    /// Parses `"L3"` → `RuleId::L3`. Retired ids (`L1`, `L2`, `L7`, `L8`)
+    /// parse to `None`, so a leftover directive naming one is an `L0`.
     pub fn parse(s: &str) -> Option<RuleId> {
         match s.trim() {
             "L0" => Some(RuleId::L0),
-            "L1" => Some(RuleId::L1),
-            "L2" => Some(RuleId::L2),
             "L3" => Some(RuleId::L3),
             "L4" => Some(RuleId::L4),
             "L5" => Some(RuleId::L5),
             "L6" => Some(RuleId::L6),
-            "L7" => Some(RuleId::L7),
-            "L8" => Some(RuleId::L8),
             "L9" => Some(RuleId::L9),
             "L10" => Some(RuleId::L10),
             "L11" => Some(RuleId::L11),
@@ -108,16 +95,12 @@ impl RuleId {
     }
 
     /// All enforceable rules (excludes the `L0` meta-rule).
-    pub fn all() -> [RuleId; 12] {
+    pub fn all() -> [RuleId; 8] {
         [
-            RuleId::L1,
-            RuleId::L2,
             RuleId::L3,
             RuleId::L4,
             RuleId::L5,
             RuleId::L6,
-            RuleId::L7,
-            RuleId::L8,
             RuleId::L9,
             RuleId::L10,
             RuleId::L11,
@@ -129,10 +112,6 @@ impl RuleId {
     pub fn summary(self) -> &'static str {
         match self {
             RuleId::L0 => "malformed `apc-lint:` directive",
-            RuleId::L1 => {
-                "library crate roots carry #![forbid(unsafe_code)] and #![warn(missing_docs)]"
-            }
-            RuleId::L2 => "no .unwrap()/.expect()/panic! in non-test library code",
             RuleId::L3 => {
                 "no bare `as` narrowing casts in crates/bignum/src/nat/** or crates/core/src/**"
             }
@@ -140,12 +119,6 @@ impl RuleId {
             RuleId::L5 => "Cargo.toml hygiene: inherited metadata, workspace lints, no escaping path deps",
             RuleId::L6 => {
                 "no RefCell/Cell fields in pub structs on library paths (exported handles stay Sync)"
-            }
-            RuleId::L7 => {
-                "no thread::sleep or timed wait (wait_timeout/recv_timeout/park_timeout) on crates/serve, crates/net or vendor/rayon library paths (block on condvars/channels/socket reads, never poll)"
-            }
-            RuleId::L8 => {
-                "no bare .lock().unwrap()/.lock().expect() on library paths (recover poison explicitly)"
             }
             RuleId::L9 => {
                 "no cycles in the cross-file lock-order graph (A held while acquiring B)"
@@ -216,17 +189,13 @@ pub fn lint_tree(root: &Path) -> Result<Vec<Violation>, LintError> {
     let mut violations = Vec::new();
     for source in &sources {
         violations.extend(source.directive_errors());
-        violations.extend(rules::l1_lib_root_attributes(source));
-        violations.extend(rules::l2_no_panic_paths(source));
         violations.extend(rules::l3_no_narrowing_casts(source));
         violations.extend(rules::l4_paper_anchors(source));
         violations.extend(rules::l6_no_interior_mutability_in_pub_structs(source));
-        violations.extend(rules::l7_no_sleep_in_serve(source));
-        violations.extend(rules::l8_no_bare_lock_unwrap(source));
     }
     for manifest in &manifests {
         violations.extend(manifest.directive_errors());
-        violations.extend(rules::l5_manifest_hygiene(manifest, root));
+        violations.extend(rules::l5_manifest_hygiene(manifest));
     }
     // Flow rules run on the cross-file model.
     let ws = items::build(&sources, &manifests);

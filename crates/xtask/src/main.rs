@@ -10,11 +10,12 @@
 //!   suite, the root suite with the `parallel` feature, the apc-bignum
 //!   and cambricon-p tests with the `parallel` feature, the bench bins
 //!   with the `parallel` feature, the network bins,
-//!   the perfbench benchmark, the workspace docs with broken intra-doc
-//!   links denied, then lint) and print a one-line PASS/FAIL summary.
+//!   the perfbench benchmark, clippy with warnings denied, the workspace
+//!   docs with broken intra-doc links denied, then lint) and print a
+//!   one-line PASS/FAIL summary.
 //! - `rules` — list the lint rules.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -139,12 +140,15 @@ fn json_escape(s: &str) -> String {
 /// else), the network crate's binaries (its server/client bins are not part of the root package's
 /// build graph), the `perfbench` benchmark (a workspace of its own, so a
 /// public-API change that breaks it fails here rather than at benchmark
-/// time), the workspace docs with broken intra-doc links denied (so a
-/// deleted item cannot leave a dangling doc link), then in-process lint —
+/// time), clippy over every target and feature with warnings denied (it
+/// carries the no-panic, no-timed-wait, unsafe and missing-docs rules,
+/// so an unreasoned escape or a new warning fails here), the workspace
+/// docs with broken intra-doc links denied (so a deleted item cannot
+/// leave a dangling doc link), then in-process lint —
 /// and prints a one-line summary.
 /// Stops at the first failing step so the summary names the culprit.
 fn ci() -> ExitCode {
-    let steps: [(&str, &[&str]); 9] = [
+    let steps: [(&str, &[&str]); 10] = [
         ("build", &["build", "--release"]),
         ("test(workspace)", &["test", "--workspace", "-q"]),
         ("build(parallel)", &["build", "--release", "--features", "parallel"]),
@@ -161,6 +165,18 @@ fn ci() -> ExitCode {
         (
             "build(perfbench)",
             &["build", "--release", "--offline", "--manifest-path", "perfbench/Cargo.toml"],
+        ),
+        (
+            "clippy",
+            &[
+                "clippy",
+                "--workspace",
+                "--all-targets",
+                "--all-features",
+                "--",
+                "-D",
+                "warnings",
+            ],
         ),
         ("doc", &["doc", "--workspace", "--no-deps"]),
     ];
@@ -195,7 +211,7 @@ fn ci() -> ExitCode {
     match xtask::lint_tree(&root) {
         Ok(v) if v.is_empty() => {
             println!(
-                "ci: PASS (build, test x {{workspace,parallel,core+bignum parallel}}, bench bins (parallel), net bins, perfbench, doc, lint)"
+                "ci: PASS (build, test x {{workspace,parallel,core+bignum parallel}}, bench bins (parallel), net bins, perfbench, clippy, doc, lint)"
             );
             ExitCode::SUCCESS
         }

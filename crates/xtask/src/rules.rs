@@ -1,4 +1,5 @@
-//! The eight apc-lint rules.
+//! The per-line apc-lint rules (L3–L6); the flow rules live in
+//! [`crate::flow`].
 //!
 //! Each rule takes scanned files (see [`crate::scan`]) and returns
 //! [`Violation`]s. Scoping is purely path-pattern based and relative to
@@ -9,7 +10,8 @@ use crate::scan::{ManifestFile, SourceFile};
 use crate::{RuleId, Violation};
 use std::path::{Component, Path, PathBuf};
 
-/// Crates whose `src/` trees count as *library code* for L1/L2.
+/// Crates whose `src/` trees count as *library code* for L6, L10 and
+/// L12 — the same crates whose roots deny clippy's no-panic lints.
 ///
 /// `crates/bench` is excluded (it is all binaries and benches —
 /// measurement tools, not bit-exactness-critical model code).
@@ -35,10 +37,10 @@ pub(crate) fn is_library_source(rel: &str) -> bool {
 }
 
 /// The work-stealing pool behind the vendored rayon facade. Not library
-/// source (its unsafe job plumbing is exempt from L1/L2 by design), but
-/// its gate/park atomics are in L12's scope — a relaxed access on the
-/// latch or termination flag is precisely the bug class L12 exists for —
-/// and its parking is in L7's: a timed park hides a lost wakeup.
+/// source (it inherits no workspace lints, so its unsafe job plumbing
+/// stays legal), but its gate/park atomics are in L12's scope — a
+/// relaxed access on the latch or termination flag is precisely the bug
+/// class L12 exists for.
 pub(crate) fn is_pool_source(rel: &str) -> bool {
     rel.starts_with("vendor/rayon/src/")
 }
@@ -52,69 +54,8 @@ fn violation(rule: RuleId, rel: &str, line: usize, message: impl Into<String>) -
     }
 }
 
-/// L1: every library crate root carries `#![forbid(unsafe_code)]` and
-/// `#![warn(missing_docs)]`.
-///
-/// Scope: `crates/*/src/lib.rs` and the workspace-root `src/lib.rs`.
-pub fn l1_lib_root_attributes(file: &SourceFile) -> Vec<Violation> {
-    let rel = &file.rel_path;
-    let is_crate_root = rel == "src/lib.rs"
-        || (rel.starts_with("crates/") && rel.ends_with("/src/lib.rs"));
-    if !is_crate_root {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for needle in ["#![forbid(unsafe_code)]", "#![warn(missing_docs)]"] {
-        let found = file.code_lines.iter().any(|l| l.contains(needle));
-        if !found && !file.allowed(RuleId::L1, 1) {
-            out.push(violation(
-                RuleId::L1,
-                rel,
-                1,
-                format!("library crate root is missing `{needle}`"),
-            ));
-        }
-    }
-    out
-}
-
-/// L2: no `.unwrap()`, `.expect(..)`, or `panic!` in non-test library
-/// code. Tests (`#[cfg(test)]` modules, `tests/`, `benches/`,
-/// `examples/`), doc comments and strings are exempt; justified escapes
-/// use `// apc-lint: allow(L2) -- <reason>`.
-pub fn l2_no_panic_paths(file: &SourceFile) -> Vec<Violation> {
-    if !is_library_source(&file.rel_path) {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for (idx, code) in file.code_lines.iter().enumerate() {
-        let line_no = idx + 1;
-        if file.test_lines[idx] {
-            continue;
-        }
-        for (needle, label) in [
-            (".unwrap()", "`.unwrap()`"),
-            (".expect(", "`.expect(..)`"),
-            ("panic!", "`panic!`"),
-        ] {
-            if contains_token(code, needle) && !file.allowed(RuleId::L2, line_no) {
-                out.push(violation(
-                    RuleId::L2,
-                    &file.rel_path,
-                    line_no,
-                    format!(
-                        "{label} in library path — return a Result, use the Limb/\
-                         invariant helpers, or add `// apc-lint: allow(L2) -- <reason>`"
-                    ),
-                ));
-            }
-        }
-    }
-    out
-}
-
 /// Matches `needle` only when not embedded in a longer identifier (so
-/// `should_panic` or `unwrap_or` never match `panic!` / `.unwrap()`).
+/// `Cell` never matches inside `RefCell` or `CellId`).
 fn contains_token(code: &str, needle: &str) -> bool {
     let mut start = 0usize;
     while let Some(pos) = code[start..].find(needle) {
@@ -179,8 +120,8 @@ fn cast_to(code: &str, target: &str) -> bool {
     while let Some(pos) = code[start..].find(" as ") {
         let at = start + pos;
         let tail = code[at + 4..].trim_start();
-        if tail.starts_with(target) {
-            let after = tail[target.len()..].chars().next();
+        if let Some(rest) = tail.strip_prefix(target) {
+            let after = rest.chars().next();
             if !after.is_some_and(|c| c.is_alphanumeric() || c == '_') {
                 return true;
             }
@@ -366,125 +307,24 @@ pub fn l6_no_interior_mutability_in_pub_structs(file: &SourceFile) -> Vec<Violat
     out
 }
 
-/// L7: no `thread::sleep`, no timed wait (`wait_timeout`,
-/// `wait_timeout_while`, `recv_timeout`, `park_timeout`) and no socket
-/// `set_read_timeout` on library paths in `crates/serve` or
-/// `crates/net`, or in the `vendor/rayon` pool. The serving layer is
-/// event-driven end to end: submitters stage jobs under the queue lock,
-/// and an idle worker waits on the queue's condvar with no timeout. The
-/// network layer is the same — connection workers block in `accept`
-/// and in plain socket reads, and the drain wakes them by shutting read
-/// halves, so a read timeout there could only be a drain poll. The pool
-/// parks on its event-counter condvar, again with no timer. A sleep on
-/// any of these paths is a latency floor and a busy-poll in disguise,
-/// and a timed wait is a fallback that turns a lost wakeup into latency
-/// instead of a failure. Tests may sleep and time out; library code
-/// blocks on the event that actually changes state, or justifies itself
-/// with `// apc-lint: allow(L7) -- <reason>`.
-pub fn l7_no_sleep_in_serve(file: &SourceFile) -> Vec<Violation> {
-    const TIMED: [&str; 6] = [
-        "thread::sleep",
-        "wait_timeout",
-        "wait_timeout_while",
-        "recv_timeout",
-        "park_timeout",
-        "set_read_timeout",
-    ];
-    let rel = &file.rel_path;
-    let in_scope = (rel.starts_with("crates/serve/src/")
-        || rel.starts_with("crates/net/src/")
-        || is_pool_source(rel))
-        && !rel.contains("/bin/");
-    if !in_scope {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for (idx, code) in file.code_lines.iter().enumerate() {
-        let line_no = idx + 1;
-        if file.test_lines[idx] || file.allowed(RuleId::L7, line_no) {
-            continue;
-        }
-        if let Some(token) = TIMED.iter().find(|t| contains_token(code, t)) {
-            out.push(violation(
-                RuleId::L7,
-                rel,
-                line_no,
-                format!(
-                    "`{token}` on a serving-layer or pool library path — block on the \
-                     channel or condvar that signals the state change, with no \
-                     timeout, or add `// apc-lint: allow(L7) -- <reason>`"
-                ),
-            ));
-        }
-    }
-    out
-}
-
-/// L8: no bare `.lock().unwrap()` / `.lock().expect(..)` on library
-/// paths. A panicking tenant must never take the whole service down with
-/// it: every tally/queue transition in this workspace is single-step, so
-/// a poisoned mutex still guards consistent data and the right recovery
-/// is `lock().unwrap_or_else(PoisonError::into_inner)` (see
-/// `Session::lock_tallies`). Bare unwrap/expect on a lock turns one
-/// tenant's panic into a cascade. L2 already flags the unwrap itself;
-/// L8 exists so the *lock-specific* recovery idiom cannot be waived with
-/// a generic L2 allow.
-pub fn l8_no_bare_lock_unwrap(file: &SourceFile) -> Vec<Violation> {
-    if !is_library_source(&file.rel_path) {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for (idx, code) in file.code_lines.iter().enumerate() {
-        let line_no = idx + 1;
-        if file.test_lines[idx] {
-            continue;
-        }
-        if lock_then_panicky(code) && !file.allowed(RuleId::L8, line_no) {
-            out.push(violation(
-                RuleId::L8,
-                &file.rel_path,
-                line_no,
-                "bare `.lock().unwrap()`/`.lock().expect(..)` propagates another \
-                 thread's panic — recover with \
-                 `.lock().unwrap_or_else(PoisonError::into_inner)` (single-step \
-                 transitions keep the data consistent), or add \
-                 `// apc-lint: allow(L8) -- <reason>`",
-            ));
-        }
-    }
-    out
-}
-
-/// Detects `.lock()` immediately followed (modulo whitespace) by
-/// `.unwrap()` or `.expect(`. `.unwrap_or_else(..)` does not match.
-fn lock_then_panicky(code: &str) -> bool {
-    let mut start = 0usize;
-    while let Some(pos) = code[start..].find(".lock()") {
-        let at = start + pos + ".lock()".len();
-        let tail = code[at..].trim_start();
-        if tail.starts_with(".unwrap()") || tail.starts_with(".expect(") {
-            return true;
-        }
-        start = at;
-    }
-    false
-}
-
 /// Keys every member crate must inherit from `[workspace.package]`.
 const INHERITED_KEYS: &[&str] = &["version", "edition", "license"];
 
 /// L5: Cargo.toml hygiene for member crates (`crates/*/Cargo.toml`):
 /// metadata inherited from the workspace (`version.workspace = true`,
 /// …), `[lints] workspace = true` so the `[workspace.lints]` table
-/// applies, and no `path` dependency (any manifest, root included)
-/// resolving outside the workspace root.
-pub fn l5_manifest_hygiene(manifest: &ManifestFile, root: &Path) -> Vec<Violation> {
+/// applies (asked of the root package too: its `src/lib.rs` gets
+/// `unsafe_code = "forbid"` and `missing_docs` from there), and no
+/// `path` dependency (any manifest, root included) resolving outside the
+/// workspace root.
+pub fn l5_manifest_hygiene(manifest: &ManifestFile) -> Vec<Violation> {
     let rel = &manifest.rel_path;
     let is_member = rel.starts_with("crates/") && rel.ends_with("/Cargo.toml");
     let is_root = rel == "Cargo.toml";
     if !is_member && !is_root {
         return Vec::new();
     }
+    let is_package = manifest.code_lines.iter().any(|l| l.trim() == "[package]");
     let mut out = Vec::new();
 
     if is_member {
@@ -504,6 +344,8 @@ pub fn l5_manifest_hygiene(manifest: &ManifestFile, root: &Path) -> Vec<Violatio
                 ));
             }
         }
+    }
+    if is_package {
         let lints_inherited = manifest.code_lines.windows(2).any(|w| {
             w[0].trim() == "[lints]" && w[1].trim() == "workspace = true"
         }) || manifest
@@ -544,7 +386,6 @@ pub fn l5_manifest_hygiene(manifest: &ManifestFile, root: &Path) -> Vec<Violatio
                     format!("path dependency `{dep_path}` escapes the workspace root"),
                 ));
             }
-            let _ = root; // the check is lexical; root kept for future canonicalization
         }
     }
     out

@@ -4,7 +4,7 @@
 //! `.rs` file is run through the [`crate::lexer`] (a whole-file lexer, so
 //! raw strings, multi-line string literals and nested block comments are
 //! classified correctly), which yields both a token stream and per-line
-//! code/comment masks. A `panic!` inside a doc example or an `as u32`
+//! code/comment masks. A `Cell` inside a doc example or an `as u32`
 //! inside a string can never trip a rule. Comment text is kept separately
 //! so `apc-lint: allow(..)` directives and doc anchors can be read back
 //! out.
@@ -17,6 +17,9 @@ use std::path::{Path, PathBuf};
 
 /// Directories never descended into.
 const SKIP_DIRS: &[&str] = &["target", ".git", "vendor", "fixtures", "node_modules"];
+
+/// Allow directives: line number (1-based) → rules allowed there.
+pub type Allows = BTreeMap<usize, Vec<RuleId>>;
 
 /// One scanned `.rs` file.
 #[derive(Debug)]
@@ -34,7 +37,7 @@ pub struct SourceFile {
     /// The file's token stream (comments and whitespace removed).
     pub tokens: Vec<Token>,
     /// Allow directives: line number (1-based) → rules allowed there.
-    pub allows: BTreeMap<usize, Vec<RuleId>>,
+    pub allows: Allows,
     /// Malformed directives found while scanning.
     pub bad_directives: Vec<(usize, String)>,
 }
@@ -49,7 +52,7 @@ pub struct ManifestFile {
     /// Line text with `#` comments removed.
     pub code_lines: Vec<String>,
     /// Allow directives: line number (1-based) → rules allowed there.
-    pub allows: BTreeMap<usize, Vec<RuleId>>,
+    pub allows: Allows,
     /// Malformed directives found while scanning.
     pub bad_directives: Vec<(usize, String)>,
 }
@@ -84,7 +87,7 @@ impl ManifestFile {
     }
 }
 
-fn has_allow(allows: &BTreeMap<usize, Vec<RuleId>>, rule: RuleId, line: usize) -> bool {
+fn has_allow(allows: &Allows, rule: RuleId, line: usize) -> bool {
     let on_line = allows.get(&line).is_some_and(|r| r.contains(&rule));
     let above = line > 1 && allows.get(&(line - 1)).is_some_and(|r| r.contains(&rule));
     on_line || above
@@ -250,10 +253,8 @@ fn mark_test_regions(code_lines: &[String]) -> Vec<bool> {
 }
 
 /// Parses `apc-lint: allow(..) -- reason` directives out of comment text.
-fn parse_directives(
-    comment_lines: &[String],
-) -> (BTreeMap<usize, Vec<RuleId>>, Vec<(usize, String)>) {
-    let mut allows: BTreeMap<usize, Vec<RuleId>> = BTreeMap::new();
+fn parse_directives(comment_lines: &[String]) -> (Allows, Vec<(usize, String)>) {
+    let mut allows = Allows::new();
     let mut bad: Vec<(usize, String)> = Vec::new();
     for (idx, comment) in comment_lines.iter().enumerate() {
         let line_no = idx + 1;
@@ -399,11 +400,23 @@ mod tests {
     #[test]
     fn directives_parse_and_reject() {
         let src = "\
-// apc-lint: allow(L2) -- locally provable\nx.unwrap();\n\
-// apc-lint: allow(L99) -- nope\n// apc-lint: allow(L2)\n";
+// apc-lint: allow(L3) -- locally provable\nx as u32;\n\
+// apc-lint: allow(L99) -- nope\n// apc-lint: allow(L3)\n";
         let f = scan_rust("t.rs", src);
-        assert!(f.allowed(RuleId::L2, 2));
+        assert!(f.allowed(RuleId::L3, 2));
         assert_eq!(f.bad_directives.len(), 2);
+    }
+
+    #[test]
+    fn retired_rule_ids_are_unknown_in_directives() {
+        // L1, L2, L7 and L8 moved to rustc/clippy lints: a leftover
+        // directive naming one is malformed, not silently honored.
+        for id in ["L1", "L2", "L7", "L8"] {
+            let src = format!("// apc-lint: allow({id}) -- moved to clippy\nx;\n");
+            let f = scan_rust("t.rs", &src);
+            assert_eq!(f.bad_directives.len(), 1, "{id}");
+            assert!(f.bad_directives[0].1.contains("unknown rule"), "{id}");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! trees mirroring the real layout (the rules scope by relative path), so
 //! these tests pin the *behavior* of each rule, not just its plumbing.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 use xtask::{lint_tree, RuleId};
 
@@ -30,16 +30,6 @@ fn good_fixture_is_clean() {
 }
 
 #[test]
-fn l1_catches_missing_crate_root_attributes() {
-    assert_only("bad/l1", RuleId::L1, 2);
-}
-
-#[test]
-fn l2_catches_unwrap_expect_and_panic() {
-    assert_only("bad/l2", RuleId::L2, 3);
-}
-
-#[test]
 fn l3_catches_bare_narrowing_casts() {
     assert_only("bad/l3", RuleId::L3, 2);
 }
@@ -51,28 +41,14 @@ fn l4_catches_missing_paper_anchors() {
 
 #[test]
 fn l5_catches_manifest_rot() {
-    assert_only("bad/l5", RuleId::L5, 5);
+    // Five in the member manifest, one for the root package that does
+    // not inherit the workspace lints.
+    assert_only("bad/l5", RuleId::L5, 6);
 }
 
 #[test]
 fn l6_catches_cells_in_pub_struct_fields() {
     assert_only("bad/l6", RuleId::L6, 2);
-}
-
-#[test]
-fn l7_catches_sleep_polling_in_the_serving_and_network_layers() {
-    // Three findings in the serve fixture (two sleeps, a condvar
-    // `wait_timeout`), four in the net fixture (two sleeps, a channel
-    // `recv_timeout`, a socket `set_read_timeout` drain poll), one in the
-    // pool fixture (a timed condvar park). The net fixture's
-    // `src/bin/probe.rs` sleep is out of scope (binaries are operator
-    // tooling) and must stay unflagged.
-    assert_only("bad/l7", RuleId::L7, 8);
-}
-
-#[test]
-fn l8_catches_bare_lock_unwraps() {
-    assert_only("bad/l8", RuleId::L8, 2);
 }
 
 #[test]
@@ -110,7 +86,7 @@ fn l12_audits_the_vendored_pool() {
     let v = lint_tree(&fixture("bad/l12")).expect("lint_tree runs on fixture");
     let pool_findings = v
         .iter()
-        .filter(|f| f.file == PathBuf::from("vendor/rayon/src/pool.rs"))
+        .filter(|f| f.file == Path::new("vendor/rayon/src/pool.rs"))
         .count();
     assert_eq!(pool_findings, 2, "latch store + probe: {v:#?}");
 }
@@ -124,7 +100,7 @@ fn l12_flags_the_relaxed_cache_gate() {
     let v = lint_tree(&fixture("bad/l12")).expect("lint_tree runs on fixture");
     let cache_findings = v
         .iter()
-        .filter(|f| f.file == PathBuf::from("crates/core/src/pattern_cache.rs"))
+        .filter(|f| f.file == Path::new("crates/core/src/pattern_cache.rs"))
         .count();
     assert_eq!(cache_findings, 2, "gate store + probe: {v:#?}");
 }
@@ -145,7 +121,10 @@ fn escape_hatch_allow_without_reason_is_reported() {
         .iter()
         .filter(|f| f.message.contains("justification"))
         .count();
-    assert_eq!(missing, 2, "allow(L2) and allow(L12) both lack a reason: {v:#?}");
+    assert_eq!(
+        missing, 2,
+        "allow(L3) and allow(L12) both lack a reason: {v:#?}"
+    );
 }
 
 #[test]
@@ -168,8 +147,7 @@ fn cli_exits_zero_on_clean_and_one_per_bad_fixture() {
         .expect("spawn xtask");
     assert!(ok.status.success(), "good fixture must exit 0");
     for bad in [
-        "bad/l1", "bad/l2", "bad/l3", "bad/l4", "bad/l5", "bad/l6", "bad/l7", "bad/l8", "bad/l9",
-        "bad/l10", "bad/l11", "bad/l12", "bad/l0",
+        "bad/l3", "bad/l4", "bad/l5", "bad/l6", "bad/l9", "bad/l10", "bad/l11", "bad/l12", "bad/l0",
     ] {
         let out = Command::new(bin)
             .arg("lint")
@@ -190,10 +168,15 @@ fn rules_subcommand_lists_every_rule() {
         .expect("spawn xtask");
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
-    for rule in [
-        "L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8", "L9", "L10", "L11", "L12",
-    ] {
+    for rule in ["L3", "L4", "L5", "L6", "L9", "L10", "L11", "L12"] {
         assert!(text.contains(rule), "missing {rule} in: {text}");
+    }
+    // The retired rules are carried by rustc and clippy lints.
+    for retired in ["L1:", "L2:", "L7:", "L8:"] {
+        assert!(
+            !text.contains(retired),
+            "retired {retired} still listed in: {text}"
+        );
     }
 }
 

@@ -12,8 +12,7 @@
 //! - [`apc_serve`] — the batching job scheduler serving the device model
 //!   to concurrent tenants.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub use apc_apps;
 pub use apc_baselines;

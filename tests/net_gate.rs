@@ -260,6 +260,7 @@ fn shutdown_drains_in_flight_connections() {
     });
     // Give the client thread time to get its request admitted, then
     // drain. (Sleeping in tests is fine; the library itself never does.)
+    #[expect(clippy::disallowed_methods, reason = "test pacing before the drain")]
     std::thread::sleep(std::time::Duration::from_millis(100));
     server.shutdown();
 
@@ -289,6 +290,10 @@ fn authenticated_peer(server: &NetServer<Router>) -> TcpStream {
 /// Shuts `server` down on its own thread and fails, instead of hanging,
 /// if the drain has not finished within the watchdog's bound; then
 /// checks that `peer` was closed without an answer.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test watchdog: a lost wakeup fails the test instead of hanging it"
+)]
 fn drain_under_watchdog(server: NetServer<Router>, mut peer: TcpStream, state: &str) {
     let (done_tx, done_rx) = mpsc::channel();
     std::thread::spawn(move || {
@@ -318,6 +323,7 @@ fn shutdown_drains_past_a_peer_stalled_mid_http_head() {
     let mut peer = TcpStream::connect(server.local_addr()).expect("connect");
     peer.write_all(b"GET /metr").expect("partial head");
     // Let the worker get into the head before the drain starts.
+    #[expect(clippy::disallowed_methods, reason = "test pacing before the drain")]
     std::thread::sleep(Duration::from_millis(50));
     drain_under_watchdog(server, peer, "mid-way through a GET head");
 }

@@ -26,7 +26,7 @@ proptest! {
         prop_assume!(!b.is_zero());
         let dev = Device::new_default();
         let (q, r) = dev.divrem(&a, &b);
-        prop_assert!(&r < &b);
+        prop_assert!(r < b);
         prop_assert_eq!(&(&q * &b) + &r, a);
     }
 
