@@ -280,8 +280,9 @@ fn main() {
     report.gauge("pattern_cache_hits", &[], hits as f64);
     report.gauge("pattern_cache_misses", &[], misses as f64);
     report.gauge("pattern_cache_hit_rate", &[], hit_rate);
-    report.write();
 
+    // The gates run before the report is written, so a failing run
+    // leaves no JSON behind.
     assert!(
         peak.throughput() >= serial.throughput(),
         "batched throughput ({:.1}/s) fell below serial single-job throughput ({:.1}/s)",
@@ -306,4 +307,5 @@ fn main() {
         hit_rate > 0.9,
         "fixed-modulus cache point must hit > 0.9, measured {hit_rate:.3}"
     );
+    report.write();
 }

@@ -59,7 +59,11 @@ impl KernelBackend {
 /// (pattern table addressability, as in
 /// [`crate::converter::generate_patterns`]), `L + ⌈log₂ q⌉ ≤ 64` so every
 /// subset-sum pattern fits one word, and `2L + ⌈log₂ q⌉ ≤ 127` so a whole
-/// IPU partial sum fits the 128-bit MAC accumulator.
+/// IPU partial sum fits the 128-bit MAC accumulator. An indicator word
+/// packs k = [`tuples_per_word`] adjacent tuples of L bits each; its
+/// partial stays below 2^(kL+L+⌈log₂ q⌉), which is 2^(2L+⌈log₂ q⌉) at
+/// k = 1 and at most 2^100 for k ≥ 2 (then L ≤ 32), so the envelope does
+/// not depend on k.
 fn sliced_supports(config: &ArchConfig) -> bool {
     let l = u64::from(config.limb_bits);
     let growth = u64::from(config.q.max(1).next_power_of_two().trailing_zeros());
@@ -69,6 +73,20 @@ fn sliced_supports(config: &ArchConfig) -> bool {
         && config.limb_bits <= LIMB_BITS
         && l + growth <= u64::from(LIMB_BITS)
         && 2 * l + growth <= 127
+}
+
+/// How many adjacent index tuples k one Sliced64 indicator word carries:
+/// the largest power of two with `k·L ≤ 64` that divides both q and
+/// N_IPU. Block b reads the tuple starts `[bq, bq + span)` of a chunk of
+/// `span` outputs, a multiple of N_IPU, so with k | q and k | N_IPU every
+/// block reads either all of an aligned group of k tuples or none of
+/// them, and one split and one MAC per reader serve the whole group (see
+/// [`sliced_chunk`]). k = 1 is one tuple per word.
+fn tuples_per_word(config: &ArchConfig) -> usize {
+    let fits = (LIMB_BITS / config.limb_bits.max(1)).checked_ilog2().unwrap_or(0);
+    1 << fits
+        .min(config.q.trailing_zeros())
+        .min(config.n_ipu.trailing_zeros())
 }
 
 /// A Cambricon-P device instance (structural model of Fig. 9a).
@@ -193,22 +211,32 @@ impl SlicedBlocks {
     }
 }
 
-/// The index operand y reversed and zero-padded: element `m` is
-/// `y_{c − m}`, zero outside `yw`. IPU k of PE(b, w) reads
-/// `y_{t − bq − i}` for i < q at output t = w·N_IPU + k (the §V-B2
-/// Memory Agent selection of "the 4 bitflows starting from different
-/// positions"), which is the plain slice `[c − t + bq ..][..q]` here.
-fn reversed_words(yw: &[Limb], c: usize, len: usize) -> Vec<Limb> {
+/// The index operand y reversed, zero-padded and packed `per_word` to a
+/// word: element `m` is `Σ_{s < per_word} y_{c − m − s} << (L·(per_word −
+/// 1 − s))`, y zero outside `yw`. IPU k of PE(b, w) reads `y_{t − bq − i}`
+/// for i < q at output t = w·N_IPU + k (the §V-B2 Memory Agent selection
+/// of "the 4 bitflows starting from different positions"), which at
+/// `per_word = 1` is the plain slice `[c − t + bq ..][..q]` here. With
+/// `per_word = k`, word i of the slice at m holds word i of the k adjacent
+/// tuples starting at m, m + 1, …, the tuple at m in the top L bits.
+fn reversed_words(yw: &[Limb], c: usize, len: usize, (per_word, lb): (usize, u64)) -> Vec<Limb> {
+    let y = |m: usize| c.checked_sub(m).and_then(|j| yw.get(j)).copied().unwrap_or(0);
     (0..len)
-        .map(|m| c.checked_sub(m).and_then(|j| yw.get(j)).copied().unwrap_or(0))
+        .map(|m| (m + 1..m + per_word).fold(y(m), |packed, j| packed << lb | y(j)))
         .collect()
 }
 
 /// The pass-skip predicate (§VII sparsity): PE(b, w) with
-/// `base = top + bq` reads exactly `yr[base − (N_IPU − 1) .. base + q]`,
-/// so it contributes only if one of those index words is nonzero.
-fn pass_reads_nonzero(yr: &[Limb], base: usize, q: usize, n_ipu: usize) -> bool {
-    yr[base + 1 - n_ipu..base + q].iter().any(|&v| v != 0)
+/// `base = top + bq` reads exactly the unpacked words
+/// `[base − (N_IPU − 1) .. base + q)`, so it contributes only if one of
+/// them is nonzero. Word m of `yr`, packed `per_word` to a word, covers
+/// the unpacked words `[m, m + per_word)` (`per_word ≤ q`).
+fn pass_reads_nonzero(
+    yr: &[Limb],
+    base: usize,
+    (q, n_ipu, per_word): (usize, usize, usize),
+) -> bool {
+    yr[base + 1 - n_ipu..base + q + 1 - per_word].iter().any(|&v| v != 0)
 }
 
 /// The Sliced64 passes of one chunk of output windows (Fig. 9a), walked
@@ -218,16 +246,22 @@ fn pass_reads_nonzero(yr: &[Limb], base: usize, q: usize, n_ipu: usize) -> bool 
 ///
 /// IPU k of PE(b, w) reads the tuple `yr[m..][..q]` at `m = c − t + bq`
 /// for output t = w·N_IPU + k, so a tuple is read by every block b whose
-/// output `t = c + bq − m` falls in the chunk. The walk visits each tuple
-/// once, in increasing m: it splits a nonzero tuple's indicators once
+/// output `t = c + bq − m` falls in the chunk. The walk visits the tuples
+/// in increasing m, in aligned groups of `per_word` = [`tuples_per_word`]
+/// adjacent ones, each group one slice of `yr` packed `per_word` to a word
+/// ([`reversed_words`]): it splits a nonzero group's indicators once
 /// ([`Indicators::split`], BIPS stage 2) and multiplies them into the
-/// table of every block that reads it ([`Indicators::mac`], stage 3),
-/// adding the partial into the lane of output t. The lanes sum each
-/// output's partials across blocks (the Adder Tree), and at chunk end one
-/// [`add_shifted`] per lane at its `t·L` does the GU gather.
+/// table of every block that reads it ([`Indicators::mac`], stage 3).
+/// That one MAC gives `Σ_s V_{m+s}·2^(L·(per_word − 1 − s))`, and since
+/// the outputs of the tuples at m + s lie exactly L bits apart, it is
+/// already their GU-weighted sum: it goes into the lane of the group's
+/// last tuple, the lowest output. The lanes sum each output's partials
+/// across blocks (the Adder Tree), and at chunk end one [`add_shifted`]
+/// per written lane at its `t·L` does the GU gather.
 ///
 /// A lane is a `u128` plus an overflow word: one partial is below
-/// 2^(2L+⌈log₂ q⌉) ≤ 2^127, but a sum over blocks can pass 2^128.
+/// 2^(per_word·L + L + ⌈log₂ q⌉) < 2^128 (see [`sliced_supports`]), but a
+/// sum over blocks can pass 2^128.
 ///
 /// Counts: a pass PE(b, w) is skipped exactly when every tuple it reads
 /// is all zero ([`pass_reads_nonzero`]), so every block with a table
@@ -237,18 +271,23 @@ fn pass_reads_nonzero(yr: &[Limb], base: usize, q: usize, n_ipu: usize) -> bool 
 /// `skipped_zero` (N_IPU·L, every cycle) charges are therefore applied
 /// per PE(b, w) before the walk, and each nonzero tuple takes back its
 /// `L − popcount(I[0])` selecting cycles and charges its
-/// `weighted_gather` once per reader. So the tally is bit-identical to
-/// one [`Indicators::select_accumulate`] per PE(b, w)·k.
+/// `weighted_gather` once per reader. Both charges are sums over the
+/// tuple's per-mask popcounts, so a group charges them once over its
+/// whole word's popcounts, the sums of its tuples' own: an all-zero tuple
+/// in a nonzero group adds L to `popcount(I[0])` and nothing else, so it
+/// takes back and charges 0, as if skipped. So the tally is bit-identical
+/// to one [`Indicators::select_accumulate`] per PE(b, w)·k.
 fn sliced_chunk<const Q: usize>(
     blocks: &SlicedBlocks,
     yr: &[Limb],
     (c, chunk): (usize, Range<usize>),
-    (q, n_ipu, lb): (usize, usize, u64),
+    (q, n_ipu, lb, per_word): (usize, usize, u64, usize),
     acc: &mut [Limb],
     tally: &mut BopsTally,
 ) -> u64 {
     // `Q` is q fixed at compile time, or 0 for "read q at run time".
     debug_assert!(Q == 0 || Q == q, "a constant-q copy runs only its own q");
+    debug_assert!(q % per_word == 0 && n_ipu % per_word == 0, "groups align to blocks");
     let q = if Q == 0 { q } else { Q };
     let tables = &blocks.tables[..];
     let mut passes = 0u64;
@@ -256,7 +295,7 @@ fn sliced_chunk<const Q: usize>(
         let top = c - w * n_ipu;
         for (b, table) in tables.iter().enumerate() {
             if let Some((_, generation_bops)) = table {
-                if pass_reads_nonzero(yr, top + b * q, q, n_ipu) {
+                if pass_reads_nonzero(yr, top + b * q, (q, n_ipu, per_word)) {
                     tally.pattern_generation += generation_bops;
                     passes += 1;
                 }
@@ -267,12 +306,13 @@ fn sliced_chunk<const Q: usize>(
     tally.bit_serial_reference += ipu_cycles * q as u64 * lb;
     tally.skipped_zero += ipu_cycles;
     let span = chunk.len() * n_ipu;
-    let mut indicators = Indicators::new(q, lb);
+    let mut indicators = Indicators::new(q, per_word as u64 * lb);
     let mut lanes: Vec<(u128, u64)> = vec![(0, 0); span];
     // Tuple start m = first + d. Block b reads d in [bq, bq + span), at
-    // chunk-local output j = bq + span − 1 − d.
+    // chunk-local output j = bq + span − 1 − d; the group of tuples
+    // d .. d + per_word lands in the lane of its last, bq + span − per_word − d.
     let first = c + 1 - chunk.end * n_ipu;
-    for d in 0..(tables.len() - 1) * q + span {
+    for d in (0..(tables.len() - 1) * q + span).step_by(per_word) {
         let tuple = &yr[first + d..][..q];
         if tuple.iter().all(|&v| v == 0) {
             continue;
@@ -291,17 +331,17 @@ fn sliced_chunk<const Q: usize>(
             }
             readers += 1;
             let partial = indicators.mac::<Q>(patterns);
-            let lane = &mut lanes[b * q + span - 1 - d];
+            let lane = &mut lanes[b * q + span - per_word - d];
             let (sum, carried) = lane.0.overflowing_add(partial);
             *lane = (sum, lane.1 + u64::from(carried));
         }
         if readers > 0 {
             let ones = indicators.ones();
-            tally.skipped_zero -= readers * (lb - u64::from(ones[0]));
+            tally.skipped_zero -= readers * (per_word as u64 * lb - u64::from(ones[0]));
             tally.weighted_gather += blocks.gather::<Q>(ones, lo, hi);
         }
     }
-    for (j, &(sum, overflow)) in lanes.iter().enumerate() {
+    for (j, &(sum, overflow)) in lanes.iter().enumerate().step_by(per_word) {
         let (low, high) = wide_parts(sum);
         add_shifted(acc, &[low, high, overflow], j as u64 * lb);
     }
@@ -381,12 +421,13 @@ impl Accelerator {
     /// On the Sliced64 engine the passes run by index tuple over a chunk
     /// of consecutive windows: the Memory Agent hands IPU k of PE(b, w)
     /// the q index words starting at its own position (§V-B2), so one
-    /// tuple is read by every block whose output lands in the chunk. Each
-    /// tuple's indicators are split once per chunk and multiplied into
-    /// the table of every running pass that reads it, each output's
-    /// partials sum across blocks in a lane (a `u128` plus an overflow
-    /// word — the Adder Tree), and one GU fold per lane lands them in the
-    /// product. Every count is still charged per PE(b, w) pass and IPU,
+    /// tuple is read by every block whose output lands in the chunk. The
+    /// tuples go in groups of up to 64/L adjacent ones packed into one
+    /// indicator word (at L = 32, two); each group's indicators are split
+    /// once per chunk and multiplied into the table of every running pass
+    /// that reads it, each output's partials sum across blocks in a lane
+    /// (a `u128` plus an overflow word — the Adder Tree), and one GU fold
+    /// per lane lands them in the product. Every count is still charged per PE(b, w) pass and IPU,
     /// so the outcome is identical to one call per PE(b, w) IPU.
     ///
     /// ```
@@ -535,15 +576,22 @@ impl Accelerator {
         // accumulates the passes' strided IPU outputs in place into its
         // own limbs (the GU writing into the Adder Tree, Fig. 9a). A
         // chunk of v windows holds v·N_IPU lanes at stride L; each lane
-        // is a sum of fewer than 2^64 IPU partials below 2^(2L+4)
-        // (q ≤ 16), kept as a 192-bit slot (see `sliced_chunk`), so the
-        // slots and their sum fit (v·N_IPU + 1)·L + 192 bits.
+        // is a sum of fewer than 2^64 IPU partials below 2^128, kept as a
+        // 192-bit slot (see `sliced_chunk`), so the slots and their sum
+        // fit (v·N_IPU + 1)·L + 192 bits.
         let chunks = chunks.min(windows);
         // Output t reaches at most windows·N_IPU − 1 and bq at most
         // (blocks − 1)·q, so c = windows·N_IPU − 1 keeps every slice start
         // c − t + bq non-negative and `blocks·q` more words cover its end.
         let c = windows * n_ipu - 1;
-        let yr = reversed_words(&yw, c, c + blocks * q);
+        // The Sliced64 walk reads k = `tuples_per_word` tuples per word,
+        // packed here once per call; the Scalar engine reads them one by
+        // one. The last k-tuple group ends at word c + blocks·q − 1.
+        let per_word = match &tables {
+            BlockTables::Sliced(_) => tuples_per_word(&self.config),
+            BlockTables::Scalar(_) => 1,
+        };
+        let yr = reversed_words(&yw, c, c + blocks * q + 1 - per_word, (per_word, lb));
         let run_chunk = |i: usize| -> (usize, Vec<Limb>, BopsTally, u64) {
             let chunk = i * windows / chunks..(i + 1) * windows / chunks;
             let span_bits = (chunk.len() * n_ipu + 1) as u64 * lb + 192;
@@ -551,7 +599,7 @@ impl Accelerator {
                 vec![0; crate::cast::usize_from(span_bits.div_ceil(u64::from(LIMB_BITS)))];
             let mut tally = BopsTally::default();
             let start = chunk.start;
-            let shape = (q, n_ipu, lb);
+            let shape = (q, n_ipu, lb, per_word);
             let passes = match &tables {
                 // q = 4, the §IV-B optimum and the default, runs a copy
                 // with q constant-folded, so the kernel loops have fixed
@@ -573,7 +621,7 @@ impl Accelerator {
                             let Some(patterns) = patterns else {
                                 continue;
                             };
-                            if !pass_reads_nonzero(&yr, base, q, n_ipu) {
+                            if !pass_reads_nonzero(&yr, base, (q, n_ipu, 1)) {
                                 continue;
                             }
                             let ys_per_ipu: Vec<Vec<Nat>> = (0..n_ipu)
@@ -920,7 +968,7 @@ mod tests {
         let ys_nat: Vec<Nat> = (10..15u64).map(Nat::from).collect();
         let ys_word: Vec<Limb> = (10..15u64).collect();
         let c = 8;
-        let yr = reversed_words(&ys_word, c, c + 6);
+        let yr = reversed_words(&ys_word, c, c + 6, (1, 8));
         for t in 0..=c {
             for j0 in [0usize, 1, 3] {
                 let slice = crate::transform::reversed_x_slice(&ys_nat, t, j0, 3);
@@ -929,6 +977,38 @@ mod tests {
                     assert_eq!(n.to_u64(), Some(*w), "t={t} j0={j0}");
                 }
             }
+        }
+        // Packed k to a word, the tuple at m sits L bits above the one at
+        // m + 1.
+        for (k, lb) in [(2usize, 8u64), (4, 16)] {
+            let packed = reversed_words(&ys_word, c, c + 7 - k, (k, lb));
+            for (m, &word) in packed.iter().enumerate() {
+                let want = yr[m..m + k].iter().fold(0, |packed, &v| packed << lb | v);
+                assert_eq!(word, want, "k={k} m={m}");
+            }
+        }
+    }
+
+    #[test]
+    fn tuples_per_word_fills_the_word_within_q_and_n_ipu() {
+        // (L, q, N_IPU) → k: the default, each limiting factor, and the
+        // widest envelope limb, which leaves one tuple per word.
+        for (limb_bits, q, n_ipu, k) in [
+            (32, 4, 32, 2),
+            (20, 3, 4, 1),
+            (8, 2, 2, 2),
+            (16, 4, 8, 4),
+            (8, 8, 8, 8),
+            (16, 4, 2, 2),
+            (62, 4, 32, 1),
+        ] {
+            let cfg = ArchConfig {
+                limb_bits,
+                q,
+                n_ipu,
+                ..ArchConfig::default()
+            };
+            assert_eq!(tuples_per_word(&cfg), k, "L={limb_bits} q={q} N_IPU={n_ipu}");
         }
     }
 

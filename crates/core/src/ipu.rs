@@ -122,7 +122,7 @@ pub fn pattern_bits(patterns: &[Limb], bits: &mut [u8]) {
     }
 }
 
-/// The one-hot selection of one index tuple (BIPS stage 2, Fig. 8),
+/// The one-hot selection of index tuples (BIPS stage 2, Fig. 8),
 /// bitsliced: the **indicator word** `I[mask] = Σ_{t: sel(t)=mask} 2^t`
 /// packs every cycle whose q index bits equal `mask` into one machine
 /// word, and `popcount(I[mask])` counts those cycles.
@@ -133,8 +133,15 @@ pub fn pattern_bits(patterns: &[Limb], bits: &mut [u8]) {
 /// on the index words alone — not on the pattern table — so a tuple that
 /// several PEs read (the Memory Agent hands each IPU "the 4 bitflows
 /// starting from different positions", §V-B2) is split once and then
-/// multiplied into every table that reads it. The scratch is 2^q words
-/// plus 2^q counts, reused across tuples.
+/// multiplied into every table that reads it.
+///
+/// The selection is bitwise, so one word can carry several tuples side by
+/// side: with k tuples of L cycles packed at bit offsets `L·(k − 1 − s)`
+/// (k·L ≤ 64), each L-bit segment of `I[mask]` is its own tuple's
+/// indicator, and one MAC gives `Σ_s V_s·2^(L·(k − 1 − s))`. The
+/// structural walk packs k adjacent tuples so (`k` from the
+/// configuration; see [`crate::accelerator::Accelerator::multiply`]). The
+/// scratch is 2^q words plus 2^q counts, reused across splits.
 #[derive(Debug, Clone)]
 pub struct Indicators {
     words: Vec<Limb>,
@@ -143,8 +150,9 @@ pub struct Indicators {
 }
 
 impl Indicators {
-    /// Scratch for q-word index tuples of `index_bits` cycles each
-    /// (`index_bits ≤ 64`, Fig. 8 stage 2).
+    /// Scratch for q index words of `index_bits ≤ 64` live bits each
+    /// (Fig. 8 stage 2): one tuple of `index_bits` cycles, or k packed
+    /// tuples of `index_bits / k` cycles each.
     pub fn new(q: usize, index_bits: u64) -> Self {
         debug_assert!(index_bits <= u64::from(LIMB_BITS), "index stream exceeds one word");
         Indicators {
@@ -154,12 +162,14 @@ impl Indicators {
         }
     }
 
-    /// The indicator network (BIPS stage 2, Fig. 8) over one tuple of q
-    /// index words: split the active cycle set by each index word in turn. After word i,
-    /// `I[m]` (m < 2^(i+1)) holds the cycles whose low i+1 index bits
-    /// equal m, so every entry is written before it is read — 2^(q+1) − 2
-    /// word ops, the "64 bitflow steps per u64 op" collapse — and then
-    /// the 2^q popcounts, taken once per tuple.
+    /// The indicator network (BIPS stage 2, Fig. 8) over q index words,
+    /// each holding one tuple's word or k packed tuples' words: split the
+    /// active bit set (`index_bits` wide) by each index word in turn.
+    /// After word i, `I[m]` (m < 2^(i+1)) holds the bits whose low i+1
+    /// index bits equal m, so every entry is written before it is read —
+    /// 2^(q+1) − 2 word ops for up to 64 bitflow steps, the "64 bitflow
+    /// steps per u64 op" collapse — and then the 2^q popcounts, taken once
+    /// per split over the whole word.
     #[inline]
     pub fn split(&mut self, ys: &[Limb]) {
         // Lengths follow `ys`, so a caller with a constant q gets loops
@@ -183,7 +193,8 @@ impl Indicators {
     }
 
     /// Pattern selection and accumulation (BIPS stage 3, Fig. 8) of the
-    /// last [`Indicators::split`] tuple against one 2^q-word table:
+    /// last [`Indicators::split`], one tuple of `index_bits` cycles,
+    /// against one 2^q-word table:
     /// returns `Σ_mask patterns[mask]·I[mask]`, exact in 128 bits under
     /// the sliced-support envelope
     /// ([`crate::accelerator::Accelerator::effective_backend`]), and adds
@@ -229,19 +240,22 @@ impl Indicators {
         value
     }
 
-    /// `popcount(I[mask])` for every mask of the last split tuple: how
-    /// many of its cycles select each pattern (Fig. 8 stage 3).
-    /// `ones()[0]` counts the all-zero columns, which select z₀ ≡ 0 and
-    /// are skipped (bit-sparsity).
+    /// `popcount(I[mask])` for every mask of the last split: how many of
+    /// its cycles select each pattern (Fig. 8 stage 3). For k packed
+    /// tuples each count is the sum of the tuples' own, so any charge
+    /// linear in the counts is their tuples' charges summed. `ones()[0]`
+    /// counts the all-zero columns, which select z₀ ≡ 0 and are skipped
+    /// (bit-sparsity); an all-zero tuple adds its whole L there.
     #[inline]
     pub fn ones(&self) -> &[u8] {
         &self.ones
     }
 
     /// The selected patterns' sum `Σ_mask patterns[mask]·I[mask]` of the
-    /// last split tuple against one 2^q-word table: the BIPS stage 3
-    /// value (Fig. 8), without its counts. `Q` is q fixed at compile
-    /// time, or 0 to read it from `patterns.len()`.
+    /// last split against one 2^q-word table: the BIPS stage 3 value
+    /// (Fig. 8), without its counts; for k packed tuples, their values
+    /// each shifted to its tuple's segment and summed. `Q` is q fixed at
+    /// compile time, or 0 to read it from `patterns.len()`.
     #[inline]
     pub fn mac<const Q: usize>(&self, patterns: &[Limb]) -> u128 {
         let n = if Q == 0 { patterns.len() } else { 1 << Q };
@@ -443,6 +457,46 @@ mod tests {
                     assert_eq!(scalar.tally, tally, "tally: {what}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn packed_tuples_split_into_their_shifted_values_and_summed_counts() {
+        // k tuples side by side in one word, tuple s at bit L·(k − 1 − s),
+        // one of them all zero: one split and MAC give every tuple's value
+        // at its segment, and every count is the sum of the tuples' own.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for (q, l, k) in [(4usize, 32u32, 2usize), (4, 16, 4), (8, 8, 8), (2, 8, 2)] {
+            let mask = low_mask(l);
+            let words: Vec<Limb> = (0..q).map(|_| next() & mask).collect();
+            let (patterns, _) = crate::converter::generate_patterns_sliced(&words, u64::from(l));
+            let tuples: Vec<Vec<Limb>> = (0..k)
+                .map(|s| (0..q).map(|_| if s == 1 { 0 } else { next() & mask }).collect())
+                .collect();
+            let packed: Vec<Limb> = (0..q)
+                .map(|i| tuples.iter().fold(0, |word, tuple| word << l | tuple[i]))
+                .collect();
+            let mut wide = Indicators::new(q, k as u64 * u64::from(l));
+            wide.split(&packed);
+            let (mut value, mut ones) = (0u128, vec![0u32; 1 << q]);
+            let mut single = Indicators::new(q, u64::from(l));
+            for tuple in &tuples {
+                single.split(tuple);
+                value = (value << l) + single.mac::<0>(&patterns);
+                for (sum, &n) in ones.iter_mut().zip(single.ones()) {
+                    *sum += u32::from(n);
+                }
+            }
+            let what = format!("q={q} L={l} k={k}");
+            assert_eq!(wide.mac::<0>(&patterns), value, "value: {what}");
+            let wide_ones: Vec<u32> = wide.ones().iter().map(|&n| u32::from(n)).collect();
+            assert_eq!(wide_ones, ones, "counts: {what}");
         }
     }
 

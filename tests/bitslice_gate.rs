@@ -17,6 +17,9 @@
 //! the pass-skip path and the first and last window edges. The Sliced64
 //! walk runs over chunks of consecutive windows, one per dispatch thread;
 //! every partition of the windows into chunks must give the same outcome.
+//! It packs k adjacent index tuples into each indicator word, so every
+//! check runs on a configuration for each k and for each factor that
+//! limits it.
 
 use apc_bignum::Nat;
 use cambricon_p::accelerator::{Accelerator, RunOutcome};
@@ -124,38 +127,45 @@ fn sweep_against_oracle(acc: &Accelerator, rng: &mut StdRng) {
     assert!(assert_pairs_match(acc, &pairs) > 0, "the sweep did real work");
 }
 
-/// The four gate configurations: the §VII default, two toy shapes with
-/// many windows and blocks, and L = 64, which lies outside the Sliced64
-/// envelope and so runs the Scalar engine.
-fn gate_configs() -> [ArchConfig; 4] {
+/// The Sliced64 gate configurations, one for each tuples-per-word
+/// packing factor k (the largest power of two with k·L ≤ 64 dividing q
+/// and N_IPU) and each factor that limits it: the §VII default (k = 2),
+/// q = 3 (k = 1), q = 2 at L = 8 (k = 2, limited by q), L = 16 (k = 4),
+/// L = 8 with q = N_IPU = 8 (k = 8), and N_IPU = 2 at L = 16 (k = 2,
+/// limited by N_IPU). All but the default are toy shapes with many
+/// windows and blocks.
+fn sliced_configs() -> [ArchConfig; 6] {
+    let toy = |n_pe, n_ipu, q, limb_bits| ArchConfig {
+        n_pe,
+        n_ipu,
+        q,
+        limb_bits,
+        ..ArchConfig::default()
+    };
     [
         ArchConfig::default(),
-        ArchConfig {
-            n_pe: 4,
-            n_ipu: 4,
-            q: 3,
-            limb_bits: 20,
-            ..ArchConfig::default()
-        },
-        ArchConfig {
-            n_pe: 2,
-            n_ipu: 2,
-            q: 2,
-            limb_bits: 8,
-            ..ArchConfig::default()
-        },
-        ArchConfig {
-            limb_bits: 64,
-            ..ArchConfig::default()
-        },
+        toy(4, 4, 3, 20),
+        toy(2, 2, 2, 8),
+        toy(4, 8, 4, 16),
+        toy(8, 8, 8, 8),
+        toy(2, 2, 4, 16),
     ]
+}
+
+/// L = 64 lies outside the Sliced64 envelope, so it runs the Scalar
+/// engine.
+fn scalar_config() -> ArchConfig {
+    ArchConfig {
+        limb_bits: 64,
+        ..ArchConfig::default()
+    }
 }
 
 #[test]
 fn sliced_mul_structural_matches_scalar_bit_for_bit() {
     let mut rng = StdRng::seed_from_u64(0xB175_11CE);
-    for cfg in &gate_configs()[..3] {
-        let acc = Accelerator::new(cfg.clone());
+    for cfg in sliced_configs() {
+        let acc = Accelerator::new(cfg);
         assert_eq!(acc.effective_backend(), KernelBackend::Sliced64);
         sweep_against_oracle(&acc, &mut rng);
     }
@@ -165,7 +175,7 @@ fn sliced_mul_structural_matches_scalar_bit_for_bit() {
 fn unsupported_envelope_is_still_exact() {
     // L = 64 with q = 4 exceeds the one-word pattern envelope: the
     // configuration selects the Scalar engine and stays bit-exact.
-    let acc = Accelerator::new(gate_configs()[3].clone());
+    let acc = Accelerator::new(scalar_config());
     assert_eq!(acc.effective_backend(), KernelBackend::Scalar);
     sweep_against_oracle(&acc, &mut StdRng::seed_from_u64(7));
 }
@@ -199,7 +209,7 @@ fn sparse_operands_match_scalar_bit_for_bit() {
         (hollow.clone(), hollow.clone()),
         (hollow.clone(), ones_run.clone()),
     ];
-    for cfg in gate_configs() {
+    for cfg in sliced_configs().into_iter().chain([scalar_config()]) {
         let acc = Accelerator::new(cfg);
         assert!(assert_pairs_match(&acc, &pairs) > 0, "the pairs did real work");
         // The pairs really exercise the skip predicate: against a dense
@@ -259,7 +269,7 @@ fn every_chunk_partition_matches_scalar_bit_for_bit() {
         (&dense, &sparse_y),
         (&zero_blocks_x, &other),
     ];
-    for cfg in &gate_configs()[..3] {
+    for cfg in sliced_configs() {
         let acc = Accelerator::new(cfg.clone());
         for (a, b) in pairs {
             let windows = acc.schedule(a.bit_len(), b.bit_len()).windows;
