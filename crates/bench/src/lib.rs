@@ -2,9 +2,10 @@
 //!
 //! One binary per table/figure of the paper's evaluation (see DESIGN.md
 //! for the experiment index) plus Criterion micro-benchmarks. This library
-//! holds the shared report formatting, the one sampler every timed point
-//! goes through ([`sample`]) and the one writer of the `BENCH_*.json`
-//! files ([`Report`]).
+//! holds the shared report formatting, the sampler every timed point goes
+//! through ([`sample`], or [`sample_rounds`] when two code paths are
+//! compared) and the one writer of the `BENCH_*.json` files
+//! ([`Report`]).
 
 use apc_trace::export::{to_json, Metric};
 use apc_trace::HistogramSnapshot;
@@ -91,6 +92,19 @@ pub struct Sample {
     pub reps: usize,
 }
 
+impl Sample {
+    /// Quartiles of a non-empty set of measurements.
+    fn of(mut xs: Vec<f64>) -> Sample {
+        xs.sort_by(f64::total_cmp);
+        Sample {
+            median: quantile(&xs, 0.5),
+            q1: quantile(&xs, 0.25),
+            q3: quantile(&xs, 0.75),
+            reps: xs.len(),
+        }
+    }
+}
+
 /// Runs `f` until it has run for at least `min_seconds` and at least
 /// five times, timing each repetition.
 pub fn sample<T>(min_seconds: f64, mut f: impl FnMut() -> T) -> Sample {
@@ -101,13 +115,75 @@ pub fn sample<T>(min_seconds: f64, mut f: impl FnMut() -> T) -> Sample {
         std::hint::black_box(f());
         times.push(t0.elapsed().as_secs_f64());
     }
-    times.sort_by(f64::total_cmp);
-    Sample {
-        median: quantile(&times, 0.5),
-        q1: quantile(&times, 0.25),
-        q3: quantile(&times, 0.75),
-        reps: times.len(),
+    Sample::of(times)
+}
+
+/// Shortest timed call in [`sample_rounds`]: below this the clock's own
+/// cost would show in the ratio.
+const MIN_CALL_SECONDS: f64 = 20e-6;
+
+/// Paired timings of several closures: see [`sample_rounds`].
+#[derive(Debug, Clone)]
+pub struct Rounds {
+    /// `seconds[k][r]`: seconds per run of closure `k` in round `r`.
+    seconds: Vec<Vec<f64>>,
+}
+
+impl Rounds {
+    /// The spread of closure `k`'s own timings across rounds.
+    pub fn sample(&self, k: usize) -> Sample {
+        Sample::of(self.seconds[k].clone())
     }
+
+    /// The spread of the per-round ratio `time[num] / time[den]`. Both
+    /// times of a round were taken back to back, so a drift in the host's
+    /// speed moves both and cancels in the ratio.
+    pub fn ratio(&self, num: usize, den: usize) -> Sample {
+        let ratios = self.seconds[num]
+            .iter()
+            .zip(&self.seconds[den])
+            .map(|(n, d)| n / d)
+            .collect();
+        Sample::of(ratios)
+    }
+}
+
+/// Times `fs` in rounds until the rounds have run for at least
+/// `min_seconds` and numbered at least five. Each round times every
+/// closure once, starting one closure later than the round before, so
+/// each closure takes each place in the order equally often. A closure
+/// runs as many times per timed call as it takes to last about as long
+/// as one run of the slowest (and at least 20 µs), so every call of a
+/// round spans about the same stretch of the host's time.
+pub fn sample_rounds(min_seconds: f64, fs: &mut [&mut dyn FnMut()]) -> Rounds {
+    let once: Vec<f64> = fs
+        .iter_mut()
+        .map(|f| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_secs_f64().max(1e-9)
+        })
+        .collect();
+    let slot = once.iter().copied().fold(MIN_CALL_SECONDS, f64::max);
+    let batches: Vec<u32> = once
+        .iter()
+        .map(|t| (slot / t).round().clamp(1.0, 1e6) as u32)
+        .collect();
+    let mut seconds = vec![Vec::new(); fs.len()];
+    let start = Instant::now();
+    let mut round = 0;
+    while round < MIN_REPS || start.elapsed().as_secs_f64() < min_seconds {
+        for j in 0..fs.len() {
+            let k = (round + j) % fs.len();
+            let t0 = Instant::now();
+            for _ in 0..batches[k] {
+                fs[k]();
+            }
+            seconds[k].push(t0.elapsed().as_secs_f64() / f64::from(batches[k]));
+        }
+        round += 1;
+    }
+    Rounds { seconds }
 }
 
 /// The `q`-quantile (0 ≤ q ≤ 1) of an ascending, non-empty slice, linearly
@@ -306,6 +382,44 @@ mod tests {
         });
         assert_eq!((s.reps, calls), (MIN_REPS, MIN_REPS));
         assert!(s.q1 >= 0.001, "{s:?}");
+    }
+
+    #[test]
+    fn rounds_alternate_and_pair_their_ratios() {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "1 ms and 6 ms stand-in workloads, far above the batch floor"
+        )]
+        let pause = |ms| std::thread::sleep(std::time::Duration::from_millis(ms));
+        let order = std::cell::RefCell::new(Vec::new());
+        let mut fast = || {
+            order.borrow_mut().push(0);
+            pause(1);
+        };
+        let mut slow = || {
+            order.borrow_mut().push(1);
+            pause(6);
+        };
+        let rounds = sample_rounds(0.0, &mut [&mut fast, &mut slow]);
+        let order = order.into_inner();
+        // One calibration run each, then five rounds. The slowest closure
+        // runs once per call, and the start rotates: round 0 ends with
+        // it, round 1 starts with it, and so on, so after calibration its
+        // runs come in blocks of 2, 2 and 1.
+        assert_eq!(order[..2], [0, 1]);
+        let blocks: Vec<usize> = order[2..]
+            .chunk_by(|a, b| a == b)
+            .filter(|block| block[0] == 1)
+            .map(<[i32]>::len)
+            .collect();
+        assert_eq!(blocks, [2, 2, 1]);
+        // The fast one runs several times per call to fill the slot.
+        assert!(order.iter().filter(|&&k| k == 0).count() > 2 * MIN_REPS);
+        assert_eq!(rounds.sample(0).reps, MIN_REPS);
+        let ratio = rounds.ratio(1, 0);
+        assert_eq!(ratio.reps, MIN_REPS);
+        assert!(ratio.median > 1.0, "{ratio:?}");
+        assert!(ratio.q1 <= ratio.median && ratio.median <= ratio.q3);
     }
 
     #[test]

@@ -43,8 +43,19 @@ pub enum MulAlgorithm {
 
 /// Size thresholds (in 64-bit limbs) at which each algorithm takes over.
 ///
-/// The defaults are tuned coarsely for this implementation; the
-/// `ablation_thresholds` bench sweeps them.
+/// `karatsuba` and `toom3` come from the paired sweep that the
+/// `bench_ablations` bin writes to `BENCH_ablations.json`:
+///
+/// - `karatsuba` is the sweep's crossover, the smallest swept size from
+///   which one Karatsuba level over schoolbook leaves has a median time
+///   ratio below 1 at every larger swept size. From 32 to 44 limbs the
+///   two are within about 5% of each other.
+/// - One Toom-3 level loses to Karatsuba at every swept size below
+///   `toom4` (by 2.4× at 64 limbs and still 1.18× at 383), so Toom-3
+///   keeps only the last size before `toom4`.
+///
+/// `toom4`, `toom6` and `ssa` have not been re-measured since the
+/// Karatsuba rung became allocation-free.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Thresholds {
     /// Below this, schoolbook.
@@ -62,8 +73,8 @@ pub struct Thresholds {
 impl Default for Thresholds {
     fn default() -> Self {
         Thresholds {
-            karatsuba: 24,
-            toom3: 96,
+            karatsuba: 44,
+            toom3: 383,
             toom4: 384,
             toom6: 1536,
             ssa: 6000,
@@ -211,7 +222,7 @@ pub fn mul_dispatch(a: &Nat, b: &Nat, algorithm: MulAlgorithm, th: &Thresholds) 
     }
     match alg {
         MulAlgorithm::Schoolbook => schoolbook::mul(big, small),
-        MulAlgorithm::Karatsuba => karatsuba::mul(big, small, algorithm, th),
+        MulAlgorithm::Karatsuba => karatsuba::mul(big, small, th),
         MulAlgorithm::Toom3 => toom3::mul(big, small, algorithm, th),
         MulAlgorithm::Toom4 => toomk::mul(big, small, 4, algorithm, th),
         MulAlgorithm::Toom6 => toomk::mul(big, small, 6, algorithm, th),

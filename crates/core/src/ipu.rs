@@ -264,19 +264,21 @@ impl Indicators {
 }
 
 /// The IPU multiply-accumulate `Σ_mask patterns[mask]·words[mask]` over a
-/// 2^q-word table, q ≥ 1 (z₀ = 0, so mask 0 adds nothing and the masks
-/// pair up evenly). It is kept out of line so its accumulators stay
-/// in registers for the whole chain rather than being spilled between
-/// the caller's steps, and it keeps two of them, over even and odd masks,
-/// so two carry chains run side by side. `Q` as in [`Indicators::mac`],
-/// so q = 4 gets a copy with a fixed trip count.
+/// 2^q-word table, q ≥ 1. Mask 0 selects z₀ ≡ 0 (Fig. 8), so the sum runs
+/// over masks 1..2^q. It is kept out of line so its accumulators stay in
+/// registers for the whole chain rather than being spilled between the
+/// caller's steps, and it keeps two of them, over odd and even masks, so
+/// two carry chains run side by side. `Q` as in [`Indicators::mac`], so
+/// q = 4 gets a copy with a fixed trip count.
 #[inline(never)]
 fn mac_words<const Q: usize>(patterns: &[Limb], words: &[Limb]) -> u128 {
     let n = if Q == 0 { patterns.len() } else { 1 << Q };
-    let (mut even, mut odd) = (0u128, 0u128);
-    for (p, w) in patterns[..n]
+    debug_assert_eq!(patterns[0], 0, "z₀ is the empty subset sum");
+    let mut odd = u128::from(patterns[1]) * u128::from(words[1]);
+    let mut even = 0u128;
+    for (p, w) in patterns[2..n]
         .chunks_exact(2)
-        .zip(words[..n].chunks_exact(2))
+        .zip(words[2..n].chunks_exact(2))
     {
         even += u128::from(p[0]) * u128::from(w[0]);
         odd += u128::from(p[1]) * u128::from(w[1]);

@@ -144,6 +144,14 @@ impl Device {
         self.lock_stats().clone()
     }
 
+    /// Total device cycles accumulated so far (§VII-A clock), read under
+    /// the stats lock like [`Device::stats`] but without copying the rest
+    /// of them. The difference of two reads brackets the cycles charged
+    /// in between.
+    pub fn cycles(&self) -> u64 {
+        self.lock_stats().cycles
+    }
+
     /// Clears the accumulated statistics (§VII-B accounting).
     pub fn reset_stats(&self) {
         *self.lock_stats() = DeviceStats::default();

@@ -13,9 +13,9 @@
 //! [`run_job`] is the single execution path: workers call it for each job
 //! of a batch, and [`crate::ServeHandle::submit_wait`] calls it on the
 //! caller's own thread when a device is free and nothing is staged. Per-job
-//! service cycles are attributed with the snapshot/delta stats API on the
-//! claimed device, which no other job touches meanwhile, so concurrent
-//! tenants never blur each other's accounting.
+//! service cycles are the difference of the claimed device's cycle counter
+//! before and after the job; no other job touches that device meanwhile,
+//! so concurrent tenants never blur each other's accounting.
 
 use crate::job::{DeadlineOutcome, JobId, JobReport};
 use crate::metrics::ServeMetrics;
@@ -52,11 +52,11 @@ pub(crate) fn run_job(
     bucket_bits: u64,
     metrics: &ServeMetrics,
 ) -> JobReport {
-    let before = device.device().stats();
+    let before = device.device().cycles();
     let started_at = Instant::now();
     let output = admitted.job.run(device.device());
     let finished_at = Instant::now();
-    let delta = device.device().stats().delta_since(&before);
+    let service_cycles = device.device().cycles().saturating_sub(before);
     let deadline = match admitted.deadline_at {
         None => DeadlineOutcome::None,
         Some(at) if finished_at <= at => DeadlineOutcome::Met,
@@ -66,7 +66,7 @@ pub(crate) fn run_job(
     let queue_wait = picked_up_at.saturating_duration_since(admitted.submitted_at);
     metrics.record_completion(
         class,
-        delta.cycles,
+        service_cycles,
         deadline == DeadlineOutcome::Missed,
         apc_trace::span::duration_ns(queue_wait),
         apc_trace::span::duration_ns(finished_at.saturating_duration_since(started_at)),
@@ -78,8 +78,8 @@ pub(crate) fn run_job(
         bucket_bits,
         worker: device.index(),
         queue_wait,
-        service_cycles: delta.cycles,
-        service_seconds: delta.cycles as f64 * device.device().config().cycle_seconds(),
+        service_cycles,
+        service_seconds: service_cycles as f64 * device.device().config().cycle_seconds(),
         deadline,
     }
 }
