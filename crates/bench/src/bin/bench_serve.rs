@@ -11,10 +11,12 @@
 //! batch formation) amortizes across the batch. The paper's §VII utilization
 //! argument, transplanted to the host: group compatible work so the
 //! compute resources spend their time computing, not synchronizing.
-//! Each load point repeats its closed-loop run against one service until
-//! the sample floor is reached; the JSON gives the run time's median and
-//! quartiles, latency percentiles over every job, and the service-side
-//! histograms over every run.
+//! Each load point has its own service, and the points are timed in
+//! shared rounds (`apc_bench::sample_rounds`): every round runs each
+//! point's closed loop once, so a drift in the host's speed hits all of
+//! them alike. The JSON gives each point's run time median and quartiles,
+//! latency percentiles over every job, and the service-side histograms
+//! over every run.
 //!
 //! A direct-device loop (no service, no queue) is also timed as the
 //! reference ceiling for this operand size.
@@ -24,7 +26,9 @@
 //! multiplicands — the RSA/zkcm shape the cache exists for) and records
 //! the observed hit rate next to cached and uncached throughput.
 
-use apc_bench::{fmt_seconds, header, quantile, sample, Report, Sample, BENCH_FLOOR_SECONDS};
+use apc_bench::{
+    fmt_seconds, header, quantile, sample, sample_rounds, Report, Sample, BENCH_FLOOR_SECONDS,
+};
 use apc_bignum::Nat;
 use apc_serve::{Job, JobSpec, MetricsSnapshot, ServeConfig, ServeHandle};
 use cambricon_p::pattern_cache;
@@ -36,8 +40,9 @@ const OPERAND_BITS: u64 = 2048;
 const JOBS_PER_CLIENT: usize = 150;
 const WORKERS: usize = 2;
 const BATCH_MAX: usize = 16;
+const CLIENT_COUNTS: [usize; 3] = [1, 4, 16];
 
-/// One load point: repeated closed-loop runs against one service.
+/// One load point: closed-loop runs against its own service.
 struct LoadPoint {
     clients: usize,
     /// Wall seconds per run of `clients · JOBS_PER_CLIENT` jobs.
@@ -100,59 +105,91 @@ impl LoadPoint {
     }
 }
 
-/// Closed-loop runs of `clients` tenant threads, each submitting
-/// `JOBS_PER_CLIENT` multiplies and waiting for each report in turn,
-/// repeated against one service until the sample floor is reached.
-fn run_load_point(clients: usize, operands: &[(Nat, Nat)]) -> LoadPoint {
-    let serve = ServeHandle::start(ServeConfig {
-        workers: WORKERS,
-        batch_max: BATCH_MAX,
-        ..ServeConfig::default()
-    });
-    let mut latencies: Vec<f64> = Vec::new();
-    let runs = sample(BENCH_FLOOR_SECONDS, || {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..clients)
-                .map(|c| {
-                    let serve = serve.clone();
-                    s.spawn(move || {
-                        let mut lat = Vec::with_capacity(JOBS_PER_CLIENT);
-                        for i in 0..JOBS_PER_CLIENT {
-                            let (a, b) = &operands[(c * JOBS_PER_CLIENT + i) % operands.len()];
-                            let t = Instant::now();
-                            let report = serve
-                                .submit_wait(
-                                    Job::Mul {
-                                        a: a.clone(),
-                                        b: b.clone(),
-                                    },
-                                    JobSpec::default(),
-                                )
-                                .expect("closed-loop submit cannot overflow the queue");
-                            lat.push(t.elapsed().as_secs_f64());
-                            assert!(report.service_cycles > 0);
-                        }
-                        lat
-                    })
+/// One closed-loop run of `clients` tenant threads, each submitting
+/// `JOBS_PER_CLIENT` multiplies and waiting for each report in turn;
+/// every job's round trip lands in `latencies`.
+fn closed_loop_run(
+    serve: &ServeHandle,
+    clients: usize,
+    operands: &[(Nat, Nat)],
+    latencies: &mut Vec<f64>,
+) {
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..clients)
+            .map(|c| {
+                s.spawn(move || {
+                    let mut lat = Vec::with_capacity(JOBS_PER_CLIENT);
+                    for i in 0..JOBS_PER_CLIENT {
+                        let (a, b) = &operands[(c * JOBS_PER_CLIENT + i) % operands.len()];
+                        let t = Instant::now();
+                        let report = serve
+                            .submit_wait(
+                                Job::Mul {
+                                    a: a.clone(),
+                                    b: b.clone(),
+                                },
+                                JobSpec::default(),
+                            )
+                            .expect("closed-loop submit cannot overflow the queue");
+                        lat.push(t.elapsed().as_secs_f64());
+                        assert!(report.service_cycles > 0);
+                    }
+                    lat
                 })
-                .collect();
-            for h in handles {
-                latencies.extend(h.join().expect("client thread"));
+            })
+            .collect();
+        for h in handles {
+            latencies.extend(h.join().expect("client thread"));
+        }
+    });
+}
+
+/// Times every point of `CLIENT_COUNTS` in shared rounds, each against
+/// its own service, until each has run for about the sample floor.
+fn run_load_points(operands: &[(Nat, Nat)]) -> Vec<LoadPoint> {
+    let services: Vec<ServeHandle> = CLIENT_COUNTS
+        .iter()
+        .map(|_| {
+            ServeHandle::start(ServeConfig {
+                workers: WORKERS,
+                batch_max: BATCH_MAX,
+                ..ServeConfig::default()
+            })
+        })
+        .collect();
+    let mut latencies = vec![Vec::new(); CLIENT_COUNTS.len()];
+    let rounds = {
+        let mut runs: Vec<_> = services
+            .iter()
+            .zip(CLIENT_COUNTS)
+            .zip(&mut latencies)
+            .map(|((serve, clients), lat)| move || closed_loop_run(serve, clients, operands, lat))
+            .collect();
+        let mut fs: Vec<&mut dyn FnMut()> =
+            runs.iter_mut().map(|f| f as &mut dyn FnMut()).collect();
+        sample_rounds(BENCH_FLOOR_SECONDS * CLIENT_COUNTS.len() as f64, &mut fs)
+    };
+    services
+        .iter()
+        .zip(CLIENT_COUNTS)
+        .zip(latencies)
+        .enumerate()
+        .map(|(k, ((serve, clients), mut latencies))| {
+            serve.shutdown();
+            let metrics = serve.metrics();
+            // One latency per job, over every run (the calibration run of
+            // `sample_rounds` included).
+            assert_eq!(metrics.completed, latencies.len() as u64, "every job must complete");
+            latencies.sort_by(f64::total_cmp);
+            LoadPoint {
+                clients,
+                runs: rounds.sample(k),
+                p50_latency_s: quantile(&latencies, 0.50),
+                p99_latency_s: quantile(&latencies, 0.99),
+                metrics,
             }
         })
-    });
-    serve.shutdown();
-    let metrics = serve.metrics();
-    let jobs = clients * JOBS_PER_CLIENT * runs.reps;
-    assert_eq!(metrics.completed, jobs as u64, "every job must complete");
-    latencies.sort_by(f64::total_cmp);
-    LoadPoint {
-        clients,
-        runs,
-        p50_latency_s: quantile(&latencies, 0.50),
-        p99_latency_s: quantile(&latencies, 0.99),
-        metrics,
-    }
+        .collect()
 }
 
 fn ns_as_seconds(ns: u64) -> f64 {
@@ -203,15 +240,11 @@ fn main() {
         "{:>8} {:>6} {:>12} {:>14} {:>12} {:>12} {:>11} {:>10}",
         "clients", "runs", "run (med)", "jobs/s", "p50", "p99", "batch", "depth"
     );
-    let points: Vec<LoadPoint> = [1usize, 4, 16]
-        .iter()
-        .map(|&clients| {
-            let p = run_load_point(clients, &operands);
-            p.print();
-            p.record(&mut report);
-            p
-        })
-        .collect();
+    let points = run_load_points(&operands);
+    for p in &points {
+        p.print();
+        p.record(&mut report);
+    }
     println!();
     println!("direct device (no service): {direct_throughput:.1} jobs/s");
 
