@@ -3,7 +3,7 @@
 //! root.
 //!
 //! Closed-loop clients drive a real `NetServer` fronting a 2-shard
-//! `Router` (each shard its own `ServeHandle` + worker `Device`s) that
+//! `Router` (each shard its own `ServeHandle` and `Device`s) that
 //! sends each job to the live shard with the fewest jobs in flight,
 //! ties to the job's consistent-hash ring owner. Every client holds
 //! one authenticated connection and submits its next multiply only
@@ -33,7 +33,7 @@ use std::net::TcpStream;
 const OPERAND_BITS: u64 = 2048;
 const JOBS_PER_CLIENT: usize = 100;
 const SHARDS: usize = 2;
-const WORKERS_PER_SHARD: usize = 1;
+const DEVICES_PER_SHARD: usize = 1;
 const CONN_WORKERS: usize = 8;
 const CLIENT_COUNTS: [usize; 3] = [1, 2, 4];
 const TOKEN: &[u8] = b"bench-tenant";
@@ -48,7 +48,7 @@ fn random_nat(rng: &mut StdRng, bits: u64) -> Nat {
 }
 
 fn serve_config() -> ServeConfig {
-    ServeConfig { workers: WORKERS_PER_SHARD, ..ServeConfig::default() }
+    ServeConfig { workers: DEVICES_PER_SHARD, ..ServeConfig::default() }
 }
 
 /// Repeated closed-loop runs: `clients` threads, each its own
@@ -120,7 +120,7 @@ fn counter_value(scrape: &str, family: &str) -> u64 {
 fn main() {
     header("apc-net loopback throughput (closed-loop TCP clients)");
     println!(
-        "{OPERAND_BITS}-bit multiplies, {SHARDS} shard(s) x {WORKERS_PER_SHARD} worker(s), \
+        "{OPERAND_BITS}-bit multiplies, {SHARDS} shard(s) x {DEVICES_PER_SHARD} device(s), \
          {CONN_WORKERS} connection worker(s), {JOBS_PER_CLIENT} jobs/client"
     );
     println!();
@@ -128,13 +128,13 @@ fn main() {
     let mut report = Report::new(
         "net_throughput",
         "analytic Device::mul via apc-net, routed to the least-loaded live shard (ties to \
-         the ring owner), and apc-serve submit_wait (on the connection worker's thread \
-         when its shard has a free device and nothing staged, else in a worker batch)",
+         the ring owner), and apc-serve submit_wait (every job on the connection worker's \
+         thread, on a device free at admission or handed on in FIFO order)",
     );
     for (name, value) in [
         ("operand_bits", OPERAND_BITS as usize),
         ("shards", SHARDS),
-        ("workers_per_shard", WORKERS_PER_SHARD),
+        ("devices_per_shard", DEVICES_PER_SHARD),
         ("conn_workers", CONN_WORKERS),
         ("jobs_per_client", JOBS_PER_CLIENT),
     ] {

@@ -4,16 +4,16 @@
 //!
 //! Closed-loop tenants share one `apc-serve` instance: each client thread
 //! submits a job and waits for its report before submitting the next, so
-//! offered load scales with the client count. At 1 client the service
-//! degenerates to serial one-job-at-a-time operation (every batch holds
-//! one job — the baseline); at higher client counts the free worker forms
-//! real batches and the per-batch cost (condvar wake + queue lock +
-//! batch formation) amortizes across the batch. The paper's §VII utilization
-//! argument, transplanted to the host: group compatible work so the
-//! compute resources spend their time computing, not synchronizing.
+//! offered load scales with the client count. Every job runs on its
+//! client's thread, on a device it takes free at admission or is handed
+//! in FIFO order by the job finishing before it; there is no worker pool
+//! and no batching. At 1 client the service is serial one-job-at-a-time
+//! operation (the baseline); with more clients than devices the extra
+//! clients wait their turn, and the JSON shows what that hand-off costs.
 //! Each load point has its own service, and the points are timed in
-//! shared rounds (`apc_bench::sample_rounds`): every round runs each
-//! point's closed loop once, so a drift in the host's speed hits all of
+//! shared rounds (`apc_bench::sample_rounds`): every round times each
+//! point once (a short point's closed loop repeats to last about as long
+//! as the 16-client one), so a drift in the host's speed hits all of
 //! them alike. The JSON gives each point's run time median and quartiles,
 //! latency percentiles over every job, and the service-side histograms
 //! over every run.
@@ -38,8 +38,7 @@ use std::time::Instant;
 
 const OPERAND_BITS: u64 = 2048;
 const JOBS_PER_CLIENT: usize = 150;
-const WORKERS: usize = 2;
-const BATCH_MAX: usize = 16;
+const DEVICES: usize = 2;
 const CLIENT_COUNTS: [usize; 3] = [1, 4, 16];
 
 /// One load point: closed-loop runs against its own service.
@@ -65,6 +64,11 @@ impl LoadPoint {
         self.jobs_per_run() as f64 / self.runs.median
     }
 
+    /// Share of jobs that found a device free at admission.
+    fn inline_share(&self) -> f64 {
+        self.metrics.inline_jobs as f64 / self.metrics.completed.max(1) as f64
+    }
+
     fn print(&self) {
         println!(
             "{:>8} {:>6} {:>12} {:>14.1} {:>12} {:>12} {:>11.2} {:>10}",
@@ -74,7 +78,7 @@ impl LoadPoint {
             self.throughput(),
             fmt_seconds(self.p50_latency_s),
             fmt_seconds(self.p99_latency_s),
-            self.metrics.mean_batch_size(),
+            self.inline_share(),
             self.metrics.max_queue_depth
         );
     }
@@ -86,7 +90,7 @@ impl LoadPoint {
         report.gauge("throughput_jobs_per_s", &point, self.throughput());
         report.gauge("p50_latency_seconds", &point, self.p50_latency_s);
         report.gauge("p99_latency_seconds", &point, self.p99_latency_s);
-        report.gauge("mean_batch_size", &point, self.metrics.mean_batch_size());
+        report.gauge("inline_jobs", &point, self.metrics.inline_jobs as f64);
         report.gauge(
             "max_queue_depth",
             &point,
@@ -97,8 +101,6 @@ impl LoadPoint {
             ("queue_wait_ns", &m.queue_wait_ns),
             ("service_ns", &m.service_ns),
             ("service_cycles", &m.service_cycles),
-            ("batch_form_ns", &m.batch_form_ns),
-            ("dispatch_wait_ns", &m.dispatch_wait_ns),
         ] {
             report.histogram(name, &point, h);
         }
@@ -151,8 +153,7 @@ fn run_load_points(operands: &[(Nat, Nat)]) -> Vec<LoadPoint> {
         .iter()
         .map(|_| {
             ServeHandle::start(ServeConfig {
-                workers: WORKERS,
-                batch_max: BATCH_MAX,
+                workers: DEVICES,
                 ..ServeConfig::default()
             })
         })
@@ -209,13 +210,12 @@ fn main() {
 
     let mut report = Report::new(
         "serve_throughput",
-        "analytic Device::mul via apc-serve submit_wait (on the client's thread when a device \
-         is free and nothing is staged, else in a worker batch); fixed-modulus point on \
+        "analytic Device::mul via apc-serve submit_wait (every job on its client's thread, on \
+         a device free at admission or handed on in FIFO order); fixed-modulus point on \
          Device::mul_structural",
     );
     report.gauge("operand_bits", &[], OPERAND_BITS as f64);
-    report.gauge("workers", &[], WORKERS as f64);
-    report.gauge("batch_max", &[], BATCH_MAX as f64);
+    report.gauge("devices", &[], DEVICES as f64);
     report.gauge("jobs_per_client", &[], JOBS_PER_CLIENT as f64);
 
     // Reference ceiling: the same multiplies straight on a private device,
@@ -234,11 +234,11 @@ fn main() {
     report.gauge("direct_device_jobs_per_s", &[], direct_throughput);
 
     header(&format!(
-        "apc-serve closed-loop throughput — {OPERAND_BITS}-bit multiplies, {WORKERS} workers, batch_max {BATCH_MAX}"
+        "apc-serve closed-loop throughput — {OPERAND_BITS}-bit multiplies, {DEVICES} devices"
     ));
     println!(
         "{:>8} {:>6} {:>12} {:>14} {:>12} {:>12} {:>11} {:>10}",
-        "clients", "runs", "run (med)", "jobs/s", "p50", "p99", "batch", "depth"
+        "clients", "runs", "run (med)", "jobs/s", "p50", "p99", "inline", "depth"
     );
     let points = run_load_points(&operands);
     for p in &points {
@@ -250,14 +250,16 @@ fn main() {
 
     let serial = &points[0];
     let peak = points.last().expect("at least one load point");
-    let batched_over_serial = peak.throughput() / serial.throughput();
+    let peak_over_serial = peak.throughput() / serial.throughput();
     println!(
-        "batched vs serial-through-service: {:.1} vs {:.1} jobs/s ({batched_over_serial:.2}x), mean batch {:.2}",
+        "{} clients vs 1 client: {:.1} vs {:.1} jobs/s ({peak_over_serial:.2}x), {:.2} of jobs \
+         found a device free",
+        peak.clients,
         peak.throughput(),
         serial.throughput(),
-        peak.metrics.mean_batch_size()
+        peak.inline_share()
     );
-    report.gauge("batched_over_serial", &[], batched_over_serial);
+    report.gauge("peak_over_serial", &[], peak_over_serial);
     let qw = &peak.metrics.queue_wait_ns;
     let sv = &peak.metrics.service_ns;
     println!(
@@ -318,23 +320,9 @@ fn main() {
     // leaves no JSON behind.
     assert!(
         peak.throughput() >= serial.throughput(),
-        "batched throughput ({:.1}/s) fell below serial single-job throughput ({:.1}/s)",
+        "peak throughput ({:.1}/s) fell below serial single-job throughput ({:.1}/s)",
         peak.throughput(),
         serial.throughput()
-    );
-    assert!(
-        peak.metrics.mean_batch_size() > 1.0,
-        "the peak load point never formed a real batch"
-    );
-    // The PR-10 regression gate: batches must *grow* with offered load
-    // (the old rendezvous design pinned them near 1 at every load point).
-    assert!(
-        peak.metrics.mean_batch_size() > points[1].metrics.mean_batch_size(),
-        "mean batch size must grow with load: {} clients {:.2} <= {} clients {:.2}",
-        peak.clients,
-        peak.metrics.mean_batch_size(),
-        points[1].clients,
-        points[1].metrics.mean_batch_size()
     );
     assert!(
         hit_rate > 0.9,

@@ -179,11 +179,14 @@ pub fn mul_dispatch(a: &Nat, b: &Nat, algorithm: MulAlgorithm, th: &Thresholds) 
     if b.limb_len() == 1 {
         return a.mul_limb(b.limbs()[0]);
     }
-    // Squaring detection: below the Toom-3 threshold the dedicated
-    // squaring basecase/Karatsuba wins (above it, the general ladder is
-    // asymptotically identical and this avoids double dispatch).
-    if matches!(algorithm, MulAlgorithm::Auto) && a == b && a.limb_len() < th.toom3 {
-        return super::sqr::sqr(a, th);
+    // Squaring detection: at basecase sizes the dedicated squaring
+    // basecase wins; above them the ladder below squares as fast as it
+    // multiplies.
+    if matches!(algorithm, MulAlgorithm::Auto)
+        && a.limb_len() <= super::sqr::SQR_BASECASE_LIMIT
+        && a == b
+    {
+        return super::sqr::sqr_basecase(a.limbs());
     }
     let (big, small) = if a.limb_len() >= b.limb_len() {
         (a, b)

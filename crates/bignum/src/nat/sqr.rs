@@ -1,5 +1,5 @@
 //! Dedicated squaring — roughly half the basecase work of a general
-//! multiplication, exploited recursively.
+//! multiplication, at basecase sizes.
 //!
 //! GMP ships a distinct `sqr` path for exactly this reason, and the
 //! paper's RSA analysis leans on it: "RSA is composed of Montgomery
@@ -9,8 +9,8 @@ use super::mul::{MulAlgorithm, Thresholds};
 use super::Nat;
 use crate::limb::{adc, mul_add_carry, shl_step, Limb};
 
-/// Limb count below which squaring uses the dedicated basecase.
-const SQR_BASECASE_LIMIT: usize = 32;
+/// Most limbs a square takes the dedicated basecase at.
+pub(crate) const SQR_BASECASE_LIMIT: usize = 32;
 
 impl Nat {
     /// Squares `self` via the dedicated squaring path.
@@ -25,39 +25,26 @@ impl Nat {
     }
 }
 
-/// Squaring dispatch: basecase below [`SQR_BASECASE_LIMIT`], Karatsuba
-/// splitting above (three recursive *squarings*, not multiplications:
-/// (x₁B + x₀)² = x₁²B² + ((x₀+x₁)² − x₀² − x₁²)B + x₀²).
+/// Squaring dispatch: the dedicated basecase up to
+/// [`SQR_BASECASE_LIMIT`] limbs, the general ladder above (its
+/// allocation-free Karatsuba beats a squaring split that allocates at
+/// every node). The ladder's own squaring shortcut goes straight to
+/// [`sqr_basecase`], so the two never call each other in a loop.
 pub(crate) fn sqr(a: &Nat, th: &Thresholds) -> Nat {
-    let n = a.limb_len();
-    if n == 0 {
-        return Nat::zero();
+    match a.limb_len() {
+        0 => Nat::zero(),
+        1 => {
+            let v = u128::from(a.limbs()[0]);
+            Nat::from(v * v)
+        }
+        n if n <= SQR_BASECASE_LIMIT => sqr_basecase(a.limbs()),
+        _ => super::mul::mul_dispatch(a, a, MulAlgorithm::Auto, th),
     }
-    if n == 1 {
-        let v = u128::from(a.limbs()[0]);
-        return Nat::from(v * v);
-    }
-    if n <= SQR_BASECASE_LIMIT {
-        return sqr_basecase(a.limbs());
-    }
-    // For very large operands the asymptotically better general ladder
-    // (Toom/SSA) wins; route there.
-    if n >= th.toom3 {
-        return super::mul::mul_dispatch(a, a, MulAlgorithm::Auto, th);
-    }
-    let split_bits = (n as u64 / 2) * 64;
-    let (x0, x1) = a.split_at_bit(split_bits);
-    let z0 = sqr(&x0, th);
-    let z2 = sqr(&x1, th);
-    let s = &x0 + &x1;
-    let zm = sqr(&s, th);
-    let z1 = &(&zm - &z0) - &z2;
-    &(&z2.shl_bits(2 * split_bits) + &z1.shl_bits(split_bits)) + &z0
 }
 
 /// Basecase squaring using the cross-product doubling trick:
 /// a² = 2·Σ_{i<j} aᵢaⱼ·B^{i+j} + Σ aᵢ²·B^{2i}.
-fn sqr_basecase(a: &[Limb]) -> Nat {
+pub(crate) fn sqr_basecase(a: &[Limb]) -> Nat {
     let n = a.len();
     let mut out: Vec<Limb> = vec![0; 2 * n];
     // Cross products (strictly upper triangle).
@@ -130,7 +117,7 @@ mod tests {
     }
 
     #[test]
-    fn recursive_square_matches_mul() {
+    fn ladder_square_matches_mul() {
         for n in [33usize, 64, 95, 200, 500] {
             let a = pattern(n, 7);
             assert_eq!(a.square_fast(), &a * &a, "n={n}");

@@ -6,16 +6,16 @@
 //!                [--token TOKEN]...
 //! ```
 //!
-//! At least one `--token` is required (the listener is fail-closed:
-//! with no tokens it rejects every hello). Scrape metrics with
-//! `curl http://ADDR/metrics`.
+//! `--workers` is the number of devices per shard. At least one
+//! `--token` is required (the listener is fail-closed: with no tokens it
+//! rejects every hello). Scrape metrics with `curl http://ADDR/metrics`.
 
 use apc_net::{NetServer, NetServerConfig, Router};
 use apc_serve::ServeConfig;
 use std::process::ExitCode;
 
 /// Parses a count flag's value. Zero is refused, not clamped: a server
-/// with no shard or no worker device could serve nothing.
+/// with no shard or no device could serve nothing.
 fn positive(flag: &str, value: &str) -> Result<usize, ()> {
     match value.parse() {
         Ok(n) if n > 0 => Ok(n),
@@ -53,7 +53,8 @@ fn main() -> ExitCode {
             other => {
                 eprintln!("unknown flag {other}");
                 eprintln!(
-                    "usage: apc_net_server [--addr A] [--shards N] [--workers N] [--token T]..."
+                    "usage: apc_net_server [--addr A] [--shards N] [--workers N] [--token T]...\n  \
+                     --workers N: devices per shard"
                 );
                 Err(())
             }
@@ -88,7 +89,7 @@ fn main() -> ExitCode {
         }
     };
     println!(
-        "apc-net serving on {} ({} shard(s) x {} worker device(s)); metrics at http://{}/metrics",
+        "apc-net serving on {} ({} shard(s) x {} device(s)); metrics at http://{}/metrics",
         server.local_addr(),
         shard_count,
         workers,

@@ -1,9 +1,9 @@
 //! # apc-net — network front-end and multi-device sharding for apc-serve
 //!
 //! The ROADMAP's north star is a *service*: heavy traffic from many
-//! tenants against a complex of accelerators. apc-serve (PR 3) gave
-//! that service its in-process shape — typed jobs, bounded admission,
-//! batch scheduling over `Device` workers — but nothing off-box could
+//! tenants against a complex of accelerators. apc-serve gives that
+//! service its in-process shape — typed jobs, bounded admission, a FIFO
+//! hand-off of `Device`s between callers — but nothing off-box could
 //! reach it. This crate is the missing front-end, in the spirit of
 //! BISMO's many-overlay dispatch (Umuroglu et al., PAPERS.md): many
 //! independent serving instances behind one wire endpoint.
@@ -26,10 +26,10 @@
 //! - [`Router`]: N `Device`-backed `ServeHandle` shards; each job goes
 //!   to the live shard with the fewest jobs in flight, ties to the
 //!   job's ring owner (an FNV-1a consistent-hash ring keyed on the
-//!   job's [`apc_serve::operand_bucket`], the bucket each shard's queue
-//!   batches by), so concurrent callers run on idle devices instead of
-//!   queueing behind one; `Router::start(1, ..)` is the single-device
-//!   deployment.
+//!   job's [`apc_serve::operand_bucket`], the bucket each shard's reports
+//!   name), so concurrent callers run on idle devices instead of
+//!   queueing behind one; `Router::start(1, ServeConfig { workers: 1,
+//!   .. })` is the single-device deployment.
 //!
 //! Results over the wire are **bit-identical** to direct `Device`
 //! execution: the wire carries exact limbs both ways and the serving

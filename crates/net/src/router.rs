@@ -4,7 +4,7 @@
 //! instantiating many independent overlay instances behind a
 //! dispatcher that keeps every instance busy; the software analogue is
 //! N serving instances behind one admission point. Each shard owns its
-//! own queue, devices and workers, so capacity scales horizontally.
+//! own devices and FIFO of waiters, so capacity scales horizontally.
 //!
 //! [`Router::submit_wait`] sends each job to the live shard with the
 //! fewest jobs in flight: routed by this router and not yet returned.
@@ -12,12 +12,12 @@
 //! callers that both see an idle shard cannot both take it, and a drop
 //! guard gives it back, also while a panic unwinds. With no more
 //! concurrent callers than shards, every job finds a shard with nothing
-//! in flight, and so a free device: it runs on the caller's thread
-//! (see [`ServeHandle::submit_wait`]) and nothing is ever staged.
+//! in flight, and so a free device: it runs at once, and no caller ever
+//! waits for a hand-off (see [`ServeHandle::submit_wait`]).
 //!
 //! Ties go to the job's **ring owner**: the router hashes the job's
 //! operand bucket (the ceiling from [`apc_serve::operand_bucket`], the
-//! same bucket each shard's queue batches by) onto an FNV-1a ring of
+//! bucket each shard's reports name) onto an FNV-1a ring of
 //! virtual nodes, and scans the shards in index order from the owner.
 //! An idle router therefore sends every job of one bucket to the same
 //! shard, [`Router::shard_for_bits`]. The ring keeps the classic

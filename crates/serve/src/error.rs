@@ -11,8 +11,8 @@ use std::fmt;
 /// Why a job was rejected at admission.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The bounded submission queue is at capacity — backpressure; retry
-    /// later or shed load.
+    /// Every device is out and the bounded FIFO of waiting callers is at
+    /// capacity — backpressure; retry later or shed load.
     QueueFull {
         /// The configured queue capacity that was hit.
         capacity: usize,
@@ -28,8 +28,8 @@ pub enum SubmitError {
         max_bits: u64,
     },
     /// The job can never execute (division by zero, or a Montgomery
-    /// modulus that is even or < 3). Rejected at admission so the worker
-    /// pool never faces a panicking operator.
+    /// modulus that is even or < 3). Rejected at admission so no device
+    /// ever runs a panicking operator.
     InvalidJob(&'static str),
 }
 
@@ -57,14 +57,12 @@ impl std::error::Error for SubmitError {}
 /// value or a queue that admits nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
-    /// `queue_capacity` was 0 — every submission would be rejected with
-    /// [`SubmitError::QueueFull`].
+    /// `queue_capacity` was 0 — every caller that finds no free device
+    /// would be rejected with [`SubmitError::QueueFull`].
     ZeroCapacity,
-    /// `workers` was 0 — the service would have no device and no worker,
-    /// and every staged job would wait forever.
+    /// `workers` was 0 — the service would have no device, and every
+    /// admitted caller would wait forever.
     ZeroWorkers,
-    /// `batch_max` was 0 — no batch could carry a job.
-    ZeroBatchMax,
     /// `max_operand_bits` is below the 64-bit smallest bucket, so no
     /// bucket spans the range.
     MaxOperandBitsBelowFloor {
@@ -80,7 +78,6 @@ impl fmt::Display for ConfigError {
                 write!(f, "queue_capacity must be at least 1")
             }
             ConfigError::ZeroWorkers => write!(f, "workers must be at least 1"),
-            ConfigError::ZeroBatchMax => write!(f, "batch_max must be at least 1"),
             ConfigError::MaxOperandBitsBelowFloor { max_operand_bits } => {
                 write!(
                     f,
@@ -98,9 +95,8 @@ impl std::error::Error for ConfigError {}
 pub enum ServeError {
     /// The job was rejected at admission (see the inner [`SubmitError`]).
     Rejected(SubmitError),
-    /// The service side vanished without delivering a report — only
-    /// possible if a job panicked, on a worker thread or on the thread
-    /// of a `ServeHandle::submit_wait` caller.
+    /// The job panicked while it ran, so it has no report (its device
+    /// was handed on all the same).
     WorkerLost,
 }
 
@@ -108,7 +104,7 @@ impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeError::Rejected(e) => write!(f, "rejected: {e}"),
-            ServeError::WorkerLost => write!(f, "worker disappeared before reporting"),
+            ServeError::WorkerLost => write!(f, "the job panicked before reporting"),
         }
     }
 }
@@ -140,7 +136,6 @@ mod tests {
     fn config_errors_render_their_context() {
         assert!(ConfigError::ZeroCapacity.to_string().contains("queue_capacity"));
         assert!(ConfigError::ZeroWorkers.to_string().contains("workers"));
-        assert!(ConfigError::ZeroBatchMax.to_string().contains("batch_max"));
         let low = ConfigError::MaxOperandBitsBelowFloor { max_operand_bits: 32 }.to_string();
         assert!(low.contains("max_operand_bits (32)") && low.contains("64-bit"), "{low}");
     }

@@ -70,8 +70,8 @@ impl Job {
         }
     }
 
-    /// Widest operand in bits — the value the queue buckets by and
-    /// checked against the admission ceiling.
+    /// Widest operand in bits — the width [`crate::operand_bucket`]
+    /// classes and admission checks against its ceiling.
     pub fn operand_bits(&self) -> u64 {
         match self {
             Job::Mul { a, b } | Job::Div { a, b } => a.bit_len().max(b.bit_len()),
@@ -83,7 +83,7 @@ impl Job {
     }
 
     /// Admission-time validation: operator preconditions that would
-    /// otherwise panic inside the worker pool are rejected up front.
+    /// otherwise panic on a device are rejected up front.
     pub(crate) fn validate(&self) -> Result<(), SubmitError> {
         match self {
             Job::Mul { .. } | Job::Sqrt { .. } => Ok(()),
@@ -198,14 +198,14 @@ pub struct JobReport {
     pub output: JobOutput,
     /// Statistics class the service cycles were attributed to.
     pub op_class: OpClass,
-    /// Bitwidth-bucket ceiling the job was scheduled under.
+    /// Ceiling of the job's bitwidth bucket ([`crate::operand_bucket`]).
     pub bucket_bits: u64,
     /// Index of the device that executed it, among the service's
-    /// devices. Workers and callers of `ServeHandle::submit_wait` take
-    /// devices from one free list, so this names no thread.
+    /// devices. Every job runs on its caller's thread, so this names no
+    /// thread.
     pub worker: usize,
-    /// Time spent queued before a worker picked the job's batch up; zero
-    /// when the job ran on its submitter's thread.
+    /// Time from admission until a device was handed to the job; zero
+    /// when it found one free.
     pub queue_wait: Duration,
     /// Device cycles attributed to this job (snapshot/delta on the device
     /// it held alone while it ran, so concurrent tenants never blur each

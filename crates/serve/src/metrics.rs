@@ -1,12 +1,14 @@
 //! Service observability counters and latency histograms.
 //!
-//! Everything is a relaxed atomic, so tenants and workers all record
-//! without locks and a snapshot never stalls the service. Latency
-//! distributions are `apc_trace::Log2Histogram`s — five `Instant`-domain
-//! spans covering the full job path (admission → queue wait → batch
-//! formation → dispatch wait → kernel service) plus one cycle-domain
+//! Everything is a relaxed atomic, so every caller records without
+//! locks and a snapshot never stalls the service. Latency distributions
+//! are `apc_trace::Log2Histogram`s — `Instant`-domain spans over the job
+//! path (admission → queue wait → kernel service) plus one cycle-domain
 //! histogram of attributed service cycles. The two time domains are never
-//! mixed: every histogram's field name carries its unit.
+//! mixed: every histogram's field name carries its unit. The batch
+//! counters and the batch-formation and dispatch-wait spans stay for the
+//! benchmarks that read them: every job counts as a batch of one that
+//! took no time to form or dispatch.
 //!
 //! [`MetricsSnapshot`] is a plain struct (no atomics, no locks) and can
 //! render itself to the Prometheus text exposition format or JSON via
@@ -61,10 +63,19 @@ pub struct ServeMetrics {
 }
 
 impl ServeMetrics {
-    /// Records an accepted submission at the observed queue depth.
-    pub(crate) fn record_submit(&self, depth: usize) {
+    /// Records one admitted job: `depth` callers were waiting for a
+    /// device with it (itself included), or 0 when it found one free. The
+    /// job runs as a batch of one that took no time to form or dispatch.
+    pub(crate) fn record_admission(&self, depth: usize) {
         self.submitted.fetch_add(1, Ordering::Relaxed);
         self.max_queue_depth.fetch_max(depth, Ordering::Relaxed);
+        if depth == 0 {
+            self.inline_jobs.fetch_add(1, Ordering::Relaxed);
+        }
+        self.batches.fetch_add(1, Ordering::Relaxed);
+        self.batched_jobs.fetch_add(1, Ordering::Relaxed);
+        self.batch_form_ns.record(0);
+        self.dispatch_wait_ns.record(0);
     }
 
     /// Records the admission span of one submission attempt (accepted or
@@ -83,28 +94,6 @@ impl ServeMetrics {
             SubmitError::InvalidJob(_) => &self.rejected_invalid,
         };
         counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one dispatched batch of `jobs` jobs that took `form_ns`
-    /// nanoseconds to form under the queue lock.
-    pub(crate) fn record_batch(&self, jobs: usize, form_ns: u64) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batched_jobs.fetch_add(jobs as u64, Ordering::Relaxed);
-        self.batch_form_ns.record(form_ns);
-    }
-
-    /// Records the batch's wait between formation and pickup by the
-    /// worker that formed it.
-    pub(crate) fn record_dispatch_wait(&self, ns: u64) {
-        self.dispatch_wait_ns.record(ns);
-    }
-
-    /// Records one job about to run on its submitter's thread: a batch of
-    /// one that took no time to form and no time to dispatch.
-    pub(crate) fn record_inline(&self) {
-        self.inline_jobs.fetch_add(1, Ordering::Relaxed);
-        self.record_batch(1, 0);
-        self.record_dispatch_wait(0);
     }
 
     /// Records one completed job: attributed service cycles by class,
@@ -178,7 +167,7 @@ impl ServeMetrics {
 /// like a hardware performance-counter sweep).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
-    /// Jobs accepted into the queue.
+    /// Jobs admitted: they found a device free or joined the waiters.
     pub submitted: u64,
     /// Jobs that received their terminal report.
     pub completed: u64,
@@ -192,16 +181,14 @@ pub struct MetricsSnapshot {
     pub rejected_invalid: u64,
     /// Completed jobs that missed their deadline.
     pub deadline_missed: u64,
-    /// Batches dispatched to the worker pool, plus one per job run on
-    /// its submitter's thread.
+    /// One per admitted job: every job runs alone, as a batch of one.
     pub batches: u64,
-    /// Jobs carried by those batches.
+    /// Jobs carried by those batches: equal to `batches`.
     pub batched_jobs: u64,
-    /// Jobs `ServeHandle::submit_wait` ran on the calling thread because
-    /// a device was free and nothing was staged. Each is also counted as
-    /// a batch of one, with zero queue wait, formation and dispatch wait.
+    /// Jobs that found a device free at admission and so waited for
+    /// none (zero queue wait).
     pub inline_jobs: u64,
-    /// Highest queue depth observed at submission time.
+    /// Most callers waiting for a device seen at an admission.
     pub max_queue_depth: usize,
     /// Attributed device service cycles, indexed like `OpClass::ALL`.
     pub cycles_by_class: [u64; N_CLASSES],
@@ -214,16 +201,14 @@ pub struct MetricsSnapshot {
     pub jobs_unattributed: u64,
     /// Admission-span latency (ns), over all submission attempts.
     pub submit_ns: HistogramSnapshot,
-    /// Per-job wait from acceptance to worker pickup (ns); 0 for a job
-    /// run on its submitter's thread.
+    /// Per-job wait from admission to device grant (ns); 0 for a job
+    /// that found a device free.
     pub queue_wait_ns: HistogramSnapshot,
-    /// Per-batch formation time under the queue lock (ns).
+    /// Per-batch formation time (ns): one 0 entry per job.
     pub batch_form_ns: HistogramSnapshot,
-    /// Per-batch wait between formation and pickup (ns). The worker that
-    /// forms a batch runs it, so this is near zero: it spans only the
-    /// queue-lock release and the batch bookkeeping.
+    /// Per-batch formation-to-pickup wait (ns): one 0 entry per job.
     pub dispatch_wait_ns: HistogramSnapshot,
-    /// Per-job kernel wall time on the claimed device (ns).
+    /// Per-job kernel wall time on the held device (ns).
     pub service_ns: HistogramSnapshot,
     /// Per-job attributed service cost in *device cycles* (cycle domain,
     /// not wall time — the device model never reads a clock).
@@ -241,23 +226,14 @@ impl MetricsSnapshot {
         class_index(class).map_or(0, |i| self.jobs_by_class[i])
     }
 
-    /// Mean jobs per dispatched batch (0 when nothing was dispatched).
-    pub fn mean_batch_size(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.batched_jobs as f64 / self.batches as f64
-        }
-    }
-
     /// The snapshot as a flat metric list, ready for either exporter.
-    /// Counters first, then gauges, then the six histograms; per-class
+    /// Counters first, then the gauge, then the six histograms; per-class
     /// counters carry a `class` label (plus one `unattributed` variant).
     pub fn export_metrics(&self) -> Vec<Metric> {
         let mut out = vec![
             Metric::counter(
                 "apc_serve_jobs_submitted_total",
-                "Jobs accepted into the queue.",
+                "Jobs admitted.",
                 self.submitted,
             ),
             Metric::counter(
@@ -288,17 +264,17 @@ impl MetricsSnapshot {
         ));
         out.push(Metric::counter(
             "apc_serve_batches_total",
-            "Batches dispatched, a job run on its submitter's thread counting as one.",
+            "Batches run, one per job.",
             self.batches,
         ));
         out.push(Metric::counter(
             "apc_serve_batched_jobs_total",
-            "Jobs carried by dispatched batches.",
+            "Jobs carried by batches, one per batch.",
             self.batched_jobs,
         ));
         out.push(Metric::counter(
             "apc_serve_inline_jobs_total",
-            "Jobs run on the submitting thread: a device was free and nothing was staged.",
+            "Jobs that found a device free at admission.",
             self.inline_jobs,
         ));
         for (i, class) in OpClass::ALL.iter().enumerate() {
@@ -339,13 +315,8 @@ impl MetricsSnapshot {
         );
         out.push(Metric::gauge(
             "apc_serve_max_queue_depth",
-            "Highest queue depth observed at submission time.",
+            "Most callers waiting for a device, seen at an admission.",
             self.max_queue_depth as f64,
-        ));
-        out.push(Metric::gauge(
-            "apc_serve_mean_batch_size",
-            "Mean jobs per dispatched batch.",
-            self.mean_batch_size(),
         ));
         for (name, help, h) in [
             (
@@ -355,17 +326,17 @@ impl MetricsSnapshot {
             ),
             (
                 "apc_serve_queue_wait_ns",
-                "Acceptance-to-pickup wait in nanoseconds.",
+                "Admission-to-device-grant wait in nanoseconds.",
                 &self.queue_wait_ns,
             ),
             (
                 "apc_serve_batch_form_ns",
-                "Batch formation time in nanoseconds.",
+                "Batch formation time in nanoseconds (0 per job).",
                 &self.batch_form_ns,
             ),
             (
                 "apc_serve_dispatch_wait_ns",
-                "Formation-to-pickup wait in nanoseconds.",
+                "Formation-to-pickup wait in nanoseconds (0 per job).",
                 &self.dispatch_wait_ns,
             ),
             (
@@ -403,13 +374,11 @@ mod tests {
     #[test]
     fn counters_roll_up_by_kind() {
         let m = ServeMetrics::default();
-        m.record_submit(1);
-        m.record_submit(5);
-        m.record_submit(3);
+        m.record_admission(1);
+        m.record_admission(5);
+        m.record_admission(0);
         m.record_rejection(&SubmitError::QueueFull { capacity: 4 });
         m.record_rejection(&SubmitError::Shutdown);
-        m.record_batch(2, 500);
-        m.record_batch(1, 700);
         m.record_completion(OpClass::Mul, 100, false, 2_000, 9_000);
         m.record_completion(OpClass::Div, 40, true, 3_000, 4_000);
         let s = m.snapshot();
@@ -419,8 +388,7 @@ mod tests {
         assert_eq!(s.rejected_shutdown, 1);
         assert_eq!(s.completed, 2);
         assert_eq!(s.deadline_missed, 1);
-        assert_eq!(s.batches, 2);
-        assert!((s.mean_batch_size() - 1.5).abs() < 1e-12);
+        assert_eq!((s.batches, s.batched_jobs, s.inline_jobs), (3, 3, 1));
         assert_eq!(s.cycles_for(OpClass::Mul), 100);
         assert_eq!(s.cycles_for(OpClass::Div), 40);
         assert_eq!(s.jobs_for(OpClass::Mul), 1);
@@ -452,14 +420,10 @@ mod tests {
     fn spans_land_in_their_histograms() {
         let m = ServeMetrics::default();
         m.record_submit_span(1_500);
-        m.record_batch(3, 250);
-        m.record_dispatch_wait(4_000);
         m.record_completion(OpClass::Mul, 64, false, 2_000, 9_000);
         let s = m.snapshot();
         assert_eq!(s.submit_ns.count, 1);
         assert_eq!(s.submit_ns.sum, 1_500);
-        assert_eq!(s.batch_form_ns.sum, 250);
-        assert_eq!(s.dispatch_wait_ns.sum, 4_000);
         assert_eq!(s.queue_wait_ns.sum, 2_000);
         assert_eq!(s.service_ns.sum, 9_000);
         assert_eq!(s.service_cycles.sum, 64);
@@ -467,16 +431,15 @@ mod tests {
     }
 
     #[test]
-    fn inline_jobs_count_as_batches_of_one_with_zero_spans() {
+    fn every_admission_is_a_batch_of_one_with_zero_spans() {
         let m = ServeMetrics::default();
-        m.record_batch(3, 400);
-        m.record_dispatch_wait(900);
-        m.record_inline();
+        m.record_admission(3);
+        m.record_admission(0);
         let s = m.snapshot();
         assert_eq!(s.inline_jobs, 1);
-        assert_eq!((s.batches, s.batched_jobs), (2, 4));
-        assert_eq!((s.batch_form_ns.count, s.batch_form_ns.sum), (2, 400));
-        assert_eq!((s.dispatch_wait_ns.count, s.dispatch_wait_ns.sum), (2, 900));
+        assert_eq!((s.batches, s.batched_jobs, s.max_queue_depth), (2, 2, 3));
+        assert_eq!((s.batch_form_ns.count, s.batch_form_ns.sum), (2, 0));
+        assert_eq!((s.dispatch_wait_ns.count, s.dispatch_wait_ns.sum), (2, 0));
         let prom = s.to_prometheus();
         assert!(prom.contains("apc_serve_inline_jobs_total 1"), "{prom}");
     }
@@ -484,7 +447,7 @@ mod tests {
     #[test]
     fn exporters_carry_the_snapshot_totals() {
         let m = ServeMetrics::default();
-        m.record_submit(2);
+        m.record_admission(2);
         m.record_completion(OpClass::Mul, 123, false, 1_000, 2_000);
         let s = m.snapshot();
         let prom = s.to_prometheus();

@@ -9,8 +9,8 @@
 //! - [`apc_sim`] — cache-hierarchy and roofline simulation.
 //! - [`apc_baselines`] — CPU/GPU/accelerator cost models.
 //! - [`apc_apps`] — the four APC applications (Pi, Frac, zkcm, RSA).
-//! - [`apc_serve`] — the batching job scheduler serving the device model
-//!   to concurrent tenants.
+//! - [`apc_serve`] — the multi-tenant job service that hands the device
+//!   model's devices to concurrent callers in FIFO order.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 

@@ -253,7 +253,10 @@ fn low_thresholds_recurse_deeply_and_match_the_reference() {
 fn square_matches_the_reference() {
     let th = Thresholds::default();
     let mut lens: Vec<usize> = (1..=72).collect();
-    lens.extend([th.toom3 - 1, th.toom3, th.toom3 + 1]);
+    // Squares above the 32-limb squaring basecase take the general ladder.
+    lens.extend([96, 200, 382, 383, 400, th.toom3 - 1, th.toom3, th.toom3 + 1]);
+    lens.sort_unstable();
+    lens.dedup();
     for len in lens {
         for a in shapes(len, 77 + len as u64) {
             let expect = reference(&a, &a);

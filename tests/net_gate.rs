@@ -25,12 +25,12 @@
 //!    errors, never panic, never read past an over-cap prefix, and
 //!    never build a `Nat` wider than its payload.
 //! 7. **One bucket rule** — the router keys each job by the same
-//!    operand bucket its shard's queue batches it under, at every width
-//!    (64 bits and under share one bucket).
-//! 8. **No staging with a shard per caller** — N threads sending one
+//!    operand bucket its shard's report names, at every width (64 bits
+//!    and under share one bucket).
+//! 8. **No waiting with a shard per caller** — N threads sending one
 //!    width through an N-shard router of one-device shards always find
-//!    a shard with nothing in flight, so every job runs on its caller's
-//!    thread and none waits in a queue.
+//!    a shard with nothing in flight, so every job finds a device free
+//!    and none waits for a hand-off.
 
 use apc_bignum::Nat;
 use apc_net::wire::{self, FrameError, Hello, Request, Response, ResponseBody};
@@ -161,7 +161,7 @@ fn router_keys_each_job_by_the_bucket_its_queue_reports() {
 fn one_caller_per_shard_never_stages_a_job() {
     // Deterministic, with no timing involved: N callers hold at most N
     // in-flight slots, so the least-loaded shard has none in flight;
-    // its one device is then free and nothing is staged on it.
+    // its one device is then free, and no job waits for a hand-off.
     const SHARDS: usize = 3;
     const JOBS_PER_CALLER: usize = 200;
     let cfg = ServeConfig { workers: 1, ..ServeConfig::default() };
@@ -186,7 +186,7 @@ fn one_caller_per_shard_never_stages_a_job() {
     let mut completed = 0;
     for (i, handle) in handles.iter().enumerate() {
         let m = handle.metrics();
-        assert_eq!(m.inline_jobs, m.completed, "shard {i} staged a job: {m:?}");
+        assert_eq!(m.inline_jobs, m.completed, "shard {i} made a job wait: {m:?}");
         completed += m.completed;
     }
     assert_eq!(completed, (SHARDS * JOBS_PER_CALLER) as u64);

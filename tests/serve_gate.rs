@@ -5,36 +5,95 @@
 //! 1. **Bit-exactness** — a randomized job mix spanning several bitwidth
 //!    buckets, submitted through the service, must produce results
 //!    identical to running the same operators on a private `Device`.
-//!    Batching and worker scheduling may reorder *execution*, never
-//!    *values*.
-//! 2. **Admission control** — a full queue rejects with
+//!    Which device runs a job, and when, may change; its value may not.
+//! 2. **Admission control** — with every device out and the FIFO of
+//!    waiters full, a caller is refused with
 //!    [`apc_serve::SubmitError::QueueFull`]: no blocking, no panic, no
 //!    silent drop.
-//! 3. **Graceful shutdown** — every job accepted before shutdown gets
+//! 3. **Graceful shutdown** — every job admitted before shutdown gets
 //!    exactly one terminal report; nothing leaks, nothing double-fires,
 //!    also with submitters racing a mid-stream shutdown.
 //! 4. **Metrics conservation** — under a randomized concurrent mix of
 //!    submissions, rejections and completions, no job and no cycle is
 //!    lost or double-counted in [`apc_serve::ServeMetrics`].
-//! 5. **No lost wakeup** — idle workers wait on the queue's condvar with
-//!    no timeout, so a missed wake would hang shutdown forever. Repeated
-//!    start → race → shutdown cycles run under a watchdog that turns
-//!    such a hang into a test failure.
-//! 6. **Two paths, one ledger** — `submit_wait` runs a job on the
-//!    caller's thread when a device is free and nothing is staged, and
-//!    stages it for a worker otherwise. Mixed with `submit` + `wait` and
-//!    a mid-stream shutdown, every accepted job still gets exactly one
-//!    bit-exact report and is counted once, on one of the two paths.
+//! 5. **No lost hand-off** — a caller that finds every device out waits
+//!    on its own condvar with no timeout, and only the release of a
+//!    device wakes it, so a missed wake would hang that caller and
+//!    shutdown forever. The hand-off tests and repeated start → race →
+//!    shutdown cycles run under a watchdog that turns such a hang into a
+//!    test failure; waiters are granted devices in admission order.
+//! 6. **One path, one ledger** — every job runs on its caller's thread,
+//!    on a device it found free or was handed. Mixed with a mid-stream
+//!    shutdown, every admitted job still gets exactly one bit-exact
+//!    report and is counted once, as a batch of one.
 
 use apc_bignum::Nat;
-use apc_serve::{Job, JobOutput, JobSpec, ServeConfig, ServeError, ServeHandle, SubmitError};
+use apc_serve::{
+    Job, JobOutput, JobReport, JobSpec, ServeConfig, ServeError, ServeHandle, SubmitError,
+};
 use cambricon_p::Device;
 use rand::{Rng, RngCore, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// How long a hand-off test waits for a wake before it fails instead of
+/// hanging.
+const WATCHDOG: Duration = Duration::from_secs(20);
+
+/// Polls `done` until it holds, failing at the watchdog instead of
+/// spinning forever.
+fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + WATCHDOG;
+    while !done() {
+        assert!(Instant::now() < deadline, "{what} did not happen within {WATCHDOG:?}");
+        thread::yield_now();
+    }
+}
+
+/// A multiply slow enough to hold a device while other callers queue.
+fn slow_job() -> Job {
+    let big = Nat::power_of_two(600_000) - Nat::from(3u64);
+    Job::Mul { a: big.clone(), b: big }
+}
+
+/// Runs `job` through `serve` on a detached thread and returns the channel
+/// its outcome arrives on. A caller that never wakes stays parked on its
+/// own thread, so the test fails at its watchdog instead of hanging.
+fn spawn_caller(serve: &ServeHandle, job: Job) -> Receiver<Result<JobReport, ServeError>> {
+    let (tx, rx) = mpsc::channel();
+    let serve = serve.clone();
+    thread::spawn(move || {
+        let _ = tx.send(serve.submit_wait(job, JobSpec::default()));
+    });
+    rx
+}
+
+/// Starts `slow_job` on a detached caller and waits until it holds one
+/// of the service's devices.
+fn pin_a_device(serve: &ServeHandle) -> Receiver<Result<JobReport, ServeError>> {
+    let admitted = serve.metrics().submitted;
+    let pinned = spawn_caller(serve, slow_job());
+    wait_until("the slow job's admission", || serve.metrics().submitted > admitted);
+    pinned
+}
+
+/// Receives one message under the watchdog.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test watchdog: a lost wakeup fails the test instead of hanging it"
+)]
+fn within_watchdog<T>(rx: &Receiver<T>, what: &str) -> T {
+    rx.recv_timeout(WATCHDOG)
+        .unwrap_or_else(|e| panic!("{what} never arrived ({e:?}): a hand-off was lost"))
+}
+
+/// Receives one caller's report under the watchdog.
+fn report_of(caller: &Receiver<Result<JobReport, ServeError>>, what: &str) -> JobReport {
+    within_watchdog(caller, what).unwrap_or_else(|e| panic!("{what}: {e}"))
+}
 
 fn random_nat(rng: &mut rand::rngs::StdRng, bits: u64) -> Nat {
     let limbs = (bits as usize).div_ceil(64).max(1);
@@ -102,17 +161,25 @@ fn randomized_job_mix_is_bit_identical_to_direct_execution() {
     let oracle = Device::new_default();
     let expected: Vec<JobOutput> = jobs.iter().map(|j| direct(&oracle, j)).collect();
 
+    // Four callers share three devices, so some jobs wait for a hand-off.
     let serve = ServeHandle::start(ServeConfig { workers: 3, ..ServeConfig::default() });
-    let tickets: Vec<_> = jobs
-        .iter()
-        .map(|j| serve.submit(j.clone(), JobSpec::default()).expect("capacity available"))
-        .collect();
-    let mut buckets_seen = std::collections::BTreeSet::new();
-    for (ticket, want) in tickets.into_iter().zip(&expected) {
-        let report = ticket.wait().expect("every accepted job reports");
-        buckets_seen.insert(report.bucket_bits);
-        assert_eq!(&report.output, want, "service result diverged from direct device");
-    }
+    let callers = 4;
+    let buckets_seen = Mutex::new(std::collections::BTreeSet::new());
+    thread::scope(|s| {
+        for c in 0..callers {
+            let (serve, jobs, expected, buckets_seen) = (&serve, &jobs, &expected, &buckets_seen);
+            s.spawn(move || {
+                for (job, want) in jobs.iter().zip(expected).skip(c).step_by(callers) {
+                    let report = serve
+                        .submit_wait(job.clone(), JobSpec::default())
+                        .expect("every admitted job reports");
+                    buckets_seen.lock().expect("no panics hold this lock").insert(report.bucket_bits);
+                    assert_eq!(&report.output, want, "service result diverged from direct device");
+                }
+            });
+        }
+    });
+    let buckets_seen = buckets_seen.into_inner().expect("scope joined");
     serve.shutdown();
     assert!(
         buckets_seen.len() >= 3,
@@ -128,23 +195,23 @@ fn full_queue_rejects_with_queue_full_without_blocking_or_panicking() {
     let serve = ServeHandle::start(ServeConfig {
         queue_capacity: capacity,
         workers: 1,
-        batch_max: 1,
         ..ServeConfig::default()
     });
-    // Pin the only worker with a genuinely slow multiply...
-    let big = Nat::power_of_two(600_000) - Nat::from(3u64);
-    let pin = serve
-        .submit(Job::Mul { a: big.clone(), b: big }, JobSpec::default())
-        .expect("first job admitted");
-    // ...then flood far past capacity. Every overflow submit must return
-    // promptly with QueueFull (a blocking submit would hang this test).
-    let mut accepted = vec![pin];
-    let mut overflows = 0u64;
+    // Pin the only device with a genuinely slow multiply, and fill the
+    // FIFO of waiters behind it...
     let small = Nat::power_of_two(128) + Nat::from(7u64);
+    let mut callers = vec![pin_a_device(&serve)];
+    for depth in 1..=capacity {
+        callers.push(spawn_caller(&serve, Job::Sqrt { a: small.clone() }));
+        wait_until("a waiter's admission", || serve.queue_depth() == depth);
+    }
+    // ...then flood past capacity. Every overflow submit must return
+    // promptly with QueueFull (a blocking submit would hang this test).
+    let mut overflows = 0u64;
     for _ in 0..100 {
-        match serve.submit(Job::Sqrt { a: small.clone() }, JobSpec::default()) {
-            Ok(t) => accepted.push(t),
-            Err(SubmitError::QueueFull { capacity: c }) => {
+        match serve.submit_wait(Job::Sqrt { a: small.clone() }, JobSpec::default()) {
+            Ok(_) => {}
+            Err(ServeError::Rejected(SubmitError::QueueFull { capacity: c })) => {
                 assert_eq!(c, capacity);
                 overflows += 1;
             }
@@ -152,57 +219,42 @@ fn full_queue_rejects_with_queue_full_without_blocking_or_panicking() {
         }
     }
     assert!(overflows >= 90, "flooding a pinned 3-slot queue must overflow");
-    for t in accepted {
-        t.wait().expect("accepted jobs still complete");
+    for caller in &callers {
+        report_of(caller, "an admitted caller");
     }
     serve.shutdown();
     let m = serve.metrics();
     assert_eq!(m.rejected_full, overflows);
-    assert_eq!(m.completed, m.submitted, "no accepted job may be dropped");
+    assert_eq!(m.completed, m.submitted, "no admitted job may be dropped");
 }
 
 #[test]
 fn graceful_shutdown_yields_exactly_one_terminal_report_per_job() {
-    let serve = ServeHandle::start(ServeConfig {
-        workers: 2,
-        batch_max: 3,
-        ..ServeConfig::default()
-    });
+    let serve = ServeHandle::start(ServeConfig { workers: 2, ..ServeConfig::default() });
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-    let mut tickets = Vec::new();
-    // A slow head keeps most of the rest queued when shutdown begins.
-    let big = Nat::power_of_two(300_000) - Nat::one();
-    tickets.push(
-        serve
-            .submit(Job::Mul { a: big.clone(), b: big }, JobSpec::default())
-            .expect("admitted"),
-    );
-    for _ in 0..25 {
+    // Two slow heads hold both devices, so the rest queue up behind them
+    // and are still waiting when shutdown begins.
+    let mut callers = vec![pin_a_device(&serve), pin_a_device(&serve)];
+    for depth in 1..=25 {
         let bits = rng.gen_range(100u64..4000);
-        tickets.push(
-            serve
-                .submit(Job::Sqrt { a: random_nat(&mut rng, bits) }, JobSpec::default())
-                .expect("admitted"),
-        );
+        callers.push(spawn_caller(&serve, Job::Sqrt { a: random_nat(&mut rng, bits) }));
+        wait_until("a waiter's admission", || serve.queue_depth() == depth);
     }
-    let submitted = tickets.len() as u64;
-    serve.shutdown(); // blocks until the drain finishes
-    assert_eq!(serve.queue_depth(), 0, "shutdown must drain the queue");
-    for ticket in tickets {
-        // `wait` consumes the only receiver, and the worker sends exactly
-        // once — so one report per job is structural; what we verify here
-        // is that the report *exists* for every accepted job.
-        ticket.wait().expect("drained job must still report");
+    let submitted = callers.len() as u64;
+    serve.shutdown(); // blocks until every admitted job has run
+    assert_eq!(serve.queue_depth(), 0, "shutdown must serve every waiter");
+    for caller in &callers {
+        // Each caller sends its one outcome once: one report per job is
+        // structural, and what we verify here is that the report *exists*
+        // for every admitted job.
+        report_of(caller, "a caller admitted before shutdown");
     }
     let m = serve.metrics();
     assert_eq!(m.submitted, submitted);
-    assert_eq!(m.completed, submitted, "drain must complete every accepted job");
+    assert_eq!(m.completed, submitted, "shutdown must complete every admitted job");
     // And the service stays rejecting, not panicking, after the fact.
-    let refused = serve.submit(
-        Job::Sqrt { a: Nat::from(16u64) },
-        JobSpec::default(),
-    );
-    assert!(matches!(refused, Err(SubmitError::Shutdown)));
+    let refused = serve.submit_wait(Job::Sqrt { a: Nat::from(16u64) }, JobSpec::default());
+    assert!(matches!(refused, Err(ServeError::Rejected(SubmitError::Shutdown))));
 }
 
 fn random_job(rng: &mut rand::rngs::StdRng) -> Job {
@@ -230,12 +282,12 @@ fn random_job(rng: &mut rand::rngs::StdRng) -> Job {
 /// 4. the span histograms record one entry per attempt/job respectively.
 #[test]
 fn metrics_conserve_jobs_and_cycles_under_concurrent_load() {
-    // Small queue and a tight admission ceiling so all three rejection
-    // paths (full, oversized) actually fire alongside completions.
+    // One waiting slot for four callers on two devices and a tight
+    // admission ceiling, so the rejection paths (full, oversized) fire
+    // alongside completions.
     let serve = ServeHandle::try_start(ServeConfig {
-        queue_capacity: 8,
+        queue_capacity: 1,
         workers: 2,
-        batch_max: 4,
         max_operand_bits: 1 << 12,
         ..ServeConfig::default()
     })
@@ -257,22 +309,22 @@ fn metrics_conserve_jobs_and_cycles_under_concurrent_load() {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0DE + t);
                 for _ in 0..ATTEMPTS_PER_THREAD {
                     attempts.fetch_add(1, Ordering::Relaxed);
-                    match serve.submit(random_job(&mut rng), JobSpec::default()) {
-                        Ok(ticket) => {
-                            let report = ticket.wait().expect("accepted jobs must report");
+                    match serve.submit_wait(random_job(&mut rng), JobSpec::default()) {
+                        Ok(report) => {
                             report_cycles
                                 .lock()
                                 .expect("no panics hold this lock")
                                 .push(report.service_cycles);
                         }
-                        Err(
+                        Err(ServeError::Rejected(
                             SubmitError::QueueFull { .. }
                             | SubmitError::OversizedOperand { .. }
                             | SubmitError::Shutdown
                             | SubmitError::InvalidJob(_),
-                        ) => {
+                        )) => {
                             rejected_seen.fetch_add(1, Ordering::Relaxed);
                         }
+                        Err(ServeError::WorkerLost) => unreachable!("no job here panics"),
                     }
                 }
             });
@@ -306,12 +358,14 @@ fn metrics_conserve_jobs_and_cycles_under_concurrent_load() {
     let class_jobs: u64 = m.jobs_by_class.iter().sum();
     assert_eq!(class_jobs + m.jobs_unattributed, m.completed);
 
-    // (4) Span histograms record per-attempt / per-job / per-batch.
+    // (4) Span histograms record per-attempt / per-job; every job is a
+    // batch of one.
     assert_eq!(m.submit_ns.count, attempts);
     assert_eq!(m.queue_wait_ns.count, m.completed);
     assert_eq!(m.service_ns.count, m.completed);
     assert_eq!(m.service_cycles.count, m.completed);
     assert_eq!(m.service_cycles.sum, report_sum);
+    assert_eq!((m.batches, m.batched_jobs), (m.completed, m.completed));
     assert_eq!(m.batch_form_ns.count, m.batches);
     assert_eq!(m.dispatch_wait_ns.count, m.batches);
 }
@@ -321,7 +375,6 @@ fn sharded_queue_conserves_every_job_across_shutdown() {
     let serve = ServeHandle::start(ServeConfig {
         queue_capacity: 64,
         workers: 3,
-        batch_max: 8,
         ..ServeConfig::default()
     });
     let submitters = 6u64;
@@ -330,16 +383,13 @@ fn sharded_queue_conserves_every_job_across_shutdown() {
     // there, so roughly half the submissions race the drain.
     let barrier = Arc::new(Barrier::new(submitters as usize + 1));
     let reported = AtomicU64::new(0);
-    let admitted_total = AtomicU64::new(0);
     thread::scope(|s| {
         for t in 0..submitters {
             let serve = serve.clone();
             let barrier = Arc::clone(&barrier);
             let reported = &reported;
-            let admitted_total = &admitted_total;
             s.spawn(move || {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EED + t);
-                let mut tickets = Vec::new();
                 for i in 0..per_thread {
                     if i == per_thread / 2 {
                         barrier.wait();
@@ -348,17 +398,14 @@ fn sharded_queue_conserves_every_job_across_shutdown() {
                     let b = random_nat(&mut rng, 250);
                     // Backpressure and the shutdown race are the point of
                     // the test, not failures: a rejected job is skipped.
-                    if let Ok(ticket) = serve.submit(Job::Mul { a, b }, JobSpec::default()) {
-                        tickets.push(ticket);
+                    match serve.submit_wait(Job::Mul { a, b }, JobSpec::default()) {
+                        Ok(report) => {
+                            assert!(matches!(report.output, JobOutput::Product(_)));
+                            reported.fetch_add(1, Ordering::Relaxed);
+                        }
+                        Err(ServeError::Rejected(_)) => {}
+                        Err(e) => unreachable!("every admitted job must report: {e}"),
                     }
-                }
-                admitted_total.fetch_add(tickets.len() as u64, Ordering::Relaxed);
-                for ticket in tickets {
-                    let report = ticket
-                        .wait()
-                        .expect("every admitted job must report, shutdown included");
-                    assert!(matches!(report.output, JobOutput::Product(_)));
-                    reported.fetch_add(1, Ordering::Relaxed);
                 }
             });
         }
@@ -372,29 +419,25 @@ fn sharded_queue_conserves_every_job_across_shutdown() {
         }
     });
     let m = serve.metrics();
-    let admitted = admitted_total.load(Ordering::Relaxed);
-    assert!(admitted > 0, "some jobs must have been admitted");
-    assert_eq!(m.submitted, admitted, "metrics admit count matches tickets");
-    assert_eq!(m.completed, admitted, "every admitted job completed");
-    assert_eq!(
-        reported.load(Ordering::Relaxed),
-        admitted,
-        "every admitted job delivered exactly one report"
-    );
-    assert_eq!(serve.queue_depth(), 0, "nothing left staged after drain");
+    // Only an admitted job reports, and it reports exactly once.
+    let reported = reported.load(Ordering::Relaxed);
+    assert!(reported > 0, "some jobs must have been admitted");
+    assert_eq!(m.submitted, reported, "every admitted job delivered one report");
+    assert_eq!(m.completed, reported, "every admitted job completed");
+    assert_eq!(serve.queue_depth(), 0, "nobody left waiting after shutdown");
 }
 
-/// One start → race → shutdown cycle: submitters spin on a tiny queue,
-/// so most attempts are refused (QueueFull), and shutdown lands after a
-/// random number of attempts — while submitters are still pushing.
+/// One start → race → shutdown cycle: more submitters than devices and
+/// waiting slots spin on a tiny service, so many attempts are refused
+/// (QueueFull) and many wait for a hand-off, and shutdown lands after a
+/// random number of attempts — while submitters are still arriving.
 /// Returns the QueueFull refusals (rollbacks) the cycle saw.
 fn race_shutdown_against_rollbacks(seed: u64) -> u64 {
-    const SUBMITTERS: u64 = 3;
+    const SUBMITTERS: u64 = 6;
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x1057_3A4E + seed);
     let serve = ServeHandle::start(ServeConfig {
-        queue_capacity: rng.gen_range(2..=4usize),
-        workers: rng.gen_range(1..=3usize),
-        batch_max: 2,
+        queue_capacity: rng.gen_range(1..=2usize),
+        workers: rng.gen_range(1..=2usize),
         ..ServeConfig::default()
     });
     let shutdown_after = rng.gen_range(1..300u64);
@@ -407,19 +450,16 @@ fn race_shutdown_against_rollbacks(seed: u64) -> u64 {
             s.spawn(move || {
                 let a = Nat::from(0xFFFF_0000_FFFF_0001u64 ^ (seed << 8) ^ t);
                 let job = Job::Mul { a: a.clone(), b: a };
-                let mut tickets = Vec::new();
                 loop {
                     attempts.fetch_add(1, Ordering::Relaxed);
-                    match serve.submit(job.clone(), JobSpec::default()) {
-                        Ok(ticket) => tickets.push(ticket),
-                        Err(SubmitError::QueueFull { .. }) => {}
-                        Err(SubmitError::Shutdown) => break,
+                    match serve.submit_wait(job.clone(), JobSpec::default()) {
+                        Ok(_) => {
+                            admitted.fetch_add(1, Ordering::Relaxed);
+                        }
+                        Err(ServeError::Rejected(SubmitError::QueueFull { .. })) => {}
+                        Err(ServeError::Rejected(SubmitError::Shutdown)) => break,
                         Err(e) => unreachable!("unexpected rejection: {e}"),
                     }
-                }
-                admitted.fetch_add(tickets.len() as u64, Ordering::Relaxed);
-                for ticket in tickets {
-                    ticket.wait().expect("every admitted job must report");
                 }
             });
         }
@@ -455,8 +495,9 @@ fn shutdown_racing_rollbacks_never_loses_a_wakeup() {
             let _ = done_tx.send(rollbacks);
         })
     };
-    // The watchdog: a worker that missed its wake blocks forever in its
-    // condvar wait, and so does the `shutdown` joining it. Fail, don't hang.
+    // The watchdog: a waiter that missed its hand-off blocks forever in its
+    // condvar wait, and so does the `shutdown` waiting for the devices.
+    // Fail, don't hang.
     match done_rx.recv_timeout(Duration::from_secs(60)) {
         Ok(rollbacks) => {
             assert!(rollbacks > 0, "the cycles must exercise QueueFull rollbacks");
@@ -467,12 +508,14 @@ fn shutdown_racing_rollbacks_never_loses_a_wakeup() {
             }
         }
         Err(RecvTimeoutError::Timeout) => panic!(
-            "cycle {} of {CYCLES} did not finish in 60 s: a worker lost its wakeup",
+            "cycle {} of {CYCLES} did not finish in 60 s: a waiter lost its hand-off",
             cycle.load(Ordering::Relaxed)
         ),
     }
 }
 
+/// Jobs that find the device free and jobs handed it by the job before
+/// them share one ledger across a mid-stream shutdown.
 #[test]
 fn caller_thread_and_worker_runs_conserve_every_job_across_shutdown() {
     const THREADS: u64 = 4;
@@ -480,32 +523,26 @@ fn caller_thread_and_worker_runs_conserve_every_job_across_shutdown() {
     let serve = ServeHandle::start(ServeConfig {
         queue_capacity: 64,
         workers: 1,
-        batch_max: 4,
         ..ServeConfig::default()
     });
     let oracle = Device::new_default();
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x1A11E);
 
-    // An idle service runs a submit_wait on the caller's thread, and
-    // never a submit.
+    // An idle service hands the caller its free device at once.
     let job = random_job(&mut rng);
     let report = serve.submit_wait(job.clone(), JobSpec::default()).expect("idle service");
     assert_eq!(report.output, direct(&oracle, &job));
-    let ticket = serve.submit(job.clone(), JobSpec::default()).expect("idle service");
-    let first_ids = vec![report.id.as_u64(), ticket.id().as_u64()];
-    assert_eq!(ticket.wait().expect("staged job reports").output, direct(&oracle, &job));
+    assert_eq!(report.queue_wait, Duration::ZERO);
     let m = serve.metrics();
-    assert_eq!((m.inline_jobs, m.batches, m.completed), (1, 2, 2));
+    assert_eq!((m.inline_jobs, m.batches, m.completed), (1, 1, 1));
 
-    // Submitters alternate submit_wait with submit + wait; the shutdown
-    // thread fires when every submitter is halfway through.
+    // Four callers share the one device; the shutdown thread fires when
+    // every caller is halfway through.
     let barrier = Barrier::new(THREADS as usize + 1);
-    let report_ids = Mutex::new(first_ids);
-    let accepted_waits = AtomicU64::new(1);
+    let report_ids = Mutex::new(vec![report.id.as_u64()]);
     thread::scope(|s| {
         for t in 0..THREADS {
-            let (serve, oracle, barrier) = (serve.clone(), &oracle, &barrier);
-            let (report_ids, accepted_waits) = (&report_ids, &accepted_waits);
+            let (serve, oracle, barrier, report_ids) = (serve.clone(), &oracle, &barrier, &report_ids);
             s.spawn(move || {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(0x1A11E + t + 1);
                 let mut ids = Vec::new();
@@ -515,21 +552,10 @@ fn caller_thread_and_worker_runs_conserve_every_job_across_shutdown() {
                     }
                     let job = random_job(&mut rng);
                     let want = direct(oracle, &job);
-                    let report = if (t + i) % 2 == 0 {
-                        match serve.submit_wait(job, JobSpec::default()) {
-                            Ok(report) => {
-                                accepted_waits.fetch_add(1, Ordering::Relaxed);
-                                report
-                            }
-                            Err(ServeError::Rejected(SubmitError::Shutdown)) => continue,
-                            Err(e) => unreachable!("submit_wait failed: {e}"),
-                        }
-                    } else {
-                        match serve.submit(job, JobSpec::default()) {
-                            Ok(ticket) => ticket.wait().expect("every accepted job reports"),
-                            Err(SubmitError::Shutdown) => continue,
-                            Err(e) => unreachable!("submit failed: {e}"),
-                        }
+                    let report = match serve.submit_wait(job, JobSpec::default()) {
+                        Ok(report) => report,
+                        Err(ServeError::Rejected(SubmitError::Shutdown)) => continue,
+                        Err(e) => unreachable!("submit_wait failed: {e}"),
                     };
                     assert_eq!(report.output, want, "result diverged from direct device");
                     ids.push(report.id.as_u64());
@@ -552,22 +578,106 @@ fn caller_thread_and_worker_runs_conserve_every_job_across_shutdown() {
     assert_eq!(m.rejected_shutdown, before.rejected_shutdown + 1);
     assert_eq!((m.inline_jobs, m.completed), (before.inline_jobs, before.completed));
 
-    // Exactly one report per accepted job.
+    // Exactly one report per admitted job.
     let mut ids = report_ids.into_inner().expect("scope joined");
     let reports = ids.len() as u64;
     ids.sort_unstable();
     ids.dedup();
     assert_eq!(ids.len() as u64, reports, "a job was reported twice");
-    assert_eq!(m.submitted, reports, "an accepted job never reported");
+    assert_eq!(m.submitted, reports, "an admitted job never reported");
     assert_eq!(m.completed, reports);
-    // Each job counted once, on the caller's thread or in a worker's
-    // batch (a caller-thread run is a batch of one), and only
-    // submit_wait runs on the caller's thread.
-    assert_eq!(m.batched_jobs, m.completed, "a job ran in no batch or in two");
-    assert!(m.inline_jobs >= 1 && m.inline_jobs <= accepted_waits.load(Ordering::Relaxed));
-    assert!(m.batches > m.inline_jobs, "the staged jobs ran in worker batches");
+    // Each job counted once, as a batch of one; some found the device
+    // free, and the rest were handed it.
+    assert_eq!((m.batches, m.batched_jobs), (m.completed, m.completed));
+    assert!(m.inline_jobs >= 1 && m.inline_jobs < m.completed, "{m:?}");
     assert_eq!(m.queue_wait_ns.count, m.completed);
     assert_eq!(m.batch_form_ns.count, m.batches);
     assert_eq!(m.dispatch_wait_ns.count, m.batches);
     assert_eq!(serve.queue_depth(), 0);
+}
+
+#[test]
+fn a_waiter_parked_behind_a_long_job_wakes_through_the_release() {
+    // The only device is out when the waiter arrives, so it parks on its
+    // own condvar; nothing but the release that ends the long job can
+    // wake it. A release that hands the device on without the wake fails
+    // at the watchdog instead of hanging.
+    let serve = ServeHandle::start(ServeConfig { workers: 1, ..ServeConfig::default() });
+    let pinned = pin_a_device(&serve);
+    let a = Nat::power_of_two(1000) + Nat::from(5u64);
+    let waiter = spawn_caller(&serve, Job::Mul { a: a.clone(), b: a.clone() });
+    wait_until("the waiter's admission", || serve.queue_depth() == 1);
+    assert!(waiter.try_recv().is_err(), "the waiter ran while the device was out");
+    let long = report_of(&pinned, "the long job");
+    let report = report_of(&waiter, "the parked waiter");
+    assert_eq!(report.output, JobOutput::Product(&a * &a));
+    assert!(report.queue_wait > Duration::ZERO, "the waiter was handed the device");
+    assert_eq!(report.worker, long.worker);
+    serve.shutdown();
+    let m = serve.metrics();
+    assert_eq!((m.inline_jobs, m.completed, m.max_queue_depth), (1, 2, 1));
+}
+
+#[test]
+fn waiters_are_granted_devices_in_admission_order() {
+    // Waiters queue one by one behind a long job on the only device; each
+    // runs a job long enough that the next one, handed the device after
+    // it, cannot report first. Reports must then arrive in job-id order.
+    const WAITERS: usize = 6;
+    let serve = ServeHandle::start(ServeConfig { workers: 1, ..ServeConfig::default() });
+    let pinned = pin_a_device(&serve);
+    let (done_tx, done) = mpsc::channel();
+    for depth in 1..=WAITERS {
+        let a = Nat::power_of_two(60_000) - Nat::from(depth as u64);
+        let (caller, done_tx) = (serve.clone(), done_tx.clone());
+        thread::spawn(move || {
+            let job = Job::Mul { a: a.clone(), b: a };
+            let _ = done_tx.send(caller.submit_wait(job, JobSpec::default()));
+        });
+        wait_until("a waiter's admission", || serve.queue_depth() == depth);
+    }
+    report_of(&pinned, "the long job");
+    let order: Vec<u64> =
+        (0..WAITERS).map(|_| report_of(&done, "a queued waiter").id.as_u64()).collect();
+    let mut by_id = order.clone();
+    by_id.sort_unstable();
+    assert_eq!(order, by_id, "waiters were not granted the device in FIFO order");
+    serve.shutdown();
+}
+
+#[test]
+fn shutdown_with_waiters_queued_serves_each_exactly_once() {
+    const WAITERS: usize = 4;
+    let serve = ServeHandle::start(ServeConfig { workers: 1, ..ServeConfig::default() });
+    let pinned = pin_a_device(&serve);
+    let waiters: Vec<_> = (1..=WAITERS)
+        .map(|depth| {
+            let waiter = spawn_caller(&serve, Job::Sqrt { a: Nat::from(depth as u64 * 1000) });
+            wait_until("a waiter's admission", || serve.queue_depth() == depth);
+            waiter
+        })
+        .collect();
+    // Shutdown on its own thread, so a lost hand-off fails the watchdog.
+    let (done_tx, done) = mpsc::channel();
+    {
+        let serve = serve.clone();
+        thread::spawn(move || {
+            serve.shutdown();
+            let _ = done_tx.send(serve.metrics());
+        });
+    }
+    let m = within_watchdog(&done, "shutdown's return");
+    // Shutdown returned only once every waiter had run: each reported
+    // once, and the ledger counts each once.
+    let mut ids = vec![report_of(&pinned, "the long job").id.as_u64()];
+    ids.extend(waiters.iter().map(|w| report_of(w, "a queued waiter").id.as_u64()));
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), WAITERS + 1, "a waiter was reported twice");
+    assert_eq!((m.submitted, m.completed), (ids.len() as u64, ids.len() as u64));
+    assert!(waiters.iter().all(|w| w.try_recv().is_err()), "a waiter reported twice");
+    assert_eq!(
+        serve.submit_wait(Job::Sqrt { a: Nat::from(16u64) }, JobSpec::default()).err(),
+        Some(ServeError::Rejected(SubmitError::Shutdown))
+    );
 }

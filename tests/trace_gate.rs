@@ -213,29 +213,33 @@ fn json_histogram_count(text: &str, name: &str) -> u64 {
 }
 
 fn randomized_snapshot(seed: u64) -> MetricsSnapshot {
+    // One device and one waiting slot for four callers: some callers find
+    // the slot taken and are refused (QueueFull).
     let serve = ServeHandle::start(ServeConfig {
-        queue_capacity: 4,
-        batch_max: 4,
+        queue_capacity: 1,
+        workers: 1,
         ..ServeConfig::default()
     });
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut tickets = Vec::new();
-    for _ in 0..24 {
-        let bits = [120u64, 700, 2_200][rng.gen_range(0..3usize)];
-        let a = random_nat(&mut rng, bits);
-        let job = match rng.gen_range(0..2u32) {
-            0 => Job::Mul { a: a.clone(), b: a },
-            _ => Job::Sqrt { a },
-        };
-        // Rejections (queue full) are part of the workload: they feed
-        // the rejection counters the exporters must carry faithfully.
-        if let Ok(t) = serve.submit(job, JobSpec::default()) {
-            tickets.push(t);
+    std::thread::scope(|s| {
+        for t in 0..4u64 {
+            let serve = &serve;
+            s.spawn(move || {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed + t);
+                for _ in 0..6 {
+                    let bits = [120u64, 700, 2_200][rng.gen_range(0..3usize)];
+                    let a = random_nat(&mut rng, bits);
+                    let job = match rng.gen_range(0..2u32) {
+                        0 => Job::Mul { a: a.clone(), b: a },
+                        _ => Job::Sqrt { a },
+                    };
+                    // Rejections are part of the workload: they feed the
+                    // rejection counters the exporters must carry
+                    // faithfully.
+                    let _ = serve.submit_wait(job, JobSpec::default());
+                }
+            });
         }
-    }
-    for t in tickets {
-        t.wait().expect("accepted jobs report");
-    }
+    });
     let m = serve.metrics();
     serve.shutdown();
     m
