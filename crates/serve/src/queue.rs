@@ -165,8 +165,8 @@ impl JobQueue {
     fn release(&self, index: usize) {
         let mut state = self.lock();
         if let Some(waiter) = state.waiters.pop_front() {
-            let granted = waiter.device.set(index);
-            debug_assert!(granted.is_ok(), "a waiter was granted two devices");
+            // A waiter leaves the FIFO once, so its slot is still empty.
+            let _ = waiter.device.set(index);
             drop(state);
             waiter.granted.notify_one();
             return;
