@@ -1,7 +1,7 @@
 //! # apc-bench — the experiment harness
 //!
 //! One binary per table/figure of the paper's evaluation (see DESIGN.md
-//! for the experiment index) plus Criterion micro-benchmarks. This library
+//! for the experiment index) plus the `BENCH_*.json` bins. This library
 //! holds the shared report formatting, the sampler every timed point goes
 //! through ([`sample`], or [`sample_rounds`] when two code paths are
 //! compared) and the one writer of the `BENCH_*.json` files

@@ -13,8 +13,8 @@ use std::path::{Component, Path, PathBuf};
 /// Crates whose `src/` trees count as *library code* for L6, L10 and
 /// L12 — the same crates whose roots deny clippy's no-panic lints.
 ///
-/// `crates/bench` is excluded (it is all binaries and benches —
-/// measurement tools, not bit-exactness-critical model code).
+/// `crates/bench` is excluded (it is all binaries — measurement tools,
+/// not bit-exactness-critical model code).
 const LIBRARY_CRATE_DIRS: &[&str] = &[
     "crates/apps",
     "crates/baselines",

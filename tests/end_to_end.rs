@@ -6,8 +6,9 @@ use cambricon_p_repro::apc_apps::backend::Session;
 use cambricon_p_repro::apc_apps::{pi, rsa, zkcm};
 use cambricon_p_repro::apc_bignum::{MulAlgorithm, Nat};
 use cambricon_p_repro::cambricon_p::accelerator::Accelerator;
+use cambricon_p_repro::cambricon_p::mpapca::MpapcaThresholds;
 use cambricon_p_repro::cambricon_p::transform::{convolve, recompose, to_limb_vector};
-use cambricon_p_repro::cambricon_p::Device;
+use cambricon_p_repro::cambricon_p::{ArchConfig, Device};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -100,6 +101,45 @@ fn device_speedup_grows_with_monolithic_size() {
         prev_ratio = ratio;
     }
     assert!(prev_ratio > 50.0, "monolithic range speedup is large");
+}
+
+#[test]
+fn monolithic_cycles_fall_as_limbs_widen() {
+    // The limb-width ablation (`limb_width` in BENCH_ablations.json): at an
+    // equal IPU count, coarser limbs need fewer cycles for the largest
+    // monolithic product.
+    let cycles: Vec<u64> = [8, 16, 32, 64]
+        .into_iter()
+        .map(|limb_bits| {
+            let config = ArchConfig {
+                limb_bits,
+                ..ArchConfig::default()
+            };
+            Device::new(config).mul_cycles(35_904, 35_904)
+        })
+        .collect();
+    assert!(cycles.windows(2).all(|w| w[0] > w[1]), "{cycles:?}");
+}
+
+#[test]
+fn mpapca_thresholds_beat_skipping_the_toom_rungs() {
+    // The MPApca threshold ablation (`mpapca_thresholds`): at 200 000 bits
+    // the default table runs Toom-3 over device products, far cheaper
+    // than jumping from Karatsuba straight to SSA.
+    let cycles = |th| {
+        Device::new_default()
+            .with_thresholds(th)
+            .mul_cycles(200_000, 200_000)
+    };
+    let default = MpapcaThresholds::default();
+    let no_toom = MpapcaThresholds {
+        toom3: 36_000,
+        toom4: 36_001,
+        toom6: 36_002,
+        ssa: 36_003,
+        ..default
+    };
+    assert!(cycles(default) < cycles(no_toom));
 }
 
 #[test]

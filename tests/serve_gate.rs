@@ -53,9 +53,10 @@ fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
     }
 }
 
-/// A multiply slow enough to hold a device while other callers queue.
+/// A multiply slow enough to hold a device while other callers queue:
+/// a 23 438-limb square, about 50 ms in a release build.
 fn slow_job() -> Job {
-    let big = Nat::power_of_two(600_000) - Nat::from(3u64);
+    let big = Nat::power_of_two(1_500_000) - Nat::from(3u64);
     Job::Mul { a: big.clone(), b: big }
 }
 
@@ -537,7 +538,10 @@ fn caller_thread_and_worker_runs_conserve_every_job_across_shutdown() {
     assert_eq!((m.inline_jobs, m.batches, m.completed), (1, 1, 1));
 
     // Four callers share the one device; the shutdown thread fires when
-    // every caller is halfway through.
+    // every caller is halfway through. A long job holds the device while
+    // they start, so their first jobs are handed it instead of finding it
+    // free, however the host schedules their threads.
+    let pinned = pin_a_device(&serve);
     let barrier = Barrier::new(THREADS as usize + 1);
     let report_ids = Mutex::new(vec![report.id.as_u64()]);
     thread::scope(|s| {
@@ -580,6 +584,7 @@ fn caller_thread_and_worker_runs_conserve_every_job_across_shutdown() {
 
     // Exactly one report per admitted job.
     let mut ids = report_ids.into_inner().expect("scope joined");
+    ids.push(report_of(&pinned, "the long job").id.as_u64());
     let reports = ids.len() as u64;
     ids.sort_unstable();
     ids.dedup();
@@ -628,7 +633,7 @@ fn waiters_are_granted_devices_in_admission_order() {
     let pinned = pin_a_device(&serve);
     let (done_tx, done) = mpsc::channel();
     for depth in 1..=WAITERS {
-        let a = Nat::power_of_two(60_000) - Nat::from(depth as u64);
+        let a = Nat::power_of_two(200_000) - Nat::from(depth as u64);
         let (caller, done_tx) = (serve.clone(), done_tx.clone());
         thread::spawn(move || {
             let job = Job::Mul { a: a.clone(), b: a };
