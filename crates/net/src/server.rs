@@ -10,12 +10,23 @@
 //!                              │             clone in its slot →
 //!                              │             re-check the flag →
 //!                              ▼             handle_conn → clear slot
-//!                         handle_conn: preamble sniff, hello / auth,
-//!                         request loop (wire::read_frame, bounded)
+//!                         handle_conn: one Conn { BufReader, frame }
+//!                         for the connection's life: preamble sniff,
+//!                         hello / auth, request loop (bounded frame
+//!                         reads into `frame`, responses encoded into
+//!                         `frame` and sent with one write_all)
 //! ```
 //!
 //! A connection beyond the `N` being served waits in the kernel listen
 //! queue until a worker returns to `accept`.
+//!
+//! Each connection reads through one `BufReader` that lives as long as
+//! the connection, so a frame's length prefix and body (and any frames
+//! the peer pipelined behind it) normally arrive in one `recv`, and
+//! bytes read ahead are never dropped between frames. One frame buffer
+//! per connection carries every payload read and every response
+//! written; it grows only to the widest frame seen, and only after that
+//! frame's length prefix has passed the cap.
 //!
 //! Drain semantics: [`NetServer::shutdown`] stores the gate flag, shuts
 //! the read half of every live connection (`Shutdown::Read`), and
@@ -35,7 +46,7 @@ use crate::wire::{
 use crate::NetBackend;
 use apc_serve::{JobSpec, ServeError};
 use apc_trace::export::{to_prometheus, Metric};
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -45,9 +56,11 @@ use std::time::Duration;
 /// Listener configuration.
 #[derive(Debug, Clone)]
 pub struct NetServerConfig {
-    /// Connection worker threads. Each accepts and serves one
-    /// connection at a time; a connection beyond `conn_workers` waits in
-    /// the kernel listen queue until a worker is free.
+    /// Connection worker threads, at least 1 ([`NetServer::start`]
+    /// refuses 0 with [`ServerError::ZeroConnWorkers`]). Each accepts and
+    /// serves one connection at a time; a connection beyond
+    /// `conn_workers` waits in the kernel listen queue until a worker is
+    /// free.
     pub conn_workers: usize,
     /// Accepted tenant tokens. **Empty means reject everyone** — the
     /// fail-closed default; an open instance must opt in explicitly.
@@ -73,6 +86,9 @@ pub enum ServerError {
         /// Length of the offending token, in bytes.
         len: usize,
     },
+    /// [`NetServerConfig::conn_workers`] was 0: nothing would ever
+    /// accept a connection.
+    ZeroConnWorkers,
 }
 
 impl std::fmt::Display for ServerError {
@@ -82,6 +98,7 @@ impl std::fmt::Display for ServerError {
             ServerError::TokenTooLong { len } => {
                 write!(f, "auth token of {len} bytes exceeds the {MAX_TOKEN_LEN}-byte bound")
             }
+            ServerError::ZeroConnWorkers => write!(f, "conn_workers must be at least 1"),
         }
     }
 }
@@ -138,7 +155,9 @@ impl<B: NetBackend + Send + Sync + 'static> std::fmt::Debug for NetServer<B> {
 
 impl<B: NetBackend + Send + Sync + 'static> NetServer<B> {
     /// Binds `addr` and starts the connection workers. Bind to port 0 to
-    /// let the OS choose (see [`NetServer::local_addr`]).
+    /// let the OS choose (see [`NetServer::local_addr`]). A degenerate
+    /// configuration (zero connection workers, an over-long token) is a
+    /// typed [`ServerError`], checked before binding.
     pub fn start(
         addr: impl ToSocketAddrs,
         backend: B,
@@ -147,9 +166,12 @@ impl<B: NetBackend + Send + Sync + 'static> NetServer<B> {
         if let Some(t) = config.tokens.iter().find(|t| t.len() > MAX_TOKEN_LEN) {
             return Err(ServerError::TokenTooLong { len: t.len() });
         }
+        if config.conn_workers == 0 {
+            return Err(ServerError::ZeroConnWorkers);
+        }
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let workers = config.conn_workers.max(1);
+        let workers = config.conn_workers;
         let mut listeners =
             (1..workers).map(|_| listener.try_clone()).collect::<io::Result<Vec<_>>>()?;
         listeners.push(listener);
@@ -255,54 +277,69 @@ fn conn_worker<B: NetBackend>(shared: &Shared<B>, listener: &TcpListener, slot: 
 /// token), far below anything abusive.
 const HELLO_CAP: u64 = 4 + 2 + MAX_TOKEN_LEN as u64 + 64;
 
-fn handle_conn<B: NetBackend>(shared: &Shared<B>, mut stream: TcpStream) {
+/// One accepted connection: its one reader, held for the connection's
+/// life so read-ahead bytes survive from frame to frame (writes go to
+/// the stream beneath it), and the one buffer every frame is read into
+/// or encoded into.
+struct Conn {
+    reader: BufReader<TcpStream>,
+    frame: Vec<u8>,
+}
+
+fn handle_conn<B: NetBackend>(shared: &Shared<B>, stream: TcpStream) {
     // Responses are whole frames written once: waiting for a delayed
     // ACK before sending them would put a ~40ms floor under every
     // request, so Nagle is off.
     let _ = stream.set_nodelay(true);
+    let mut conn = Conn { reader: BufReader::new(stream), frame: Vec::new() };
     let mut preamble = [0u8; 4];
-    if stream.read_exact(&mut preamble).is_err() {
+    if conn.reader.read_exact(&mut preamble).is_err() {
         return;
     }
     if preamble == *b"GET " {
-        serve_http(shared, &mut stream);
+        serve_http(shared, &mut conn);
         return;
     }
     if preamble != MAGIC {
-        respond(shared, &mut stream, 0, ResponseBody::Failed(WireStatus::MalformedFrame));
+        respond(shared, &mut conn, 0, ResponseBody::Failed(WireStatus::MalformedFrame));
         return;
     }
     // Hello / auth, checked before any operand bytes are accepted.
-    let Some(payload) = read_frame(shared, &mut stream, HELLO_CAP) else { return };
+    if !read_frame(shared, &mut conn, HELLO_CAP) {
+        return;
+    }
     bump(&shared.metrics.frames_in);
-    let hello = match wire::decode_hello(&payload) {
+    let hello = match wire::decode_hello(&conn.frame) {
         Ok(h) => h,
         Err(e) => {
             bump(&shared.metrics.decode_errors);
-            respond(shared, &mut stream, 0, ResponseBody::Failed(status_for_decode(&e)));
+            respond(shared, &mut conn, 0, ResponseBody::Failed(status_for_decode(&e)));
             return;
         }
     };
     if !token_accepted(&shared.config.tokens, &hello.token) {
         bump(&shared.metrics.auth_rejects);
-        respond(shared, &mut stream, 0, ResponseBody::Failed(WireStatus::AuthRejected));
+        respond(shared, &mut conn, 0, ResponseBody::Failed(WireStatus::AuthRejected));
         return;
     }
-    respond(shared, &mut stream, 0, ResponseBody::Ack);
+    respond(shared, &mut conn, 0, ResponseBody::Ack);
 
     // Request loop: strictly in-order request/response. It also ends
     // on the gate, because a shut read half still delivers bytes the
-    // peer sends later: once the drain has begun, a peer that keeps
-    // sending is answered at most one more time.
+    // peer sends later (and the reader may hold frames read ahead):
+    // once the drain has begun, a peer that keeps sending is answered
+    // at most one more time.
     while !shared.shutdown.load(Ordering::Acquire) {
-        let Some(payload) = read_frame(shared, &mut stream, shared.request_cap) else { return };
+        if !read_frame(shared, &mut conn, shared.request_cap) {
+            return;
+        }
         bump(&shared.metrics.frames_in);
-        let request = match wire::decode_request(&payload) {
+        let request = match wire::decode_request(&conn.frame) {
             Ok(r) => r,
             Err(e) => {
                 bump(&shared.metrics.decode_errors);
                 let status = status_for_decode(&e);
-                respond(shared, &mut stream, 0, ResponseBody::Failed(status));
+                respond(shared, &mut conn, 0, ResponseBody::Failed(status));
                 if matches!(e, WireError::BadVersion(_)) {
                     // The peer speaks another protocol; no point going on.
                     return;
@@ -321,38 +358,30 @@ fn handle_conn<B: NetBackend>(shared: &Shared<B>, mut stream: TcpStream) {
             }
             Err(ServeError::WorkerLost) => ResponseBody::Failed(WireStatus::Internal),
         };
-        respond(shared, &mut stream, request.req_id, body);
+        respond(shared, &mut conn, request.req_id, body);
     }
 }
 
-/// One bounded frame read. `None` means the connection is done: the
-/// peer closed or failed, the drain shut the read half, or the length
-/// prefix exceeded `cap` (answered here with `OversizedFrame`; the unread
-/// body would desynchronize framing, so the connection closes).
-fn read_frame<B: NetBackend>(
-    shared: &Shared<B>,
-    stream: &mut TcpStream,
-    cap: u64,
-) -> Option<Vec<u8>> {
-    match wire::read_frame(stream, cap) {
-        Ok(payload) => Some(payload),
+/// One bounded frame read into `conn.frame`. `false` means the
+/// connection is done: the peer closed or failed, the drain shut the
+/// read half, or the length prefix exceeded `cap` (answered here with
+/// `OversizedFrame`; the unread body would desynchronize framing, so the
+/// connection closes).
+fn read_frame<B: NetBackend>(shared: &Shared<B>, conn: &mut Conn, cap: u64) -> bool {
+    match wire::read_frame_into(&mut conn.reader, cap, &mut conn.frame) {
+        Ok(()) => true,
         Err(FrameError::TooLarge { .. }) => {
             bump(&shared.metrics.oversized_frames);
-            respond(shared, stream, 0, ResponseBody::Failed(WireStatus::OversizedFrame));
-            None
+            respond(shared, conn, 0, ResponseBody::Failed(WireStatus::OversizedFrame));
+            false
         }
-        Err(FrameError::Io(_)) => None,
+        Err(FrameError::Io(_)) => false,
     }
 }
 
-fn respond<B: NetBackend>(
-    shared: &Shared<B>,
-    stream: &mut TcpStream,
-    req_id: u64,
-    body: ResponseBody,
-) {
-    let payload = wire::encode_response(&Response { req_id, body });
-    if wire::write_frame(stream, &payload).is_ok() {
+fn respond<B: NetBackend>(shared: &Shared<B>, conn: &mut Conn, req_id: u64, body: ResponseBody) {
+    let response = Response { req_id, body };
+    if wire::send_frame(conn.reader.get_mut(), &mut conn.frame, &response).is_ok() {
         bump(&shared.metrics.frames_out);
     }
 }
@@ -380,20 +409,22 @@ fn token_accepted(tokens: &[Vec<u8>], offered: &[u8]) -> bool {
 
 /// Minimal `GET /metrics` responder sharing the protocol listener. The
 /// first four bytes (`"GET "`) are already consumed; the rest of the
-/// request head is read (bounded) up to its terminating blank line —
-/// consuming the whole head before closing, so the close is a clean
-/// FIN, not a reset triggered by unread bytes — and only the path is
-/// honoured. A head cut short (peer gone, or the drain shut the read
-/// half) gets no answer.
-fn serve_http<B: NetBackend>(shared: &Shared<B>, stream: &mut TcpStream) {
+/// request head is read (bounded, a line at a time through the
+/// connection's reader) up to its terminating blank line — consuming the
+/// whole head before closing, so the close is a clean FIN, not a reset
+/// triggered by unread bytes — and only the path is honoured. A head cut
+/// short (peer gone, or the drain shut the read half) gets no answer.
+fn serve_http<B: NetBackend>(shared: &Shared<B>, conn: &mut Conn) {
     const HEAD_CAP: usize = 4096;
     let mut head = Vec::with_capacity(256);
-    let mut byte = [0u8; 1];
+    // Every terminator ends in `\n`, where a line read stops, so testing
+    // after each line is testing after each byte.
+    let mut limited = (&mut conn.reader).take(HEAD_CAP as u64);
     while head.len() < HEAD_CAP && !head.ends_with(b"\r\n\r\n") && !head.ends_with(b"\n\n") {
-        if stream.read_exact(&mut byte).is_err() {
-            return;
+        match limited.read_until(b'\n', &mut head) {
+            Ok(0) | Err(_) => return,
+            Ok(_) => {}
         }
-        head.push(byte[0]);
     }
     let line = String::from_utf8_lossy(&head);
     let path = line.split_whitespace().next().unwrap_or("");
@@ -403,6 +434,7 @@ fn serve_http<B: NetBackend>(shared: &Shared<B>, stream: &mut TcpStream) {
     } else {
         ("404 Not Found", String::from("not found\n"))
     };
+    let stream = conn.reader.get_mut();
     let _ = write!(
         stream,
         "HTTP/1.1 {status}\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
@@ -426,6 +458,17 @@ mod tests {
         // Fail-closed: the empty token set accepts nobody.
         assert!(!token_accepted(&[], b"alpha"));
         assert!(!token_accepted(&[], b""));
+    }
+
+    #[test]
+    fn zero_conn_workers_is_refused_before_binding() {
+        let router = crate::Router::start(1, apc_serve::ServeConfig::default())
+            .expect("one valid shard");
+        let config = NetServerConfig { conn_workers: 0, ..NetServerConfig::default() };
+        match NetServer::start("127.0.0.1:0", router, config) {
+            Err(ServerError::ZeroConnWorkers) => {}
+            other => unreachable!("expected ZeroConnWorkers, got {other:?}"),
+        }
     }
 
     #[test]

@@ -310,12 +310,22 @@ impl<'a> Cursor<'a> {
 // Nat encoding: u32 LE limb count, then that many u64 LE limbs.
 // ---------------------------------------------------------------------
 
+/// Appends `n`: its limb count, then every limb, written into one
+/// resize of `out` (no per-limb growth).
 fn put_nat(out: &mut Vec<u8>, n: &Nat) {
     let limbs = n.limbs();
     out.extend_from_slice(&(limbs.len() as u32).to_le_bytes());
-    for limb in limbs {
-        out.extend_from_slice(&limb.to_le_bytes());
+    let start = out.len();
+    out.resize(start + 8 * limbs.len(), 0);
+    for (dst, limb) in out[start..].chunks_exact_mut(8).zip(limbs) {
+        dst.copy_from_slice(&limb.to_le_bytes());
     }
+}
+
+/// Serialized size of `n`, in bytes: what [`put_nat`] appends (the
+/// [`nat_wire_bytes`] arithmetic, counted in limbs).
+fn nat_len(n: &Nat) -> usize {
+    4 + 8 * n.limbs().len()
 }
 
 fn get_nat(c: &mut Cursor<'_>) -> Result<Nat, WireError> {
@@ -394,28 +404,96 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// Writes one frame (length prefix + payload) in a single `write_all`,
-/// so a frame on a `TCP_NODELAY` socket leaves as one segment rather
-/// than a 4-byte prefix segment followed by the payload.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(payload);
-    w.write_all(&frame)?;
+/// A message with exactly one encoder: [`Encode::wire_len`] sizes its
+/// payload and [`Encode::put`] appends exactly that many bytes, so every
+/// buffer is sized once, before the first byte is written.
+pub(crate) trait Encode {
+    /// The payload's length in bytes.
+    fn wire_len(&self) -> usize;
+    /// Appends the payload to `out`.
+    fn put(&self, out: &mut Vec<u8>);
+}
+
+/// An already-encoded payload.
+impl Encode for [u8] {
+    fn wire_len(&self) -> usize {
+        self.len()
+    }
+
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self);
+    }
+}
+
+/// `msg`'s payload in a buffer of exactly its length.
+fn encode(msg: &impl Encode) -> Vec<u8> {
+    let mut out = Vec::with_capacity(msg.wire_len());
+    msg.put(&mut out);
+    out
+}
+
+/// Encodes `msg` as one frame (length prefix + payload) into `frame`,
+/// reusing its allocation, and sends it in a single `write_all`, so a
+/// frame on a `TCP_NODELAY` socket leaves as one segment rather than a
+/// 4-byte prefix segment followed by the payload. A connection that
+/// keeps `frame` across its frames allocates only when a frame is wider
+/// than any before it. A payload longer than a `u32` prefix can declare
+/// is `InvalidInput`, and nothing is sent.
+pub(crate) fn send_frame(
+    w: &mut impl Write,
+    frame: &mut Vec<u8>,
+    msg: &(impl Encode + ?Sized),
+) -> io::Result<()> {
+    let len = msg.wire_len();
+    let prefix = u32::try_from(len).map_err(|_| {
+        io::Error::new(io::ErrorKind::InvalidInput, "frame payload exceeds the u32 length prefix")
+    })?;
+    frame.clear();
+    frame.reserve(4 + len);
+    frame.extend_from_slice(&prefix.to_le_bytes());
+    msg.put(frame);
+    w.write_all(frame)?;
     w.flush()
 }
 
-/// Reads one frame, rejecting any payload longer than `cap` *before*
-/// reading (or allocating) its body.
-pub fn read_frame(r: &mut impl Read, cap: u64) -> Result<Vec<u8>, FrameError> {
+/// Writes one frame (length prefix + payload) in a single `write_all`,
+/// through a buffer of its own. [`NetClient`](crate::NetClient) and the
+/// server's connections instead encode every frame into one buffer
+/// they keep for the connection's life.
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+    send_frame(w, &mut Vec::new(), payload)
+}
+
+/// Reads one frame's payload into `frame` (reusing its allocation),
+/// rejecting any payload longer than `cap` *before* reading its body or
+/// growing `frame`. Read through a reader held for the whole
+/// connection (a `BufReader`), the prefix and a body that fits its
+/// buffer normally arrive in one `recv`.
+pub(crate) fn read_frame_into(
+    r: &mut impl Read,
+    cap: u64,
+    frame: &mut Vec<u8>,
+) -> Result<(), FrameError> {
     let mut len_bytes = [0u8; 4];
     r.read_exact(&mut len_bytes)?;
     let len = u32::from_le_bytes(len_bytes) as u64;
     if len > cap {
         return Err(FrameError::TooLarge { len, cap });
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    frame.clear();
+    frame.resize(len as usize, 0);
+    r.read_exact(frame)?;
+    Ok(())
+}
+
+/// Reads one frame into a payload buffer of exactly its length,
+/// rejecting any payload longer than `cap` *before* reading (or
+/// allocating) its body. On an unbuffered stream a frame costs two
+/// reads (prefix, then body); through a `BufReader` held for the
+/// connection's life, a frame and what follows it arrive in one.
+pub fn read_frame(r: &mut impl Read, cap: u64) -> Result<Vec<u8>, FrameError> {
+    let mut payload = Vec::new();
+    read_frame_into(r, cap, &mut payload)?;
     Ok(payload)
 }
 
@@ -430,14 +508,29 @@ pub struct Hello {
     pub token: Vec<u8>,
 }
 
+/// The first `u16::MAX` bytes of a length-prefixed string field: all a
+/// `u16` length can declare.
+fn bounded(bytes: &[u8]) -> &[u8] {
+    &bytes[..bytes.len().min(u16::MAX as usize)]
+}
+
+impl Encode for Hello {
+    fn wire_len(&self) -> usize {
+        4 + bounded(&self.token).len()
+    }
+
+    fn put(&self, out: &mut Vec<u8>) {
+        let token = bounded(&self.token);
+        out.push(PROTO_VERSION);
+        out.push(KIND_HELLO);
+        out.extend_from_slice(&(token.len() as u16).to_le_bytes());
+        out.extend_from_slice(token);
+    }
+}
+
 /// Encodes a hello payload.
 pub fn encode_hello(hello: &Hello) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + hello.token.len());
-    out.push(PROTO_VERSION);
-    out.push(KIND_HELLO);
-    out.extend_from_slice(&(hello.token.len().min(u16::MAX as usize) as u16).to_le_bytes());
-    out.extend_from_slice(&hello.token);
-    out
+    encode(hello)
 }
 
 /// Decodes a hello payload.
@@ -479,35 +572,39 @@ pub struct Request {
     pub job: Job,
 }
 
-/// Encodes a request payload.
-pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.push(PROTO_VERSION);
-    out.push(KIND_REQUEST);
-    out.extend_from_slice(&req.req_id.to_le_bytes());
-    match &req.job {
-        Job::Mul { a, b } => {
-            out.push(OP_MUL);
-            put_nat(&mut out, a);
-            put_nat(&mut out, b);
-        }
-        Job::Div { a, b } => {
-            out.push(OP_DIV);
-            put_nat(&mut out, a);
-            put_nat(&mut out, b);
-        }
-        Job::Sqrt { a } => {
-            out.push(OP_SQRT);
-            put_nat(&mut out, a);
-        }
-        Job::ModExp { base, exp, modulus } => {
-            out.push(OP_MODEXP);
-            put_nat(&mut out, base);
-            put_nat(&mut out, exp);
-            put_nat(&mut out, modulus);
+impl Request {
+    /// The opcode and operands, in wire order.
+    fn operands(&self) -> (u8, [Option<&Nat>; 3]) {
+        match &self.job {
+            Job::Mul { a, b } => (OP_MUL, [Some(a), Some(b), None]),
+            Job::Div { a, b } => (OP_DIV, [Some(a), Some(b), None]),
+            Job::Sqrt { a } => (OP_SQRT, [Some(a), None, None]),
+            Job::ModExp { base, exp, modulus } => (OP_MODEXP, [Some(base), Some(exp), Some(modulus)]),
         }
     }
-    out
+}
+
+impl Encode for Request {
+    fn wire_len(&self) -> usize {
+        let (_, nats) = self.operands();
+        1 + 1 + 8 + 1 + nats.iter().flatten().map(|n| nat_len(n)).sum::<usize>()
+    }
+
+    fn put(&self, out: &mut Vec<u8>) {
+        let (op, nats) = self.operands();
+        out.push(PROTO_VERSION);
+        out.push(KIND_REQUEST);
+        out.extend_from_slice(&self.req_id.to_le_bytes());
+        out.push(op);
+        for n in nats.iter().flatten() {
+            put_nat(out, n);
+        }
+    }
+}
+
+/// Encodes a request payload, in a buffer of exactly its length.
+pub fn encode_request(req: &Request) -> Vec<u8> {
+    encode(req)
 }
 
 /// Decodes a request payload.
@@ -585,54 +682,71 @@ pub struct Response {
     pub body: ResponseBody,
 }
 
-/// Encodes a response payload.
-pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.push(PROTO_VERSION);
-    out.push(KIND_RESPONSE);
-    out.extend_from_slice(&resp.req_id.to_le_bytes());
-    out.push(resp.body.status().as_byte());
-    match &resp.body {
-        ResponseBody::Output(output) => match output {
-            JobOutput::Product(p) => {
-                out.push(OUT_PRODUCT);
-                put_nat(&mut out, p);
-            }
-            JobOutput::DivRem { quotient, remainder } => {
-                out.push(OUT_DIVREM);
-                put_nat(&mut out, quotient);
-                put_nat(&mut out, remainder);
-            }
-            JobOutput::SqrtRem { root, remainder } => {
-                out.push(OUT_SQRTREM);
-                put_nat(&mut out, root);
-                put_nat(&mut out, remainder);
-            }
-            JobOutput::PowMod(p) => {
-                out.push(OUT_POWMOD);
-                put_nat(&mut out, p);
-            }
-        },
-        ResponseBody::Ack => out.push(OUT_ACK),
-        ResponseBody::Rejected(rejection) => match rejection {
-            Rejection::QueueFull { capacity } => {
-                out.extend_from_slice(&capacity.to_le_bytes());
-            }
-            Rejection::Shutdown => {}
-            Rejection::OversizedOperand { bits, max_bits } => {
-                out.extend_from_slice(&bits.to_le_bytes());
-                out.extend_from_slice(&max_bits.to_le_bytes());
-            }
-            Rejection::InvalidJob(reason) => {
-                let bytes = reason.as_bytes();
-                let len = bytes.len().min(u16::MAX as usize);
-                out.extend_from_slice(&(len as u16).to_le_bytes());
-                out.extend_from_slice(&bytes[..len]);
-            }
-        },
-        ResponseBody::Failed(_) => {}
+/// An `Ok` body's output kind and result nats, in wire order.
+fn output_nats(output: &JobOutput) -> (u8, [Option<&Nat>; 2]) {
+    match output {
+        JobOutput::Product(p) => (OUT_PRODUCT, [Some(p), None]),
+        JobOutput::DivRem { quotient, remainder } => (OUT_DIVREM, [Some(quotient), Some(remainder)]),
+        JobOutput::SqrtRem { root, remainder } => (OUT_SQRTREM, [Some(root), Some(remainder)]),
+        JobOutput::PowMod(p) => (OUT_POWMOD, [Some(p), None]),
     }
-    out
+}
+
+impl Encode for Response {
+    fn wire_len(&self) -> usize {
+        let body = match &self.body {
+            ResponseBody::Output(output) => {
+                let (_, nats) = output_nats(output);
+                1 + nats.iter().flatten().map(|n| nat_len(n)).sum::<usize>()
+            }
+            ResponseBody::Ack => 1,
+            ResponseBody::Rejected(Rejection::QueueFull { .. }) => 8,
+            ResponseBody::Rejected(Rejection::Shutdown) | ResponseBody::Failed(_) => 0,
+            ResponseBody::Rejected(Rejection::OversizedOperand { .. }) => 16,
+            ResponseBody::Rejected(Rejection::InvalidJob(reason)) => {
+                2 + bounded(reason.as_bytes()).len()
+            }
+        };
+        1 + 1 + 8 + 1 + body
+    }
+
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(PROTO_VERSION);
+        out.push(KIND_RESPONSE);
+        out.extend_from_slice(&self.req_id.to_le_bytes());
+        out.push(self.body.status().as_byte());
+        match &self.body {
+            ResponseBody::Output(output) => {
+                let (kind, nats) = output_nats(output);
+                out.push(kind);
+                for n in nats.iter().flatten() {
+                    put_nat(out, n);
+                }
+            }
+            ResponseBody::Ack => out.push(OUT_ACK),
+            ResponseBody::Rejected(rejection) => match rejection {
+                Rejection::QueueFull { capacity } => {
+                    out.extend_from_slice(&capacity.to_le_bytes());
+                }
+                Rejection::Shutdown => {}
+                Rejection::OversizedOperand { bits, max_bits } => {
+                    out.extend_from_slice(&bits.to_le_bytes());
+                    out.extend_from_slice(&max_bits.to_le_bytes());
+                }
+                Rejection::InvalidJob(reason) => {
+                    let bytes = bounded(reason.as_bytes());
+                    out.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
+                    out.extend_from_slice(bytes);
+                }
+            },
+            ResponseBody::Failed(_) => {}
+        }
+    }
+}
+
+/// Encodes a response payload, in a buffer of exactly its length.
+pub fn encode_response(resp: &Response) -> Vec<u8> {
+    encode(resp)
 }
 
 /// Decodes a response payload. Unknown status bytes are
@@ -868,6 +982,29 @@ mod tests {
             Err(FrameError::TooLarge { len: 5, cap: 4 }) => {}
             other => unreachable!("expected TooLarge, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn send_frame_matches_write_frame_and_reuses_its_buffer() {
+        let req = Request { req_id: 9, job: Job::Mul { a: nat(2047, 5), b: nat(2047, 3) } };
+        let ack = Response { req_id: 9, body: ResponseBody::Ack };
+        let mut frame = Vec::new();
+        let mut sent = Vec::new();
+        send_frame(&mut sent, &mut frame, &req).expect("write to Vec");
+        let widest = frame.capacity();
+        send_frame(&mut sent, &mut frame, &ack).expect("write to Vec");
+        assert_eq!(frame.capacity(), widest, "a narrower frame reallocated the buffer");
+        let mut expected = Vec::new();
+        write_frame(&mut expected, &encode_request(&req)).expect("write to Vec");
+        write_frame(&mut expected, &encode_response(&ack)).expect("write to Vec");
+        assert_eq!(sent, expected);
+        // Both frames read back, in order, through one reused buffer.
+        let mut r = &sent[..];
+        read_frame_into(&mut r, 1 << 16, &mut frame).expect("request frame");
+        assert_eq!(decode_request(&frame).expect("request").req_id, 9);
+        read_frame_into(&mut r, 1 << 16, &mut frame).expect("ack frame");
+        assert_eq!(decode_response(&frame).expect("ack"), ack);
+        assert!(r.is_empty());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   suite, the root suite with the `parallel` feature, the apc-bignum
 //!   and cambricon-p tests with the `parallel` feature, the bench bins
 //!   with the `parallel` feature, the network bins,
-//!   the perfbench benchmark, clippy with warnings denied, the workspace
+//!   the perfbench benchmark and its self-tests, clippy with warnings denied, the workspace
 //!   docs with broken intra-doc links denied, then lint) and print a
 //!   one-line PASS/FAIL summary.
 //! - `rules` — list the lint rules.
@@ -140,7 +140,8 @@ fn json_escape(s: &str) -> String {
 /// else), the network crate's binaries (its server/client bins are not part of the root package's
 /// build graph), the `perfbench` benchmark (a workspace of its own, so a
 /// public-API change that breaks it fails here rather than at benchmark
-/// time), clippy over every target and feature with warnings denied (it
+/// time) and its self-tests (they call the wire codec and check the
+/// workload, ledger and statistics code the benchmark reports with), clippy over every target and feature with warnings denied (it
 /// carries the no-panic, no-timed-wait, unsafe and missing-docs rules,
 /// so an unreasoned escape or a new warning fails here), the workspace
 /// docs with broken intra-doc links denied (so a deleted item cannot
@@ -148,7 +149,7 @@ fn json_escape(s: &str) -> String {
 /// and prints a one-line summary.
 /// Stops at the first failing step so the summary names the culprit.
 fn ci() -> ExitCode {
-    let steps: [(&str, &[&str]); 10] = [
+    let steps: [(&str, &[&str]); 11] = [
         ("build", &["build", "--release"]),
         ("test(workspace)", &["test", "--workspace", "-q"]),
         ("build(parallel)", &["build", "--release", "--features", "parallel"]),
@@ -165,6 +166,10 @@ fn ci() -> ExitCode {
         (
             "build(perfbench)",
             &["build", "--release", "--offline", "--manifest-path", "perfbench/Cargo.toml"],
+        ),
+        (
+            "test(perfbench)",
+            &["test", "--release", "--offline", "--manifest-path", "perfbench/Cargo.toml"],
         ),
         (
             "clippy",
@@ -211,7 +216,7 @@ fn ci() -> ExitCode {
     match xtask::lint_tree(&root) {
         Ok(v) if v.is_empty() => {
             println!(
-                "ci: PASS (build, test x {{workspace,parallel,core+bignum parallel}}, bench bins (parallel), net bins, perfbench, clippy, doc, lint)"
+                "ci: PASS (build, test x {{workspace,parallel,core+bignum parallel}}, bench bins (parallel), net bins, perfbench (build, test), clippy, doc, lint)"
             );
             ExitCode::SUCCESS
         }

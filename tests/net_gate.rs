@@ -31,6 +31,11 @@
 //!    width through an N-shard router of one-device shards always find
 //!    a shard with nothing in flight, so every job finds a device free
 //!    and none waits for a hand-off.
+//! 9. **Framing survives any segmentation** — the server reads each
+//!    connection through one held reader: two request frames sent in
+//!    one write get two in-order, bit-exact answers, and a request sent
+//!    one byte per write still gets its answer. Every encoder sizes its
+//!    payload exactly (`capacity() == len()`, checked in the fuzzer).
 
 use apc_bignum::Nat;
 use apc_net::wire::{self, FrameError, Hello, Request, Response, ResponseBody};
@@ -287,6 +292,70 @@ fn authenticated_peer(server: &NetServer<Router>) -> TcpStream {
     stream
 }
 
+/// Bounds every read on a test's raw peer: a server that lost a frame
+/// fails the test instead of hanging it.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test watchdog: a lost frame fails the test instead of hanging it"
+)]
+fn with_read_watchdog(peer: TcpStream) -> TcpStream {
+    peer.set_read_timeout(Some(Duration::from_secs(20))).expect("read timeout");
+    peer
+}
+
+/// A seeded 2048×2048-bit multiply request and its direct product.
+fn mul_request(rng: &mut StdRng, device: &Device, req_id: u64) -> (Request, JobOutput) {
+    let job = Job::Mul { a: random_nat(rng, 2048), b: random_nat(rng, 2048) };
+    let expected = direct(device, &job);
+    (Request { req_id, job }, expected)
+}
+
+/// Reads one response frame from `peer` and checks it answers `req_id`
+/// with `expected`.
+fn expect_answer(peer: &mut TcpStream, req_id: u64, expected: JobOutput) {
+    let frame = wire::read_frame(peer, 1 << 16).expect("response frame");
+    let response = wire::decode_response(&frame).expect("response decodes");
+    assert_eq!(response.req_id, req_id, "answers arrived out of order");
+    assert_eq!(response.body, ResponseBody::Output(expected), "request {req_id}: wrong product");
+}
+
+#[test]
+fn two_frames_in_one_write_get_two_in_order_answers() {
+    let server = start_server(1);
+    let device = Device::new_default();
+    let mut rng = StdRng::seed_from_u64(0x919E_11ED);
+    let mut peer = with_read_watchdog(authenticated_peer(&server));
+    let (first, first_out) = mul_request(&mut rng, &device, 41);
+    let (second, second_out) = mul_request(&mut rng, &device, 42);
+    // Both frames in one write: the server's first read takes both, and
+    // the second must survive in its reader until the first is answered.
+    let mut both = Vec::new();
+    wire::write_frame(&mut both, &wire::encode_request(&first)).expect("write to Vec");
+    wire::write_frame(&mut both, &wire::encode_request(&second)).expect("write to Vec");
+    peer.write_all(&both).expect("two frames");
+    expect_answer(&mut peer, 41, first_out);
+    expect_answer(&mut peer, 42, second_out);
+    server.shutdown();
+}
+
+#[test]
+fn a_request_written_one_byte_per_write_gets_its_answer() {
+    let server = start_server(1);
+    let device = Device::new_default();
+    let mut rng = StdRng::seed_from_u64(0xB17E);
+    let mut peer = with_read_watchdog(authenticated_peer(&server));
+    // Nagle off, so each byte leaves in its own segment.
+    peer.set_nodelay(true).expect("nodelay");
+    let (request, expected) = mul_request(&mut rng, &device, 7);
+    let mut frame = Vec::new();
+    wire::write_frame(&mut frame, &wire::encode_request(&request)).expect("write to Vec");
+    for byte in &frame {
+        peer.write_all(std::slice::from_ref(byte)).expect("one byte");
+    }
+    expect_answer(&mut peer, 7, expected);
+    server.shutdown();
+}
+
 /// Shuts `server` down on its own thread and fails, instead of hanging,
 /// if the drain has not finished within the watchdog's bound; then
 /// checks that `peer` was closed without an answer.
@@ -350,6 +419,12 @@ fn fuzz_bytes(rng: &mut StdRng, max: usize) -> Vec<u8> {
     out
 }
 
+/// Each encoder sizes its buffer once, from the message: no growth
+/// past the payload, no slack left behind.
+fn assert_exact_size(payload: &Vec<u8>) {
+    assert_eq!(payload.capacity(), payload.len(), "encoder grew or over-sized its buffer");
+}
+
 /// A valid payload of one frame kind, checked to round-trip, plus the
 /// payload offsets of its `Nat` limb counts.
 fn valid_payload(rng: &mut StdRng) -> (Vec<u8>, Vec<usize>) {
@@ -369,6 +444,7 @@ fn valid_payload(rng: &mut StdRng) -> (Vec<u8>, Vec<usize>) {
         0 => {
             let hello = Hello { token: fuzz_bytes(rng, wire::MAX_TOKEN_LEN) };
             let payload = wire::encode_hello(&hello);
+            assert_exact_size(&payload);
             assert_eq!(wire::decode_hello(&payload).expect("valid hello"), hello);
             (payload, Vec::new())
         }
@@ -385,6 +461,7 @@ fn valid_payload(rng: &mut StdRng) -> (Vec<u8>, Vec<usize>) {
             };
             let request = Request { req_id: rng.next_u64(), job };
             let payload = wire::encode_request(&request);
+            assert_exact_size(&payload);
             let decoded = wire::decode_request(&payload).expect("valid request");
             assert_eq!(decoded.req_id, request.req_id);
             // Job has no PartialEq; compare through the debug form.
@@ -432,6 +509,7 @@ fn valid_payload(rng: &mut StdRng) -> (Vec<u8>, Vec<usize>) {
             };
             let response = Response { req_id: rng.next_u64(), body };
             let payload = wire::encode_response(&response);
+            assert_exact_size(&payload);
             assert_eq!(wire::decode_response(&payload).expect("valid response"), response);
             (payload, counts(12, &nats))
         }
