@@ -5,7 +5,6 @@
 //! `--seed` to extend the verification.
 
 use apc_bench::header;
-use apc_bignum::nat::barrett::BarrettCtx;
 use apc_bignum::nat::mont::MontgomeryCtx;
 use apc_bignum::{MulAlgorithm, Nat};
 use cambricon_p::accelerator::Accelerator;
@@ -95,14 +94,15 @@ fn main() {
     }
     println!("clocked RTL model: ok");
 
-    // 4. Division family: schoolbook/BZ vs Newton vs Hensel.
+    // 4. Division: quotient and remainder come back exactly from q·d + r.
     for _ in 0..4 {
         let q = Nat::random_exact_bits(rng.gen_range(64..5_000), &mut rng);
-        let d = Nat::random_exact_bits(rng.gen_range(64..3_000), &mut rng).with_bit(0, true);
+        let d = Nat::random_exact_bits(rng.gen_range(64..3_000), &mut rng);
+        let r = Nat::random_below(&d, &mut rng);
         let n = &q * &d;
-        t.check("divrem classical", n.divrem(&d) == (q.clone(), Nat::zero()));
-        t.check("divrem newton", n.divrem_newton(&d) == (q.clone(), Nat::zero()));
-        t.check("div_exact hensel", n.div_exact_odd(&d) == q);
+        t.check("divrem exact", n.divrem(&d) == (q.clone(), Nat::zero()));
+        t.check("div_exact", n.div_exact(&d) == q);
+        t.check("divrem with remainder", (&n + &r).divrem(&d) == (q, r));
     }
     println!("division family: ok");
 
@@ -119,16 +119,21 @@ fn main() {
     }
     println!("roots: ok");
 
-    // 6. Modular arithmetic: Barrett vs Montgomery vs naive.
+    // 6. Modular exponentiation: Montgomery and device vs square-and-multiply.
     for _ in 0..3 {
         let m = Nat::random_exact_bits(512, &mut rng).with_bit(0, true);
         let base = Nat::random_below(&m, &mut rng);
         let exp = Nat::random_bits(96, &mut rng);
+        let mut naive = Nat::one();
+        for i in (0..exp.bit_len()).rev() {
+            naive = &(&naive * &naive) % &m;
+            if exp.bit(i) {
+                naive = &(&naive * &base) % &m;
+            }
+        }
         let mont = MontgomeryCtx::new(m.clone()).pow_mod(&base, &exp);
-        let barrett = BarrettCtx::new(m.clone()).pow_mod(&base, &exp);
-        let device = dev.pow_mod(&base, &exp, &m);
-        t.check("barrett == montgomery", barrett == mont);
-        t.check("device pow_mod", device == mont);
+        t.check("montgomery pow_mod", mont == naive);
+        t.check("device pow_mod", dev.pow_mod(&base, &exp, &m) == naive);
     }
     println!("modular arithmetic: ok");
 

@@ -8,14 +8,11 @@
 //! Figure 1 in the paper.
 
 pub mod add;
-pub mod barrett;
 pub mod bits;
 pub mod div;
-pub mod divexact;
 pub mod gcd;
 pub mod mont;
 pub mod mul;
-pub mod newton;
 pub mod prime;
 pub mod radix;
 pub mod random;

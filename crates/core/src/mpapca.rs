@@ -326,8 +326,10 @@ impl Device {
     // High-level operators (§V-C: division, square root, Montgomery)
     // ------------------------------------------------------------------
 
-    /// Division with remainder (§V-C), by Newton–Raphson reciprocal
-    /// iteration composed from device multiplications.
+    /// Division with remainder (§V-C). The result comes from the
+    /// `apc_bignum` oracle (`Nat::divrem`); only the cycle charge
+    /// (`div_cycles`) models Newton–Raphson reciprocal iteration over
+    /// device multiplications.
     ///
     /// # Panics
     ///

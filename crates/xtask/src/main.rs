@@ -9,7 +9,7 @@
 //! - `ci` — run the full tier-1 gate (release build, the workspace test
 //!   suite, the root suite with the `parallel` feature, the apc-bignum
 //!   and cambricon-p tests with the `parallel` feature, the bench bins
-//!   with the `parallel` feature, the network bins,
+//!   with the `parallel` feature, the `crosscheck` sweep, the network bins,
 //!   the perfbench benchmark and its self-tests, clippy with warnings denied, the workspace
 //!   docs with broken intra-doc links denied, then lint) and print a
 //!   one-line PASS/FAIL summary.
@@ -135,21 +135,23 @@ fn json_escape(s: &str) -> String {
 /// Device path runs under both dispatchers), the unit tests of apc-bignum
 /// and cambricon-p with the `parallel` feature (the 8-worker arm of the
 /// bignum `par` tests and the core kernels under chunk-parallel dispatch
-/// run nowhere else), the bench binaries with the
-/// `parallel` feature (`bench_json`'s parallel leg is built nowhere
-/// else), the network crate's binaries (its server/client bins are not part of the root package's
-/// build graph), the `perfbench` benchmark (a workspace of its own, so a
-/// public-API change that breaks it fails here rather than at benchmark
-/// time) and its self-tests (they call the wire codec and check the
-/// workload, ledger and statistics code the benchmark reports with), clippy over every target and feature with warnings denied (it
-/// carries the no-panic, no-timed-wait, unsafe and missing-docs rules,
-/// so an unreasoned escape or a new warning fails here), the workspace
-/// docs with broken intra-doc links denied (so a deleted item cannot
-/// leave a dangling doc link), then in-process lint —
+/// run nowhere else), the bench binaries with the `parallel` feature
+/// (`bench_json`'s parallel leg is built nowhere else), the `crosscheck`
+/// cross-validation sweep (it asserts 0 failures across every engine
+/// pair), the network crate's binaries (its server/client bins are not
+/// part of the root package's build graph), the `perfbench` benchmark (a
+/// workspace of its own, so a public-API change that breaks it fails here
+/// rather than at benchmark time) and its self-tests (they call the wire
+/// codec and check the workload, ledger and statistics code the benchmark
+/// reports with), clippy over every target and feature with warnings
+/// denied (it carries the no-panic, no-timed-wait, unsafe and
+/// missing-docs rules, so an unreasoned escape or a new warning fails
+/// here), the workspace docs with broken intra-doc links denied (so a
+/// deleted item cannot leave a dangling doc link), then in-process lint —
 /// and prints a one-line summary.
 /// Stops at the first failing step so the summary names the culprit.
 fn ci() -> ExitCode {
-    let steps: [(&str, &[&str]); 11] = [
+    let steps: [(&str, &[&str]); 12] = [
         ("build", &["build", "--release"]),
         ("test(workspace)", &["test", "--workspace", "-q"]),
         ("build(parallel)", &["build", "--release", "--features", "parallel"]),
@@ -162,6 +164,7 @@ fn ci() -> ExitCode {
             "build(bench bins, parallel)",
             &["build", "--release", "-p", "apc-bench", "--bins", "--features", "parallel"],
         ),
+        ("run(crosscheck)", &["run", "--release", "-p", "apc-bench", "--bin", "crosscheck"]),
         ("build(net bins)", &["build", "--release", "-p", "apc-net", "--bins"]),
         (
             "build(perfbench)",
@@ -216,7 +219,7 @@ fn ci() -> ExitCode {
     match xtask::lint_tree(&root) {
         Ok(v) if v.is_empty() => {
             println!(
-                "ci: PASS (build, test x {{workspace,parallel,core+bignum parallel}}, bench bins (parallel), net bins, perfbench (build, test), clippy, doc, lint)"
+                "ci: PASS (build, test x {{workspace,parallel,core+bignum parallel}}, bench bins (parallel), crosscheck, net bins, perfbench (build, test), clippy, doc, lint)"
             );
             ExitCode::SUCCESS
         }

@@ -47,7 +47,7 @@ use apc_serve::{operand_bucket, Job, JobOutput, JobSpec, ServeConfig, ServeHandl
 use cambricon_p::Device;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::mpsc;
 use std::time::Duration;
@@ -103,8 +103,16 @@ fn start_server(shards: usize) -> NetServer<Router> {
     .expect("bind loopback")
 }
 
+/// The bound on every read a test makes: a server that lost a frame
+/// fails the test instead of hanging it.
+const WATCHDOG: Duration = Duration::from_secs(20);
+
 fn client_config() -> NetClientConfig {
-    NetClientConfig { token: TOKEN.to_vec(), ..NetClientConfig::default() }
+    NetClientConfig {
+        token: TOKEN.to_vec(),
+        request_timeout: WATCHDOG,
+        ..NetClientConfig::default()
+    }
 }
 
 #[test]
@@ -202,7 +210,7 @@ fn one_caller_per_shard_never_stages_a_job() {
 fn oversized_frame_is_rejected_with_the_typed_status() {
     let server = start_server(1);
     // Handshake by hand so we control the raw bytes afterwards.
-    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut stream = connect_watched(&server);
     stream.write_all(&wire::MAGIC).expect("preamble");
     let hello = wire::encode_hello(&wire::Hello { token: TOKEN.to_vec() });
     wire::write_frame(&mut stream, &hello).expect("hello");
@@ -218,8 +226,7 @@ fn oversized_frame_is_rejected_with_the_typed_status() {
     let resp = wire::decode_response(&resp).expect("rejection decodes");
     assert_eq!(resp.body, wire::ResponseBody::Failed(WireStatus::OversizedFrame));
     // And the connection is closed behind it.
-    let mut rest = Vec::new();
-    let _ = stream.read_to_end(&mut rest);
+    let rest = read_until_closed(&mut stream);
     assert!(rest.is_empty(), "server kept talking after a framing violation");
     assert_eq!(
         server.metrics().oversized_frames.load(std::sync::atomic::Ordering::Relaxed),
@@ -231,7 +238,7 @@ fn oversized_frame_is_rejected_with_the_typed_status() {
 #[test]
 fn bad_auth_token_is_rejected_before_any_operand() {
     let server = start_server(1);
-    let bad = NetClientConfig { token: b"wrong-tenant".to_vec(), ..NetClientConfig::default() };
+    let bad = NetClientConfig { token: b"wrong-tenant".to_vec(), ..client_config() };
     match NetClient::connect(server.local_addr(), &bad) {
         Err(NetError::Server(WireStatus::AuthRejected)) => {}
         other => panic!("expected typed AuthRejected, got {other:?}"),
@@ -280,10 +287,10 @@ fn shutdown_drains_in_flight_connections() {
     );
 }
 
-/// A raw connection that has passed the hello/auth handshake, so the
-/// server is blocked reading its first request frame.
+/// A watched raw connection that has passed the hello/auth handshake, so
+/// the server is blocked reading its first request frame.
 fn authenticated_peer(server: &NetServer<Router>) -> TcpStream {
-    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut stream = connect_watched(server);
     stream.write_all(&wire::MAGIC).expect("preamble");
     let hello = wire::encode_hello(&Hello { token: TOKEN.to_vec() });
     wire::write_frame(&mut stream, &hello).expect("hello");
@@ -292,15 +299,29 @@ fn authenticated_peer(server: &NetServer<Router>) -> TcpStream {
     stream
 }
 
-/// Bounds every read on a test's raw peer: a server that lost a frame
-/// fails the test instead of hanging it.
+/// A raw connection to `server` whose every read, from the first on, is
+/// bounded by [`WATCHDOG`].
 #[expect(
     clippy::disallowed_methods,
     reason = "test watchdog: a lost frame fails the test instead of hanging it"
 )]
-fn with_read_watchdog(peer: TcpStream) -> TcpStream {
-    peer.set_read_timeout(Some(Duration::from_secs(20))).expect("read timeout");
+fn connect_watched(server: &NetServer<Router>) -> TcpStream {
+    let peer = TcpStream::connect(server.local_addr()).expect("connect");
+    peer.set_read_timeout(Some(WATCHDOG)).expect("read timeout");
     peer
+}
+
+/// Reads `peer` until the server closes it; a read that times out
+/// instead means the server left it open, and fails the test.
+fn read_until_closed(peer: &mut TcpStream) -> Vec<u8> {
+    let mut rest = Vec::new();
+    if let Err(e) = peer.read_to_end(&mut rest) {
+        assert!(
+            !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+            "the server left the connection open: {e}"
+        );
+    }
+    rest
 }
 
 /// A seeded 2048×2048-bit multiply request and its direct product.
@@ -324,7 +345,7 @@ fn two_frames_in_one_write_get_two_in_order_answers() {
     let server = start_server(1);
     let device = Device::new_default();
     let mut rng = StdRng::seed_from_u64(0x919E_11ED);
-    let mut peer = with_read_watchdog(authenticated_peer(&server));
+    let mut peer = authenticated_peer(&server);
     let (first, first_out) = mul_request(&mut rng, &device, 41);
     let (second, second_out) = mul_request(&mut rng, &device, 42);
     // Both frames in one write: the server's first read takes both, and
@@ -343,7 +364,7 @@ fn a_request_written_one_byte_per_write_gets_its_answer() {
     let server = start_server(1);
     let device = Device::new_default();
     let mut rng = StdRng::seed_from_u64(0xB17E);
-    let mut peer = with_read_watchdog(authenticated_peer(&server));
+    let mut peer = authenticated_peer(&server);
     // Nagle off, so each byte leaves in its own segment.
     peer.set_nodelay(true).expect("nodelay");
     let (request, expected) = mul_request(&mut rng, &device, 7);
@@ -370,11 +391,10 @@ fn drain_under_watchdog(server: NetServer<Router>, mut peer: TcpStream, state: &
         let _ = done_tx.send(());
     });
     assert!(
-        done_rx.recv_timeout(Duration::from_secs(20)).is_ok(),
+        done_rx.recv_timeout(WATCHDOG).is_ok(),
         "shutdown hung on a peer stalled {state}"
     );
-    let mut rest = Vec::new();
-    let _ = peer.read_to_end(&mut rest);
+    let rest = read_until_closed(&mut peer);
     assert!(rest.is_empty(), "a peer stalled {state} was answered during the drain");
 }
 
@@ -389,7 +409,7 @@ fn shutdown_drains_past_a_peer_stalled_mid_length_prefix() {
 #[test]
 fn shutdown_drains_past_a_peer_stalled_mid_http_head() {
     let server = start_server(1);
-    let mut peer = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut peer = connect_watched(&server);
     peer.write_all(b"GET /metr").expect("partial head");
     // Let the worker get into the head before the drain starts.
     #[expect(clippy::disallowed_methods, reason = "test pacing before the drain")]
