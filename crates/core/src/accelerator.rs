@@ -276,7 +276,8 @@ fn pass_reads_nonzero(
 /// whole word's popcounts, the sums of its tuples' own: an all-zero tuple
 /// in a nonzero group adds L to `popcount(I[0])` and nothing else, so it
 /// takes back and charges 0, as if skipped. So the tally is bit-identical
-/// to one [`Indicators::select_accumulate`] per PE(b, w)·k.
+/// to the scalar [`crate::ipu::bit_indexed_inner_product`] counts of every
+/// IPU k of every executed PE(b, w).
 fn sliced_chunk<const Q: usize>(
     blocks: &SlicedBlocks,
     yr: &[Limb],

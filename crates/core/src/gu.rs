@@ -163,50 +163,6 @@ pub(crate) fn add_shifted(acc: &mut [Limb], value: &[Limb], offset: u64) {
     }
 }
 
-/// The bitsliced gather: Σᵢ partialᵢ·2^(i·L) over a fresh buffer, with
-/// word-level carry chains instead of bit-serial section tables — the
-/// independent oracle [`add_shifted`]'s in-place fold is checked against.
-///
-/// Each 128-bit IPU partial lands at bit offset `i·L`; the limb-boundary
-/// straddle is resolved by a 3-limb shift (`wide_shl_parts`) and the
-/// inter-section carries by an `adc` ripple. The result is the exact sum,
-/// so it is bit-identical to [`gather_carry_parallel`]'s value on the
-/// same partials.
-#[cfg(test)]
-pub(crate) fn gather_sliced(partials: &[u128], l: u32) -> Nat {
-    use apc_bignum::limb::{wide_shl_parts, LIMB_BITS};
-    debug_assert!(
-        (1..=LIMB_BITS).contains(&l),
-        "section width must fit a limb"
-    );
-    if partials.is_empty() {
-        return Nat::zero();
-    }
-    // Highest bit touched: (n−1)·L offset + 128-bit partial + carry slack.
-    let top_bits = (partials.len() as u64 - 1) * u64::from(l) + 192;
-    let words = crate::cast::usize_from(top_bits.div_ceil(u64::from(LIMB_BITS)) + 1);
-    let mut acc: Vec<Limb> = vec![0; words];
-    for (i, &p) in partials.iter().enumerate() {
-        let offset = i as u64 * u64::from(l);
-        let (word, bit) = apc_bignum::limb::bit_split(offset);
-        let parts = wide_shl_parts(p, bit);
-        let mut carry = 0;
-        for (j, w) in [parts.0, parts.1, parts.2].into_iter().enumerate() {
-            let (s, c) = adc(acc[word + j], w, carry);
-            acc[word + j] = s;
-            carry = c;
-        }
-        let mut k = word + 3;
-        while carry != 0 {
-            let (s, c) = adc(acc[k], 0, carry);
-            acc[k] = s;
-            carry = c;
-            k += 1;
-        }
-    }
-    Nat::from_limbs(acc)
-}
-
 /// Reference gather: plain big-integer accumulation (the sequential
 /// carry-chain baseline of Fig. 5, and the oracle for the carry-parallel
 /// model).
@@ -292,35 +248,39 @@ mod tests {
         assert!(gather_carry_parallel(&zeros, 8).value.is_zero());
     }
 
-    #[test]
-    fn sliced_gather_matches_carry_parallel() {
-        // 128-bit partials at strides that do and do not divide 64.
-        let wide: Vec<u128> = (0..32u128)
+    /// Partials that fill most of the 128-bit MAC width.
+    fn wide_partials() -> Vec<u128> {
+        (0..32u128)
             .map(|i| (i << 100) | (i * 0x9E37_79B9_7F4A_7C15) | 1)
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn carry_parallel_matches_reference_on_wide_partials() {
+        // 128-bit partials at strides that do and do not divide 64.
+        let nats: Vec<Nat> = wide_partials().into_iter().map(Nat::from).collect();
         for l in [8u32, 16, 24, 32, 54, 64] {
-            let sliced = gather_sliced(&wide, l);
-            let nats: Vec<Nat> = wide.iter().map(|&p| Nat::from(p)).collect();
-            let scalar = gather_carry_parallel(&nats, l);
-            assert_eq!(sliced, scalar.value, "L={l}");
+            let g = gather_carry_parallel(&nats, l);
+            assert_eq!(g.value, gather_reference(&nats, l), "L={l}");
         }
     }
 
     #[test]
-    fn in_place_fold_matches_sliced_gather() {
+    fn in_place_fold_matches_reference_gather() {
         // The same partials folded one at a time into a shared buffer,
         // then that buffer folded again at a window offset.
-        let wide: Vec<u128> = (0..32u128)
-            .map(|i| (i << 100) | (i * 0x9E37_79B9_7F4A_7C15) | 1)
+        let wide: Vec<u128> = wide_partials()
+            .into_iter()
             .chain([u128::MAX, 0, u128::MAX])
             .collect();
+        let nats: Vec<Nat> = wide.iter().map(|&p| Nat::from(p)).collect();
         for l in [1u32, 8, 20, 32, 54, 64] {
             let mut acc: Vec<Limb> = vec![0; 40];
             for (k, &p) in wide.iter().enumerate() {
                 let (lo, hi) = apc_bignum::limb::wide_parts(p);
                 add_shifted(&mut acc, &[lo, hi], k as u64 * u64::from(l));
             }
-            let gathered = gather_sliced(&wide, l);
+            let gathered = gather_reference(&nats, l);
             assert_eq!(Nat::from_limbs(acc.clone()), gathered, "L={l}");
             for offset in [0u64, 1, 63, 64, 65, 1000] {
                 let mut product: Vec<Limb> = vec![0; 60];
@@ -337,13 +297,6 @@ mod tests {
     fn in_place_fold_rejects_an_undersized_accumulator() {
         let mut acc: Vec<Limb> = vec![u64::MAX; 2];
         add_shifted(&mut acc, &[1], 0);
-    }
-
-    #[test]
-    fn sliced_gather_zero_and_empty() {
-        assert!(gather_sliced(&[], 32).is_zero());
-        assert!(gather_sliced(&[0, 0, 0], 32).is_zero());
-        assert_eq!(gather_sliced(&[u128::MAX], 32), Nat::from(u128::MAX));
     }
 
     #[test]

@@ -89,28 +89,6 @@ pub fn bit_indexed_inner_product(patterns: &Patterns, ys: &[Nat], index_bits: u6
     }
 }
 
-/// The bitsliced form of [`bit_indexed_inner_product`]: all `index_bits`
-/// bitflow steps of one IPU pass (BIPS stages 2+3, Fig. 8) collapse into
-/// ~2^(q+1) word ops — [`Indicators::split`] followed by
-/// [`Indicators::select_accumulate`].
-///
-/// Returns the inner product and a [`BopsTally`] **bit-identical** to the
-/// scalar pass.
-pub fn bit_indexed_inner_product_sliced(
-    patterns: &[Limb],
-    element_bits: u64,
-    ys: &[Limb],
-    index_bits: u64,
-) -> (u128, BopsTally) {
-    let mut indicators = Indicators::new(ys.len(), index_bits);
-    indicators.split(ys);
-    let mut bits = vec![0; patterns.len()];
-    pattern_bits(patterns, &mut bits);
-    let mut tally = BopsTally::default();
-    let value = indicators.select_accumulate(patterns, &bits, element_bits, &mut tally);
-    (value, tally)
-}
-
 /// The gather width each pattern word charges when selected (Fig. 8
 /// stage 3): `bits[mask] = max(1, bit_len(patterns[mask]))`, one shifted
 /// accumulation of that many bits per selecting cycle. A PE computes it
@@ -142,6 +120,12 @@ pub fn pattern_bits(patterns: &[Limb], bits: &mut [u8]) {
 /// structural walk packs k adjacent tuples so (`k` from the
 /// configuration; see [`crate::accelerator::Accelerator::multiply`]). The
 /// scratch is 2^q words plus 2^q counts, reused across splits.
+///
+/// The walk calls [`Indicators::split`] once per nonzero tuple group,
+/// [`Indicators::mac`] once per table that reads it, and charges each
+/// reader the [`Indicators::ones`] counts: `ones()[0]` skipped cycles and
+/// `Σ_{mask ≥ 1} ones[mask]·bits[mask]` gathered bits ([`pattern_bits`]),
+/// the scalar [`bit_indexed_inner_product`]'s counts regrouped by mask.
 #[derive(Debug, Clone)]
 pub struct Indicators {
     words: Vec<Limb>,
@@ -190,54 +174,6 @@ impl Indicators {
         for (n, &w) in ones.iter_mut().zip(ind.iter()) {
             *n = u8::try_from(w.count_ones()).unwrap_or(u8::MAX);
         }
-    }
-
-    /// Pattern selection and accumulation (BIPS stage 3, Fig. 8) of the
-    /// last [`Indicators::split`], one tuple of `index_bits` cycles,
-    /// against one 2^q-word table:
-    /// returns `Σ_mask patterns[mask]·I[mask]`, exact in 128 bits under
-    /// the sliced-support envelope
-    /// ([`crate::accelerator::Accelerator::effective_backend`]), and adds
-    /// the pass's counts into `tally`. `bits` is the table's
-    /// [`pattern_bits`].
-    ///
-    /// The counts are bit-identical to the scalar pass: `skipped_zero` is
-    /// `popcount(I[0])` (all-zero columns select z₀ ≡ 0 — bit-sparsity),
-    /// and the per-cycle `weighted_gather` charges regroup into
-    /// `popcount(I[mask])·bits[mask]`, the same multiset of u64 additions
-    /// in a different order.
-    pub fn select_accumulate(
-        &self,
-        patterns: &[Limb],
-        bits: &[u8],
-        element_bits: u64,
-        tally: &mut BopsTally,
-    ) -> u128 {
-        let n = patterns.len();
-        debug_assert_eq!(n, self.words.len(), "one pattern per mask");
-        let (ones, bits) = (&self.ones[..n], &bits[..n]);
-        let q = u64::from(n.trailing_zeros());
-        tally.bit_serial_reference += q * element_bits * self.index_bits;
-        tally.skipped_zero += u64::from(ones[0]);
-        if u64::from(ones[0]) == self.index_bits {
-            // Every cycle skipped: nothing is selected.
-            return 0;
-        }
-        let value = self.mac::<0>(patterns);
-        // Σ popcount·bits ≤ 64·64, so 16-bit lanes suffice.
-        let gather: u16 = bits
-            .iter()
-            .zip(ones)
-            .skip(1)
-            .map(|(&b, &n)| u16::from(b) * u16::from(n))
-            .sum();
-        tally.weighted_gather += u64::from(gather);
-        debug_assert!(
-            element_bits + self.index_bits >= 124
-                || value < (u128::from(q) << (element_bits + self.index_bits)),
-            "sliced IPU bound (Fig. 8): V < q·2^(p_x + p_y)"
-        );
-        value
     }
 
     /// `popcount(I[mask])` for every mask of the last split: how many of
@@ -375,54 +311,11 @@ mod tests {
     }
 
     #[test]
-    fn sliced_inner_product_matches_scalar_value_and_tally() {
-        let words = [0xDEADu64, 0xBEEF, 0x1234, 0xFFFF];
-        let index_words = [0xAAu64, 0x55, 0x0F, 0xF0];
-        let xs: Vec<Nat> = words.iter().map(|&v| Nat::from(v)).collect();
-        let ys: Vec<Nat> = index_words.iter().map(|&v| Nat::from(v)).collect();
-        let p = generate_patterns(&xs, 16).expect("valid inputs");
-        let scalar = bit_indexed_inner_product(&p, &ys, 8);
-        let (sliced_patterns, _) = crate::converter::generate_patterns_sliced(&words, 16);
-        let (value, tally) = bit_indexed_inner_product_sliced(&sliced_patterns, 16, &index_words, 8);
-        assert_eq!(scalar.value.to_u128(), Some(value));
-        assert_eq!(scalar.tally, tally);
-    }
-
-    #[test]
-    fn sliced_inner_product_full_word_indexes() {
-        // L = 54: the widest limb the sliced envelope admits at q = 4.
-        let words = [
-            (1u64 << 54) - 1,
-            0x2A_AAAA_AAAA_AAAA,
-            0x15_5555_5555_5555,
-            1,
-        ];
-        let index_words = [(1u64 << 54) - 1, 0x3F_0F0F_0F0F_0F0F, 0, 1];
-        let xs: Vec<Nat> = words.iter().map(|&v| Nat::from(v)).collect();
-        let ys: Vec<Nat> = index_words.iter().map(|&v| Nat::from(v)).collect();
-        let p = generate_patterns(&xs, 54).expect("valid inputs");
-        let scalar = bit_indexed_inner_product(&p, &ys, 54);
-        let (sliced_patterns, _) = crate::converter::generate_patterns_sliced(&words, 54);
-        let (value, tally) =
-            bit_indexed_inner_product_sliced(&sliced_patterns, 54, &index_words, 54);
-        assert_eq!(scalar.value.to_u128(), Some(value));
-        assert_eq!(scalar.tally, tally);
-    }
-
-    #[test]
-    fn sliced_zero_index_skips_every_cycle() {
-        let (patterns, _) = crate::converter::generate_patterns_sliced(&[123, 456], 16);
-        let (value, tally) = bit_indexed_inner_product_sliced(&patterns, 16, &[0, 0], 32);
-        assert_eq!(value, 0);
-        assert_eq!(tally.skipped_zero, 32);
-        assert_eq!(tally.weighted_gather, 0);
-    }
-
-    #[test]
-    fn split_network_and_select_accumulate_match_scalar_pass() {
+    fn split_mac_and_counts_match_scalar_pass() {
         // One scratch per (q, L) serves every tuple in turn, as in a
         // window walk: dense, sparse and all-zero index words, then dense
-        // again after the all-zero shortcut.
+        // again after the all-zero tuple. The counts are charged as the
+        // structural walk charges one reader of a tuple.
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move || {
             state ^= state << 13;
@@ -451,10 +344,16 @@ mod tests {
                     let ys: Vec<Nat> = index_words.iter().map(|&v| Nat::from(v)).collect();
                     let scalar = bit_indexed_inner_product(&scalar_patterns, &ys, u64::from(l));
                     indicators.split(&index_words);
-                    let mut tally = BopsTally::default();
-                    let value =
-                        indicators.select_accumulate(&patterns, &bits, u64::from(l), &mut tally);
+                    let ones = indicators.ones();
+                    let gather = |(&n, &b): (&u8, &u8)| u64::from(n) * u64::from(b);
+                    let tally = BopsTally {
+                        bit_serial_reference: q as u64 * u64::from(l) * u64::from(l),
+                        skipped_zero: u64::from(ones[0]),
+                        weighted_gather: ones.iter().zip(&bits).skip(1).map(gather).sum(),
+                        ..BopsTally::default()
+                    };
                     let what = format!("q={q} L={l} {kind}");
+                    let value = indicators.mac::<0>(&patterns);
                     assert_eq!(scalar.value.to_u128(), Some(value), "value: {what}");
                     assert_eq!(scalar.tally, tally, "tally: {what}");
                 }

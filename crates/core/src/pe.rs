@@ -111,61 +111,9 @@ pub fn pe_pass_with_patterns(
     })
 }
 
-/// One PE pass on the Sliced64 kernels (Fig. 9a) over a precomputed
-/// sliced pattern table (Fig. 9b), gathered into a fresh value: sliced
-/// IPUs → sliced GU — the word-kernel twin of [`pe_pass_with_patterns`].
-/// The structural multiply runs the same kernels but accumulates every
-/// IPU partial in place into its window; this per-pass form is the
-/// oracle that fold is checked against.
-///
-/// * `patterns`, `generation_bops` — the block's table and recorded
-///   Converter cost from
-///   [`crate::converter::generate_patterns_sliced`], charged to this
-///   pass's tally (the modeled Converter streams on every pass).
-/// * `q` — the pattern-block arity of the table.
-/// * `ys_flat` — the per-IPU index tuples, flattened: IPU `k`'s q words
-///   are `ys_flat[k·q .. (k+1)·q]`.
-///
-/// The gathered value and [`BopsTally`] are bit-identical to [`pe_pass`]
-/// on the same inputs inside the sliced-support envelope
-/// ([`crate::accelerator::Accelerator::effective_backend`]).
-#[cfg(test)]
-pub(crate) fn pe_pass_sliced(
-    patterns: &[apc_bignum::limb::Limb],
-    generation_bops: u64,
-    q: usize,
-    ys_flat: &[apc_bignum::limb::Limb],
-    limb_bits: u32,
-) -> (Nat, BopsTally) {
-    use crate::ipu::bit_indexed_inner_product_sliced;
-    debug_assert!(q >= 1, "a pattern block holds at least one limb");
-    debug_assert_eq!(ys_flat.len() % q, 0, "flattened index tuples must align");
-    let element_bits = u64::from(limb_bits);
-    let mut tally = BopsTally {
-        pattern_generation: generation_bops,
-        ..BopsTally::default()
-    };
-    let mut per_ipu: Vec<u128> = Vec::with_capacity(ys_flat.len() / q);
-    for ys in ys_flat.chunks_exact(q) {
-        let (value, ipu_tally) =
-            bit_indexed_inner_product_sliced(patterns, element_bits, ys, element_bits);
-        tally.merge(&ipu_tally);
-        per_ipu.push(value);
-    }
-    (crate::gu::gather_sliced(&per_ipu, limb_bits), tally)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::converter::generate_patterns_sliced;
-    use apc_bignum::limb::Limb;
-
-    /// The sliced pass over a freshly generated sliced table.
-    fn sliced_pass(x_block: &[Limb], ys_flat: &[Limb], limb_bits: u32) -> (Nat, BopsTally) {
-        let (patterns, bops) = generate_patterns_sliced(x_block, u64::from(limb_bits));
-        pe_pass_sliced(&patterns, bops, x_block.len(), ys_flat, limb_bits)
-    }
 
     fn limb(v: u64) -> Nat {
         Nat::from(v)
@@ -214,47 +162,12 @@ mod tests {
     }
 
     #[test]
-    fn sliced_pe_pass_matches_scalar_result_and_tally() {
-        let words = [0xABu64, 0xCD, 0x12, 0x34];
-        let x: Vec<Nat> = words.iter().map(|&v| limb(v)).collect();
-        let index_words: Vec<u64> = (0..32u64).map(|i| (i * 37 + 11) & 0xFF).collect();
-        let ys: Vec<Vec<Nat>> = index_words
-            .chunks(4)
-            .map(|c| c.iter().map(|&v| limb(v)).collect())
-            .collect();
-        let scalar = pe_pass(&x, &ys, 8).expect("valid inputs");
-        let (gathered, tally) = sliced_pass(&words, &index_words, 8);
-        assert_eq!(gathered, scalar.gathered);
-        assert_eq!(tally, scalar.tally);
-    }
-
-    #[test]
-    fn sliced_pe_pass_full_width_paper_shape() {
-        // q = 4 limbs of L = 32 bits, 32 IPUs — the §VII default PE shape.
-        let words: Vec<u64> = (0..4u64)
-            .map(|i| 0xDEAD_BEEFu64.rotate_left(i as u32 * 7) & 0xFFFF_FFFF)
-            .collect();
-        let x: Vec<Nat> = words.iter().map(|&v| limb(v)).collect();
-        let index_words: Vec<u64> = (0..128u64)
-            .map(|i| i.wrapping_mul(0x9E37_79B9) & 0xFFFF_FFFF)
-            .collect();
-        let ys: Vec<Vec<Nat>> = index_words
-            .chunks(4)
-            .map(|c| c.iter().map(|&v| limb(v)).collect())
-            .collect();
-        let scalar = pe_pass(&x, &ys, 32).expect("valid inputs");
-        let (gathered, tally) = sliced_pass(&words, &index_words, 32);
-        assert_eq!(gathered, scalar.gathered);
-        assert_eq!(tally, scalar.tally);
-    }
-
-    #[test]
     fn replayed_pattern_tables_are_bit_identical_to_fresh_generation() {
         // A table generated once and replayed across passes must
         // reproduce the fresh pass exactly — value AND tally (the modeled
-        // Converter streams on every pass) — on both engines.
-        let words = [0xABu64, 0xCD, 0x12, 0x34];
-        let x: Vec<Nat> = words.iter().map(|&v| limb(v)).collect();
+        // Converter streams on every pass). The structural multiply's
+        // replayed sliced tables are checked in `tests/cache_gate.rs`.
+        let x = [limb(0xAB), limb(0xCD), limb(0x12), limb(0x34)];
         let index_words: Vec<u64> = (0..32u64).map(|i| (i * 37 + 11) & 0xFF).collect();
         let ys: Vec<Vec<Nat>> = index_words
             .chunks(4)
@@ -266,12 +179,6 @@ mod tests {
             let replay = pe_pass_with_patterns(&patterns, 4, &ys, 8).expect("valid inputs");
             assert_eq!(replay.gathered, fresh.gathered);
             assert_eq!(replay.tally, fresh.tally);
-        }
-        let (table, bops) = generate_patterns_sliced(&words, 8);
-        for _ in 0..3 {
-            let (gathered, tally) = pe_pass_sliced(&table, bops, 4, &index_words, 8);
-            assert_eq!(gathered, fresh.gathered);
-            assert_eq!(tally, fresh.tally);
         }
     }
 
