@@ -14,6 +14,14 @@
 //! modeled cycle counts of both engines must be identical (the cycle
 //! model is host-independent); a divergence aborts the run before the
 //! JSON is written.
+//!
+//! The Sliced64 side reuses one left operand, so every call of a timed
+//! batch but the first finds its Converter tables in the pattern cache
+//! (the fresh sample's misses can evict them between batches). A third
+//! sample, timed in the same rounds, cycles its left operand through
+//! `FRESH_OPERANDS` operands, more than the cache holds, so every call
+//! misses and builds them; `fresh_over_reused` is the median and
+//! quartiles of the per-round fresh/reused ratios, the price of a miss.
 
 use apc_bench::{fmt_seconds, header, sample_rounds, Report, BENCH_FLOOR_SECONDS};
 use apc_bignum::Nat;
@@ -21,6 +29,10 @@ use cambricon_p::accelerator::{Accelerator, KernelBackend};
 use cambricon_p::ArchConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Left operands the fresh sample cycles through: more than the pattern
+/// cache's 64 entries, so each is evicted before it comes back.
+const FRESH_OPERANDS: usize = 96;
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(64);
@@ -33,12 +45,15 @@ fn main() {
 
     header("Accelerator::multiply_sequential — Scalar vs Sliced64 kernels (1 host thread)");
     println!(
-        "{:>10} {:>12} {:>12} {:>9} {:>19} {:>8}",
-        "bits", "scalar", "sliced64", "speedup", "[q1, q3]", "cycles"
+        "{:>10} {:>12} {:>12} {:>9} {:>19} {:>12} {:>15} {:>8}",
+        "bits", "scalar", "sliced64", "speedup", "[q1, q3]", "fresh", "fresh/reused", "cycles"
     );
     for bits in [1024u64, 2048, 4096, 8192, 16384] {
         let a = Nat::random_exact_bits(bits, &mut rng);
         let b = Nat::random_exact_bits(bits, &mut rng);
+        let fresh: Vec<Nat> = (0..FRESH_OPERANDS)
+            .map(|_| Nat::random_exact_bits(bits, &mut rng))
+            .collect();
         let s = acc.multiply_scalar(&a, &b);
         let v = acc.multiply_sequential(&a, &b);
         assert_eq!(
@@ -59,21 +74,34 @@ fn main() {
         let mut sliced = || {
             std::hint::black_box(acc.multiply_sequential(&a, &b));
         };
-        let rounds = sample_rounds(BENCH_FLOOR_SECONDS, &mut [&mut scalar, &mut sliced]);
+        let mut next = 0;
+        let mut sliced_fresh = || {
+            next = (next + 1) % FRESH_OPERANDS;
+            std::hint::black_box(acc.multiply_sequential(&fresh[next], &b));
+        };
+        let rounds = sample_rounds(
+            BENCH_FLOOR_SECONDS,
+            &mut [&mut scalar, &mut sliced, &mut sliced_fresh],
+        );
         let speedup = rounds.ratio(0, 1);
+        let fresh_over_reused = rounds.ratio(2, 1);
         println!(
-            "{bits:>10} {:>12} {:>12} {:>8.2}x [{:>7.2}, {:>7.2}] {:>8}",
+            "{bits:>10} {:>12} {:>12} {:>8.2}x [{:>7.2}, {:>7.2}] {:>12} {:>14.3}x {:>8}",
             fmt_seconds(rounds.sample(0).median),
             fmt_seconds(rounds.sample(1).median),
             speedup.median,
             speedup.q1,
             speedup.q3,
+            fmt_seconds(rounds.sample(2).median),
+            fresh_over_reused.median,
             s.cycles
         );
         let point = [("bits", bits.to_string())];
         report.sample("scalar_seconds", &point, &rounds.sample(0));
         report.sample("sliced_seconds", &point, &rounds.sample(1));
         report.sample("speedup", &point, &speedup);
+        report.sample("sliced_fresh_seconds", &point, &rounds.sample(2));
+        report.sample("fresh_over_reused", &point, &fresh_over_reused);
         report.gauge("cycles", &point, s.cycles as f64);
     }
     report.write();

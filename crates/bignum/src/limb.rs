@@ -190,30 +190,6 @@ pub fn wide_parts(x: u128) -> (Limb, Limb) {
     (x as Limb, (x >> LIMB_BITS) as Limb)
 }
 
-/// Splits `x · 2^shift` (`shift < 64`) into three little-endian limbs.
-///
-/// The sliced Gather Unit accumulates double-limb partial sums at bit
-/// offsets that are not limb-aligned; this helper performs the 3-limb
-/// shift so the kernel's carry chain stays in `adc` form.
-///
-/// ```
-/// use apc_bignum::limb::wide_shl_parts;
-/// assert_eq!(wide_shl_parts(1, 0), (1, 0, 0));
-/// assert_eq!(wide_shl_parts(u128::MAX, 8), (!0xFF, u64::MAX, 0xFF));
-/// ```
-#[inline]
-pub fn wide_shl_parts(x: u128, shift: u32) -> (Limb, Limb, Limb) {
-    debug_assert!(shift < LIMB_BITS, "shift must stay within one limb");
-    let (lo, hi) = wide_parts(x);
-    if shift == 0 {
-        (lo, hi, 0)
-    } else {
-        let (w0, c0) = shl_step(lo, shift, 0);
-        let (w1, c1) = shl_step(hi, shift, c0);
-        (w0, w1, c1)
-    }
-}
-
 /// Converts a `u64` count to `usize`, saturating on 16/32-bit targets.
 ///
 /// Kernel paths use this instead of a bare `as usize` cast (apc-lint L3):
@@ -318,19 +294,5 @@ mod tests {
         let x = 0xDEAD_BEEF_0123_4567_89AB_CDEF_FEDC_BA98u128;
         let (lo, hi) = wide_parts(x);
         assert_eq!((u128::from(hi) << 64) | u128::from(lo), x);
-    }
-
-    #[test]
-    fn wide_shl_parts_matches_wide_shift() {
-        let x = 0xF0E1_D2C3_B4A5_9687_7869_5A4B_3C2D_1E0Fu128;
-        for shift in 0..64u32 {
-            let (w0, w1, w2) = wide_shl_parts(x, shift);
-            // Reassemble in u128 pieces: low 128 bits plus the overflow limb.
-            let low = x << shift; // wrapping by construction of the check below
-            assert_eq!(w0, low as u64, "shift={shift}");
-            assert_eq!(w1, (low >> 64) as u64, "shift={shift}");
-            let expect_hi = if shift == 0 { 0 } else { (x >> (128 - shift)) as u64 };
-            assert_eq!(w2, expect_hi, "shift={shift}");
-        }
     }
 }

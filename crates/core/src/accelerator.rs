@@ -10,14 +10,14 @@
 
 use crate::bops::BopsTally;
 use crate::config::ArchConfig;
-use crate::converter::{generate_patterns, generate_patterns_sliced, Patterns};
+use crate::converter::{generate_patterns, Patterns};
 use crate::gu::add_shifted;
-use crate::ipu::{pattern_bits, Indicators};
+use crate::ipu::Indicators;
 use crate::pattern_cache::{self, PatternTables};
 use crate::pe::pe_pass_with_patterns;
 use crate::stats::StageCycles;
-use crate::transform::{to_limb_vector, to_limb_words};
-use apc_bignum::limb::{wide_parts, Limb, LIMB_BITS};
+use crate::transform::to_limb_vector;
+use apc_bignum::limb::{extract_bits, wide_parts, Limb, LIMB_BITS};
 use apc_bignum::Nat;
 use std::ops::Range;
 use std::sync::Arc;
@@ -156,81 +156,70 @@ pub struct Schedule {
 /// for the engine that runs it. `None` marks an all-zero block: it has no
 /// table and every pass skips it.
 enum BlockTables {
-    Sliced(SlicedBlocks),
+    Sliced(Arc<PatternTables>),
     Scalar(Vec<Option<Patterns>>),
 }
 
-/// The Sliced64 engine's per-call view of the blocks: their tables and,
-/// computed once per call, the running sums of their [`pattern_bits`]:
-/// `gather_prefix[b·2^q + mask]` is `Σ_{b' < b} bits_b'[mask]` for
-/// mask ≥ 1 and 0 at mask 0 (an all-zero block adds 0). So the
-/// `weighted_gather` of one index tuple against any run of blocks
-/// `lo..hi` is one dot product of its popcounts with a difference of two
-/// rows, whatever the run's length.
-struct SlicedBlocks {
-    tables: Arc<PatternTables>,
-    gather_prefix: Vec<u32>,
+/// The index operand y (its machine words) reversed, zero-padded and
+/// packed `per_word` to a word: element `m` is `Σ_{s < per_word} y_{c − m −
+/// s} << (L·(per_word − 1 − s))` over y's L-bit limbs, that is the
+/// `per_word·L`-bit window of y at bit `L·(c − m − per_word + 1)`, zero
+/// below bit 0. IPU k of PE(b, w) reads `y_{t − bq − i}` for i < q at
+/// output t = w·N_IPU + k (the §V-B2 Memory Agent selection of "the 4
+/// bitflows starting from different positions"), which at `per_word = 1`
+/// is the plain slice `[c − t + bq ..][..q]` here. With `per_word = k`,
+/// word i of the slice at m holds word i of the k tuples starting at m,
+/// m + 1, …, the tuple at m in the top L bits.
+fn reversed_words(y: &[Limb], c: usize, len: usize, (per_word, lb): (usize, u64)) -> Vec<Limb> {
+    let (mut yr, whole) = (vec![0; len], c + 2 - per_word);
+    let width = u32::try_from(per_word as u64 * lb).unwrap_or(LIMB_BITS);
+    for (i, word) in yr[..whole].iter_mut().rev().enumerate() {
+        *word = extract_bits(y, i as u64 * lb, width);
+    }
+    // Word whole + s keeps the top per_word − 1 − s limbs of its window.
+    for (s, word) in yr[whole..=c].iter_mut().enumerate() {
+        let kept = u32::try_from((per_word - 1 - s) as u64 * lb).unwrap_or(0);
+        *word = extract_bits(y, 0, kept) << (width - kept);
+    }
+    yr
 }
 
-impl SlicedBlocks {
-    fn new(tables: Arc<PatternTables>, q: usize) -> Self {
-        let mut gather_prefix = vec![0; (tables.len() + 1) << q];
-        let mut bits = vec![0; 1 << q];
-        for (b, table) in tables.iter().enumerate() {
-            let (below, above) = gather_prefix.split_at_mut((b + 1) << q);
-            let row = &mut above[..1 << q];
-            row.copy_from_slice(&below[b << q..]);
-            if let Some((patterns, _)) = table {
-                pattern_bits(patterns, &mut bits);
-                for (sum, &bits) in row.iter_mut().zip(&bits).skip(1) {
-                    *sum += u32::from(bits);
-                }
-            }
-        }
-        SlicedBlocks {
-            tables,
-            gather_prefix,
-        }
-    }
-
-    /// The `weighted_gather` charge (Fig. 8 stage 3) of a tuple with
-    /// per-mask popcounts `ones` against each of the blocks `lo..hi`:
-    /// `Σ_b Σ_{mask ≥ 1} ones[mask]·bits_b[mask]`.
-    fn gather<const Q: usize>(&self, ones: &[u8], lo: usize, hi: usize) -> u64 {
-        let n = if Q == 0 { ones.len() } else { 1 << Q };
-        let q = n.trailing_zeros();
-        let (below, upto) = (
-            &self.gather_prefix[lo << q..][..n],
-            &self.gather_prefix[hi << q..][..n],
-        );
-        ones[..n]
-            .iter()
-            .zip(below.iter().zip(upto))
-            .map(|(&ones, (&below, &upto))| u64::from(ones) * u64::from(upto - below))
-            .sum()
-    }
+/// `live[m]` counts the nonzero words of `yr[..m]`, so whether a run of
+/// `yr` holds a nonzero word is one subtraction.
+fn nonzero_prefix(yr: &[Limb]) -> Vec<usize> {
+    let mut count = 0;
+    let counts = yr.iter().map(|&v| {
+        count += usize::from(v != 0);
+        count
+    });
+    std::iter::once(0).chain(counts).collect()
 }
 
-/// The index operand y reversed, zero-padded and packed `per_word` to a
-/// word: element `m` is `Σ_{s < per_word} y_{c − m − s} << (L·(per_word −
-/// 1 − s))`, y zero outside `yw`. IPU k of PE(b, w) reads `y_{t − bq − i}`
-/// for i < q at output t = w·N_IPU + k (the §V-B2 Memory Agent selection
-/// of "the 4 bitflows starting from different positions"), which at
-/// `per_word = 1` is the plain slice `[c − t + bq ..][..q]` here. With
-/// `per_word = k`, word i of the slice at m holds word i of the k adjacent
-/// tuples starting at m, m + 1, …, the tuple at m in the top L bits.
-fn reversed_words(yw: &[Limb], c: usize, len: usize, (per_word, lb): (usize, u64)) -> Vec<Limb> {
-    let y = |m: usize| c.checked_sub(m).and_then(|j| yw.get(j)).copied().unwrap_or(0);
-    (0..len)
-        .map(|m| (m + 1..m + per_word).fold(y(m), |packed, j| packed << lb | y(j)))
-        .collect()
+/// Adds one lane, `sum + overflow·2^128`, into `acc` at bit `offset` (the
+/// GU gather of one output): its three words shifted into four, added as
+/// two `u128`s, and the carry out of them.
+#[inline]
+fn add_lane(acc: &mut [Limb], (sum, overflow): (u128, u64), offset: u64) {
+    let (word, bit) = apc_bignum::limb::bit_split(offset);
+    // `(sum >> 1) >> (127 − bit)` is `sum >> (128 − bit)`, and 0 at bit 0.
+    let high = u128::from(overflow) << bit | (sum >> 1) >> (127 - bit);
+    let pair = |k: usize| u128::from(acc[k]) | u128::from(acc[k + 1]) << LIMB_BITS;
+    let (low, carry) = pair(word).overflowing_add(sum << bit);
+    let (high, carried) = pair(word + 2).overflowing_add(high);
+    let (high, carried_in) = high.overflowing_add(u128::from(carry));
+    (acc[word], acc[word + 1]) = wide_parts(low);
+    (acc[word + 2], acc[word + 3]) = wide_parts(high);
+    if carried || carried_in {
+        add_shifted(&mut acc[word + 4..], &[1], 0);
+    }
 }
 
 /// The pass-skip predicate (§VII sparsity): PE(b, w) with
 /// `base = top + bq` reads exactly the unpacked words
 /// `[base − (N_IPU − 1) .. base + q)`, so it contributes only if one of
 /// them is nonzero. Word m of `yr`, packed `per_word` to a word, covers
-/// the unpacked words `[m, m + per_word)` (`per_word ≤ q`).
+/// the unpacked words `[m, m + per_word)` (`per_word ≤ q`). The Sliced64
+/// walk reads the range's count off [`nonzero_prefix`] in O(1) instead.
 fn pass_reads_nonzero(
     yr: &[Limb],
     base: usize,
@@ -256,16 +245,17 @@ fn pass_reads_nonzero(
 /// the outputs of the tuples at m + s lie exactly L bits apart, it is
 /// already their GU-weighted sum: it goes into the lane of the group's
 /// last tuple, the lowest output. The lanes sum each output's partials
-/// across blocks (the Adder Tree), and at chunk end one [`add_shifted`]
-/// per written lane at its `t·L` does the GU gather.
+/// across blocks (the Adder Tree), and at chunk end one [`add_lane`] per
+/// written lane at its `t·L` does the GU gather.
 ///
 /// A lane is a `u128` plus an overflow word: one partial is below
 /// 2^(per_word·L + L + ⌈log₂ q⌉) < 2^128 (see [`sliced_supports`]), but a
 /// sum over blocks can pass 2^128.
 ///
 /// Counts: a pass PE(b, w) is skipped exactly when every tuple it reads
-/// is all zero ([`pass_reads_nonzero`]), so every block with a table
-/// that reads a *nonzero* tuple runs, and an all-zero tuple adds nothing
+/// is all zero ([`pass_reads_nonzero`], read off `live`, the
+/// [`nonzero_prefix`] of `yr`), so every block with a table that reads a
+/// *nonzero* tuple runs, and an all-zero tuple adds nothing
 /// but skipped cycles. The skip rule, pass count and per-pass
 /// `pattern_generation`, `bit_serial_reference` (N_IPU·q·L²) and
 /// `skipped_zero` (N_IPU·L, every cycle) charges are therefore applied
@@ -279,8 +269,8 @@ fn pass_reads_nonzero(
 /// to the scalar [`crate::ipu::bit_indexed_inner_product`] counts of every
 /// IPU k of every executed PE(b, w).
 fn sliced_chunk<const Q: usize>(
-    blocks: &SlicedBlocks,
-    yr: &[Limb],
+    tables: &PatternTables,
+    (yr, live): (&[Limb], &[usize]),
     (c, chunk): (usize, Range<usize>),
     (q, n_ipu, lb, per_word): (usize, usize, u64, usize),
     acc: &mut [Limb],
@@ -290,16 +280,17 @@ fn sliced_chunk<const Q: usize>(
     debug_assert!(Q == 0 || Q == q, "a constant-q copy runs only its own q");
     debug_assert!(q % per_word == 0 && n_ipu % per_word == 0, "groups align to blocks");
     let q = if Q == 0 { q } else { Q };
-    let tables = &blocks.tables[..];
+    let generation = &tables.generation;
     let mut passes = 0u64;
     for w in chunk.clone() {
         let top = c - w * n_ipu;
-        for (b, table) in tables.iter().enumerate() {
-            if let Some((_, generation_bops)) = table {
-                if pass_reads_nonzero(yr, top + b * q, (q, n_ipu, per_word)) {
-                    tally.pattern_generation += generation_bops;
-                    passes += 1;
-                }
+        for (b, generation_bops) in generation.iter().enumerate() {
+            let base = top + b * q;
+            let reads_nonzero = live[base + q + 1 - per_word] > live[base + 1 - n_ipu];
+            debug_assert_eq!(reads_nonzero, pass_reads_nonzero(yr, base, (q, n_ipu, per_word)));
+            if let (Some(generation_bops), true) = (generation_bops, reads_nonzero) {
+                tally.pattern_generation += generation_bops;
+                passes += 1;
             }
         }
     }
@@ -313,25 +304,24 @@ fn sliced_chunk<const Q: usize>(
     // chunk-local output j = bq + span − 1 − d; the group of tuples
     // d .. d + per_word lands in the lane of its last, bq + span − per_word − d.
     let first = c + 1 - chunk.end * n_ipu;
-    for d in (0..(tables.len() - 1) * q + span).step_by(per_word) {
-        let tuple = &yr[first + d..][..q];
-        if tuple.iter().all(|&v| v == 0) {
+    for d in (0..(generation.len() - 1) * q + span).step_by(per_word) {
+        if live[first + d + q] == live[first + d] {
             continue;
         }
         let (lo, hi) = (
             (d + 1).saturating_sub(span).div_ceil(q),
-            (d / q + 1).min(tables.len()),
+            (d / q + 1).min(generation.len()),
         );
         let mut readers = 0u64;
-        for (b, table) in (lo..hi).zip(&tables[lo..hi]) {
-            let Some((patterns, _)) = table else {
+        for (b, table) in (lo..hi).zip(&generation[lo..hi]) {
+            if table.is_none() {
                 continue;
-            };
+            }
             if readers == 0 {
-                indicators.split(tuple);
+                indicators.split(&yr[first + d..][..q]);
             }
             readers += 1;
-            let partial = indicators.mac::<Q>(patterns);
+            let partial = indicators.mac::<Q>(&tables.patterns[b << q..][..1 << q]);
             let lane = &mut lanes[b * q + span - per_word - d];
             let (sum, carried) = lane.0.overflowing_add(partial);
             *lane = (sum, lane.1 + u64::from(carried));
@@ -339,12 +329,11 @@ fn sliced_chunk<const Q: usize>(
         if readers > 0 {
             let ones = indicators.ones();
             tally.skipped_zero -= readers * (per_word as u64 * lb - u64::from(ones[0]));
-            tally.weighted_gather += blocks.gather::<Q>(ones, lo, hi);
+            tally.weighted_gather += tables.gather::<Q>(ones, lo, hi);
         }
     }
-    for (j, &(sum, overflow)) in lanes.iter().enumerate().step_by(per_word) {
-        let (low, high) = wide_parts(sum);
-        add_shifted(acc, &[low, high, overflow], j as u64 * lb);
+    for (j, &lane) in lanes.iter().enumerate().step_by(per_word) {
+        add_lane(acc, lane, j as u64 * lb);
     }
     passes
 }
@@ -420,16 +409,18 @@ impl Accelerator {
     /// and the Adder Tree sums across blocks.
     ///
     /// On the Sliced64 engine the passes run by index tuple over a chunk
-    /// of consecutive windows: the Memory Agent hands IPU k of PE(b, w)
-    /// the q index words starting at its own position (§V-B2), so one
-    /// tuple is read by every block whose output lands in the chunk. The
-    /// tuples go in groups of up to 64/L adjacent ones packed into one
-    /// indicator word (at L = 32, two); each group's indicators are split
-    /// once per chunk and multiplied into the table of every running pass
-    /// that reads it, each output's partials sum across blocks in a lane
-    /// (a `u128` plus an overflow word — the Adder Tree), and one GU fold
-    /// per lane lands them in the product. Every count is still charged per PE(b, w) pass and IPU,
-    /// so the outcome is identical to one call per PE(b, w) IPU.
+    /// of consecutive windows: IPU k of PE(b, w) reads the q index words
+    /// at its own position (§V-B2), so one tuple serves every block whose
+    /// output lands in the chunk. Groups of up to 64/L adjacent tuples share
+    /// one indicator word; each group is split once per chunk and
+    /// multiplied into every reading table, lanes sum each output across
+    /// blocks (the Adder Tree), and one GU fold per lane lands it. Around
+    /// that walk a call costs O(blocks + words), with no allocation per
+    /// block: the tables and their gather prefix come from the pattern
+    /// cache (or one pass over x's words), y is packed from its words, each
+    /// pass-skip test is one difference of a prefix count, and a one-chunk
+    /// run returns its accumulator as the product. Every count is still
+    /// charged per PE(b, w) pass and IPU, as one call per IPU would.
     ///
     /// ```
     /// use apc_bignum::Nat;
@@ -525,17 +516,6 @@ impl Accelerator {
         }
         let Schedule { blocks, windows, .. } = schedule;
         let lb = u64::from(l);
-        let xw = to_limb_words(x, l);
-        let yw = to_limb_words(y, l);
-
-        // Pattern block b (zero-padded to q limbs), or `None` when it is
-        // all zero: every pass skips such a block, so it gets no table.
-        let pattern_block = |b: usize| -> Option<Vec<Limb>> {
-            let block: Vec<Limb> = (0..q)
-                .map(|j| xw.get(b * q + j).copied().unwrap_or(0))
-                .collect();
-            block.iter().any(|&v| v != 0).then_some(block)
-        };
 
         // The per-block Converter tables (Fig. 8) depend on x alone, so
         // they are hoisted out of the pass grid — generated once per
@@ -544,26 +524,26 @@ impl Accelerator {
         // The modeled machine is unchanged: each executed pass still
         // charges its block's full generation bops, exactly as if its
         // Converter had streamed the table afresh (§IV-A reuse is a
-        // host-side win only; see `pattern_cache`).
+        // host-side win only; see `pattern_cache`). Both engines read the
+        // Eq. 1 limbs straight from x's words; an all-zero block gets no
+        // table, since every pass skips it.
         let tables = match engine {
             KernelBackend::Sliced64 => {
-                let tables = pattern_cache::fetch_or_build(x.limbs(), self.config.q, l, || {
-                    (0..blocks)
-                        .map(|b| pattern_block(b).map(|block| generate_patterns_sliced(&block, lb)))
-                        .collect()
-                });
-                debug_assert_eq!(tables.len(), blocks);
-                BlockTables::Sliced(SlicedBlocks::new(tables, q))
+                let tables = pattern_cache::fetch_or_build(x, self.config.q, l);
+                debug_assert_eq!(tables.generation.len(), blocks);
+                BlockTables::Sliced(tables)
             }
             #[expect(
                 clippy::expect_used,
-                reason = "q <= 16 (ArchConfig) and every limb <= L bits (to_limb_words), so the Converter preconditions hold by construction"
+                reason = "q <= 16 (ArchConfig) and every limb <= L bits (extract_bits), so the Converter preconditions hold by construction"
             )]
             KernelBackend::Scalar => BlockTables::Scalar(
                 (0..blocks)
                     .map(|b| {
-                        pattern_block(b).map(|block| {
-                            let block: Vec<Nat> = block.into_iter().map(Nat::from).collect();
+                        let block: Vec<Nat> = (0..q)
+                            .map(|j| Nat::from(extract_bits(x.limbs(), (b * q + j) as u64 * lb, l)))
+                            .collect();
+                        block.iter().any(|v| !v.is_zero()).then(|| {
                             generate_patterns(&block, lb)
                                 .expect("Converter preconditions hold by construction")
                         })
@@ -579,7 +559,8 @@ impl Accelerator {
         // chunk of v windows holds v·N_IPU lanes at stride L; each lane
         // is a sum of fewer than 2^64 IPU partials below 2^128, kept as a
         // 192-bit slot (see `sliced_chunk`), so the slots and their sum
-        // fit (v·N_IPU + 1)·L + 192 bits.
+        // fit (v·N_IPU + 1)·L + 192 bits; one more word lets `add_lane`
+        // write a slot's four shifted words at any L.
         let chunks = chunks.min(windows);
         // Output t reaches at most windows·N_IPU − 1 and bq at most
         // (blocks − 1)·q, so c = windows·N_IPU − 1 keeps every slice start
@@ -592,10 +573,11 @@ impl Accelerator {
             BlockTables::Sliced(_) => tuples_per_word(&self.config),
             BlockTables::Scalar(_) => 1,
         };
-        let yr = reversed_words(&yw, c, c + blocks * q + 1 - per_word, (per_word, lb));
+        let yr = reversed_words(y.limbs(), c, c + blocks * q + 1 - per_word, (per_word, lb));
+        let live = nonzero_prefix(&yr);
         let run_chunk = |i: usize| -> (usize, Vec<Limb>, BopsTally, u64) {
             let chunk = i * windows / chunks..(i + 1) * windows / chunks;
-            let span_bits = (chunk.len() * n_ipu + 1) as u64 * lb + 192;
+            let span_bits = (chunk.len() * n_ipu + 1) as u64 * lb + 256;
             let mut acc: Vec<Limb> =
                 vec![0; crate::cast::usize_from(span_bits.div_ceil(u64::from(LIMB_BITS)))];
             let mut tally = BopsTally::default();
@@ -605,11 +587,11 @@ impl Accelerator {
                 // q = 4, the §IV-B optimum and the default, runs a copy
                 // with q constant-folded, so the kernel loops have fixed
                 // trip counts; every other q runs the generic copy.
-                BlockTables::Sliced(blocks) if q == 4 => {
-                    sliced_chunk::<4>(blocks, &yr, (c, chunk), shape, &mut acc, &mut tally)
+                BlockTables::Sliced(tables) if q == 4 => {
+                    sliced_chunk::<4>(tables, (&yr, &live), (c, chunk), shape, &mut acc, &mut tally)
                 }
-                BlockTables::Sliced(blocks) => {
-                    sliced_chunk::<0>(blocks, &yr, (c, chunk), shape, &mut acc, &mut tally)
+                BlockTables::Sliced(tables) => {
+                    sliced_chunk::<0>(tables, (&yr, &live), (c, chunk), shape, &mut acc, &mut tally)
                 }
                 BlockTables::Scalar(tables) => {
                     let mut passes = 0u64;
@@ -651,13 +633,18 @@ impl Accelerator {
 
         // One fold: every sum is exact, so adding each chunk at its
         // offset w·N_IPU·L in any order gives the same product, and the
-        // parallel run is bit-identical to the sequential one.
-        let mut product: Vec<Limb> = vec![0; x.limb_len() + y.limb_len()];
-        let mut tally = BopsTally::default();
-        let mut pe_passes = 0u64;
-        for (start, acc, chunk_tally, passes) in &chunk_runs {
-            add_shifted(&mut product, acc, (start * n_ipu) as u64 * lb);
-            tally.merge(chunk_tally);
+        // parallel run is bit-identical to the sequential one. Chunk 0 comes
+        // first (index order) and starts at output 0, so its accumulator is
+        // the product buffer: a one-chunk run returns it as is.
+        let (mut product, mut tally, mut pe_passes) = (Vec::new(), BopsTally::default(), 0);
+        for (start, acc, chunk_tally, passes) in chunk_runs {
+            if start == 0 {
+                product = acc;
+            } else {
+                product.resize(product.len().max(x.limb_len() + y.limb_len()), 0);
+                add_shifted(&mut product, &acc, (start * n_ipu) as u64 * lb);
+            }
+            tally.merge(&chunk_tally);
             pe_passes += passes;
         }
 
@@ -967,9 +954,8 @@ mod tests {
     #[test]
     fn reversed_words_slice_into_index_tuples() {
         let ys_nat: Vec<Nat> = (10..15u64).map(Nat::from).collect();
-        let ys_word: Vec<Limb> = (10..15u64).collect();
         let c = 8;
-        let yr = reversed_words(&ys_word, c, c + 6, (1, 8));
+        let yr = reversed_words(Nat::from_chunks(&ys_nat, 8).limbs(), c, c + 6, (1, 8));
         for t in 0..=c {
             for j0 in [0usize, 1, 3] {
                 let slice = crate::transform::reversed_x_slice(&ys_nat, t, j0, 3);
@@ -982,10 +968,77 @@ mod tests {
         // Packed k to a word, the tuple at m sits L bits above the one at
         // m + 1.
         for (k, lb) in [(2usize, 8u64), (4, 16)] {
-            let packed = reversed_words(&ys_word, c, c + 7 - k, (k, lb));
+            let y = Nat::from_chunks(&ys_nat, lb);
+            let single = reversed_words(y.limbs(), c, c + 6, (1, lb));
+            let packed = reversed_words(y.limbs(), c, c + 7 - k, (k, lb));
             for (m, &word) in packed.iter().enumerate() {
-                let want = yr[m..m + k].iter().fold(0, |packed, &v| packed << lb | v);
+                let want = single[m..m + k].iter().fold(0, |packed, &v| packed << lb | v);
                 assert_eq!(word, want, "k={k} m={m}");
+            }
+        }
+    }
+
+    /// `reversed_words` by way of the Eq. 1 limb words: y cut into its
+    /// L-bit limbs first, then word m packed from `y_{c − m − s}`, s < k.
+    fn packed_from_limb_words(y: &Nat, c: usize, len: usize, (k, l): (usize, u32)) -> Vec<Limb> {
+        let yw = crate::transform::to_limb_words(y, l);
+        let limb = |m: usize| c.checked_sub(m).and_then(|j| yw.get(j)).copied().unwrap_or(0);
+        (0..len)
+            .map(|m| (m + 1..m + k).fold(limb(m), |packed, j| packed << l | limb(j)))
+            .collect()
+    }
+
+    #[test]
+    fn limb_direct_packing_matches_packing_the_limb_words() {
+        // (L, k) of every `tests/bitslice_gate.rs` Sliced64 configuration,
+        // and the widest envelope limb, L = 62, at k = 1.
+        for (l, k) in [(32u32, 2usize), (20, 1), (8, 2), (16, 4), (8, 8), (16, 2), (62, 1)] {
+            let dense = pattern(9, u64::from(l));
+            // A y whose low machine words are zero: the tail of the
+            // reversed layout reads only zeros.
+            let zero_tail = dense.shl_bits(4 * 64);
+            for y in [dense, zero_tail, Nat::from(0x1234_5678u64), Nat::one()] {
+                let limbs = crate::transform::to_limb_words(&y, l).len();
+                // c past y's top limb (fewer limb words than c + 1), and c
+                // inside it (y's top limbs are never read); c + 1 is a
+                // multiple of k, as c + 1 = windows·N_IPU is.
+                for c in [limbs + 5, limbs / 2 + 1].map(|c| c.next_multiple_of(k) - 1) {
+                    let len = c + 3 * k + 1;
+                    assert_eq!(
+                        reversed_words(y.limbs(), c, len, (k, u64::from(l))),
+                        packed_from_limb_words(&y, c, len, (k, l)),
+                        "L={l} k={k} c={c} y={} bits",
+                        y.bit_len()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gather_prefix_rows_sum_the_pattern_bits_of_the_blocks_below() {
+        // Seven 128-bit blocks at q = 4, L = 32, block 3 all zero.
+        let (q, l) = (4usize, 32u32);
+        let dense = pattern(14, 0x5EED);
+        let x = &dense.low_bits(384) + &dense.shr_bits(512).shl_bits(512);
+        let tables = PatternTables::build(&x, q, l);
+        let xw = crate::transform::to_limb_words(&x, l);
+        assert_eq!(tables.generation.len(), 7);
+        let mut sum = vec![0u32; 1 << q];
+        for b in 0..=7 {
+            assert_eq!(tables.gather_prefix[b << q..][..1 << q], sum[..], "row {b}");
+            let Some(&generation) = tables.generation.get(b) else {
+                break;
+            };
+            let block = &xw[b * q..][..q];
+            let mut patterns = vec![0; 1 << q];
+            let bops = crate::converter::generate_patterns_sliced(block, u64::from(l), &mut patterns);
+            assert_eq!(generation, (b != 3).then_some(bops), "block {b}");
+            assert_eq!(tables.patterns[b << q..][..1 << q], patterns[..], "block {b}");
+            if generation.is_some() {
+                for (s, &p) in sum.iter_mut().zip(&patterns).skip(1) {
+                    *s += crate::ipu::pattern_bits(p);
+                }
             }
         }
     }

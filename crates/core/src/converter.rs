@@ -8,7 +8,7 @@
 
 use crate::bops::BopsTally;
 use crate::error::ModelError;
-use apc_bignum::limb::{adc, bit_len, Limb};
+use apc_bignum::limb::{bit_len, Limb};
 use apc_bignum::Nat;
 
 /// Result of one Converter pass (Fig. 9b): the 2^q patterns and the bops
@@ -126,41 +126,38 @@ pub fn converter_adder_count(q: u32) -> u64 {
     (1u64 << q) - u64::from(q) - 1
 }
 
-/// The 2^q subset-sum patterns of Fig. 8 as raw machine words, plus the
-/// `pattern_generation` bops — the bitsliced Converter.
+/// The 2^q subset-sum patterns of Fig. 8 as raw machine words, written
+/// into `values` (2^q words), returning the `pattern_generation` bops —
+/// the bitsliced Converter.
 ///
 /// Where the scalar [`generate_patterns`] streams each addition bit by
-/// bit, this pass performs each Fig. 9b reuse-tree addition as **one**
-/// word op (`adc`) — L bitflow steps per host op. The subset sums and the
-/// per-addition bops accounting are bit-identical to the scalar pass:
-/// each composite pattern is `pattern[s without lowest bit] + x[lowest
-/// bit]`, costed at the wider of the accumulating side and
-/// `element_bits`.
+/// bit, this pass performs each addition as **one** word op. Sums and bops
+/// are bit-identical to the scalar pass, whose Fig. 9b reuse tree adds
+/// `x[lowest bit of s]` to `pattern[r]`, r = s without that bit, at the
+/// cost `max(bit_len(pattern[r]), element_bits)`. Pattern r is that side
+/// for the tz(r) composites `r + 2^j`, j < tz(r), so the bops are `Σ_r
+/// tz(r)·max(bit_len(pattern[r]), element_bits)`, and the words are summed
+/// in doubling order, `pattern[2^i + m] = pattern[m] + x_i`.
 ///
 /// The caller guarantees the sliced-support envelope (`q ≤ 16` and
 /// `element_bits + ⌈log₂ q⌉ ≤ 64`, see
 /// [`crate::accelerator::Accelerator::effective_backend`]), under which no
 /// subset sum can carry out of one limb.
-pub fn generate_patterns_sliced(xs: &[Limb], element_bits: u64) -> (Vec<Limb>, u64) {
+pub fn generate_patterns_sliced(xs: &[Limb], element_bits: u64, values: &mut [Limb]) -> u64 {
     let q = xs.len();
     debug_assert!(q <= 16, "sliced pattern table addressability");
-    let mut values: Vec<Limb> = Vec::with_capacity(1 << q);
-    values.push(0);
-    let mut generation_bops = 0u64;
-    for s in 1usize..(1 << q) {
-        let low = crate::cast::usize_from(u64::from(s.trailing_zeros()));
-        let rest = s & (s - 1);
-        if rest == 0 {
-            // Singleton: the input itself, no addition (Fig. 9b).
-            values.push(xs[low]);
-        } else {
-            let (v, carry) = adc(values[rest], xs[low], 0);
-            debug_assert_eq!(carry, 0, "subset sum overflowed the support envelope");
-            generation_bops += u64::from(bit_len(values[rest])).max(element_bits);
-            values.push(v);
+    debug_assert_eq!(values.len(), 1 << q, "one word per subset");
+    values[0] = 0;
+    for (i, &x) in xs.iter().enumerate() {
+        let (lower, upper) = values.split_at_mut(1 << i);
+        for (v, &rest) in upper.iter_mut().zip(lower.iter()) {
+            *v = rest + x;
         }
     }
-    (values, generation_bops)
+    let cost = |(r, &v): (usize, &Limb)| {
+        u64::from(r.trailing_zeros()) * u64::from(bit_len(v)).max(element_bits)
+    };
+    values.iter().enumerate().skip(2).step_by(2).map(cost).sum()
 }
 
 #[cfg(test)]
@@ -225,7 +222,8 @@ mod tests {
         let words = [0xDEAD_BEEFu64, 0x0000_0001, 0xFFFF_FFFF, 0x8000_0000];
         let xs = nats(&words);
         let scalar = generate_patterns(&xs, 32).expect("valid inputs");
-        let (sliced, generation_bops) = generate_patterns_sliced(&words, 32);
+        let mut sliced = [0; 16];
+        let generation_bops = generate_patterns_sliced(&words, 32, &mut sliced);
         assert_eq!(sliced.len(), scalar.len());
         for (s, v) in sliced.iter().enumerate() {
             assert_eq!(scalar.get(s).to_u64(), Some(*v), "mask {s:#b}");
@@ -235,13 +233,15 @@ mod tests {
 
     #[test]
     fn sliced_patterns_handle_zero_and_single_element_blocks() {
-        let (p, bops) = generate_patterns_sliced(&[0, 0], 16);
-        assert_eq!(p, vec![0, 0, 0, 0]);
+        let mut p = [u64::MAX; 4];
+        let bops = generate_patterns_sliced(&[0, 0], 16, &mut p);
+        assert_eq!(p, [0, 0, 0, 0]);
         // The reuse-tree addition still runs (and is costed) on zeros,
         // exactly like the scalar pass: bit_len(0).max(16) = 16.
         assert_eq!(bops, 16);
-        let (p, bops) = generate_patterns_sliced(&[7], 16);
-        assert_eq!(p, vec![0, 7]);
+        let mut p = [u64::MAX; 2];
+        let bops = generate_patterns_sliced(&[7], 16, &mut p);
+        assert_eq!(p, [0, 7]);
         assert_eq!(bops, 0, "singletons are free (Fig. 9b)");
     }
 

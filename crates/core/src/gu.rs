@@ -170,25 +170,6 @@ pub fn gather_reference(partials: &[Nat], l: u32) -> Nat {
     Nat::from_chunks(partials, u64::from(l))
 }
 
-/// Gathers IPU outputs in groups of `group_size`, modelling the FA-disable
-/// combination modes of Fig. 10 (every 1, 2, 4, …, or all IPUs combined).
-///
-/// # Panics
-///
-/// Panics if `group_size` is zero or does not divide `partials.len()`.
-pub fn gather_grouped(partials: &[Nat], l: u32, group_size: usize) -> Vec<GatherResult> {
-    assert!(group_size > 0, "group size must be positive");
-    assert_eq!(
-        partials.len() % group_size,
-        0,
-        "group size must divide the IPU count"
-    );
-    partials
-        .chunks(group_size)
-        .map(|chunk| gather_carry_parallel(chunk, l))
-        .collect()
-}
-
 /// Cycles for a carry-parallel gather (Fig. 7c) streaming `output_bits` of
 /// result: the sections compute concurrently, so the GU sustains 1
 /// bit/cycle after a one-section fill.
@@ -300,20 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn grouped_modes_match_figure10() {
-        // 8 IPUs: combining every 2 gives 4 independent results.
-        let parts = nats(&[1, 2, 3, 4, 5, 6, 7, 8]);
-        for group in [1usize, 2, 4, 8] {
-            let results = gather_grouped(&parts, 8, group);
-            assert_eq!(results.len(), 8 / group);
-            for (gi, r) in results.iter().enumerate() {
-                let expect = gather_reference(&parts[gi * group..(gi + 1) * group], 8);
-                assert_eq!(r.value, expect, "group={group} idx={gi}");
-            }
-        }
-    }
-
-    #[test]
     fn long_chain_large_values() {
         // 32 partials of 2L bits at L = 32 — the paper's PE shape.
         let parts: Vec<Nat> = (0..32u64)
@@ -330,12 +297,5 @@ mod tests {
         // Sequential: 32 sections × 33 cycles; parallel: stream-out bound.
         assert!(seq > 1000);
         assert!(par < seq + 200);
-    }
-
-    #[test]
-    #[should_panic(expected = "divide")]
-    fn grouped_rejects_ragged_groups() {
-        let parts = nats(&[1, 2, 3]);
-        let _ = gather_grouped(&parts, 8, 2);
     }
 }

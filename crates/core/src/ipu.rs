@@ -89,15 +89,13 @@ pub fn bit_indexed_inner_product(patterns: &Patterns, ys: &[Nat], index_bits: u6
     }
 }
 
-/// The gather width each pattern word charges when selected (Fig. 8
-/// stage 3): `bits[mask] = max(1, bit_len(patterns[mask]))`, one shifted
-/// accumulation of that many bits per selecting cycle. A PE computes it
-/// once per table and reuses it for every index tuple the table meets.
+/// The gather width a pattern word charges when selected (Fig. 8 stage
+/// 3): `max(1, bit_len(pattern))`, one shifted accumulation of that many
+/// bits per selecting cycle. A PE computes it once per table entry and
+/// reuses it for every index tuple the table meets.
 #[inline]
-pub fn pattern_bits(patterns: &[Limb], bits: &mut [u8]) {
-    for (b, &p) in bits.iter_mut().zip(patterns) {
-        *b = u8::try_from(bit_len(p).max(1)).unwrap_or(u8::MAX);
-    }
+pub fn pattern_bits(pattern: Limb) -> u32 {
+    bit_len(pattern).max(1)
 }
 
 /// The one-hot selection of index tuples (BIPS stage 2, Fig. 8),
@@ -124,7 +122,7 @@ pub fn pattern_bits(patterns: &[Limb], bits: &mut [u8]) {
 /// The walk calls [`Indicators::split`] once per nonzero tuple group,
 /// [`Indicators::mac`] once per table that reads it, and charges each
 /// reader the [`Indicators::ones`] counts: `ones()[0]` skipped cycles and
-/// `Σ_{mask ≥ 1} ones[mask]·bits[mask]` gathered bits ([`pattern_bits`]),
+/// `Σ_{mask ≥ 1} ones[mask]·pattern_bits(P[mask])` gathered bits ([`pattern_bits`]),
 /// the scalar [`bit_indexed_inner_product`]'s counts regrouped by mask.
 #[derive(Debug, Clone)]
 pub struct Indicators {
@@ -329,9 +327,9 @@ mod tests {
                 let words: Vec<Limb> = (0..q).map(|_| next() & mask).collect();
                 let xs: Vec<Nat> = words.iter().map(|&v| Nat::from(v)).collect();
                 let scalar_patterns = generate_patterns(&xs, u64::from(l)).expect("valid inputs");
-                let (patterns, _) = crate::converter::generate_patterns_sliced(&words, u64::from(l));
-                let mut bits = vec![0; patterns.len()];
-                pattern_bits(&patterns, &mut bits);
+                let mut patterns = vec![0; 1 << q];
+                crate::converter::generate_patterns_sliced(&words, u64::from(l), &mut patterns);
+                let bits: Vec<u32> = patterns.iter().map(|&p| pattern_bits(p)).collect();
                 let mut indicators = Indicators::new(q, u64::from(l));
                 for kind in ["dense", "sparse", "zero", "dense"] {
                     let index_words: Vec<Limb> = (0..q)
@@ -345,7 +343,7 @@ mod tests {
                     let scalar = bit_indexed_inner_product(&scalar_patterns, &ys, u64::from(l));
                     indicators.split(&index_words);
                     let ones = indicators.ones();
-                    let gather = |(&n, &b): (&u8, &u8)| u64::from(n) * u64::from(b);
+                    let gather = |(&n, &b): (&u8, &u32)| u64::from(n) * u64::from(b);
                     let tally = BopsTally {
                         bit_serial_reference: q as u64 * u64::from(l) * u64::from(l),
                         skipped_zero: u64::from(ones[0]),
@@ -376,7 +374,8 @@ mod tests {
         for (q, l, k) in [(4usize, 32u32, 2usize), (4, 16, 4), (8, 8, 8), (2, 8, 2)] {
             let mask = low_mask(l);
             let words: Vec<Limb> = (0..q).map(|_| next() & mask).collect();
-            let (patterns, _) = crate::converter::generate_patterns_sliced(&words, u64::from(l));
+            let mut patterns = vec![0; 1 << q];
+            crate::converter::generate_patterns_sliced(&words, u64::from(l), &mut patterns);
             let tuples: Vec<Vec<Limb>> = (0..k)
                 .map(|s| (0..q).map(|_| if s == 1 { 0 } else { next() & mask }).collect())
                 .collect();

@@ -5,8 +5,13 @@
 //! operand only — never of the index operand y — so a caller that
 //! multiplies by the same x repeatedly (a fixed RSA modulus, a shared
 //! zkcm base) regenerates identical tables on every call. This module
-//! memoizes the per-block tables of [`crate::accelerator::Accelerator::
-//! multiply`] behind an operand digest, with `apc_sim::Lru` replacement.
+//! memoizes them behind an operand digest, with `apc_sim::Lru`
+//! replacement. An entry is one flat [`PatternTables`]: the blocks'
+//! pattern words and generation bops and their gather prefix, so a hit
+//! skips the prefix too, and a miss builds it in one pass with no
+//! allocation per block. The digest mixes a word at a time; every hit
+//! still compares the stored operand and (q, L) in full, so a collision
+//! costs a rebuild, never a wrong table.
 //!
 //! It serves only the Sliced64 engine; the Scalar engine is the §IV-B
 //! oracle and always regenerates. The (q, L) pair in the key already
@@ -27,19 +32,77 @@
 //! zero-perturbation contract extends to the cache: with tracing off the
 //! hot path performs no shared-cacheline writes.
 
-use apc_bignum::limb::Limb;
+use crate::converter::generate_patterns_sliced;
+use crate::ipu::pattern_bits;
+use apc_bignum::limb::{extract_bits, Limb};
+use apc_bignum::Nat;
 use apc_sim::lru::Lru;
 use apc_trace::export::Metric;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-/// Per-block Sliced64 Converter tables for one operand: the 2^q pattern
-/// words and the recorded generation bops of each pattern block, or
-/// `None` for an all-zero block (the pass-skip predicate, §VII sparsity,
-/// never executes a pass on it, so no table exists — matching the
-/// uncached path, which never generates one either).
-pub type PatternTables = Vec<Option<(Vec<Limb>, u64)>>;
+/// The Sliced64 Converter tables (Fig. 8) of one operand under (q, L),
+/// built in one pass over its limbs into flat vectors.
+#[derive(Debug)]
+pub struct PatternTables {
+    /// Block b's 2^q subset-sum words at `[b·2^q ..][..2^q]`.
+    pub(crate) patterns: Vec<Limb>,
+    /// Block b's generation bops, or `None` for an all-zero block, which
+    /// the pass-skip predicate (§VII sparsity) never runs a pass on.
+    pub(crate) generation: Vec<Option<u64>>,
+    /// `(blocks + 1)·2^q` running sums: row b is `Σ_{b' < b}` of the blocks'
+    /// [`crate::ipu::pattern_bits`] at each mask ≥ 1 (0 at mask 0), so the
+    /// `weighted_gather` of a tuple against blocks `lo..hi` is one dot
+    /// product of its popcounts with the difference of two rows.
+    pub(crate) gather_prefix: Vec<u32>,
+}
+
+impl PatternTables {
+    /// The tables of `x`, cut into L-bit Eq. 1 limbs read straight from
+    /// its machine words and grouped into q-limb pattern blocks.
+    pub(crate) fn build(x: &Nat, q: usize, limb_bits: u32) -> Self {
+        let (lb, n) = (u64::from(limb_bits), 1usize << q);
+        let blocks = crate::cast::usize_from(x.bit_len().div_ceil(lb).div_ceil(q as u64));
+        let mut tables = PatternTables {
+            patterns: vec![0; blocks << q],
+            generation: Vec::with_capacity(blocks),
+            gather_prefix: vec![0; (blocks + 1) << q],
+        };
+        let mut block = [0; 16];
+        for b in 0..blocks {
+            for (j, limb) in block[..q].iter_mut().enumerate() {
+                *limb = extract_bits(x.limbs(), ((b * q + j) as u64) * lb, limb_bits);
+            }
+            let (below, above) = tables.gather_prefix.split_at_mut((b + 1) << q);
+            let (prev, row) = (&below[b << q..], &mut above[..n]);
+            if block[..q].iter().all(|&v| v == 0) {
+                row.copy_from_slice(prev);
+                tables.generation.push(None);
+                continue;
+            }
+            let patterns = &mut tables.patterns[b << q..][..n];
+            tables.generation.push(Some(generate_patterns_sliced(&block[..q], lb, patterns)));
+            for ((sum, &prev), &p) in row.iter_mut().zip(prev).zip(patterns.iter()).skip(1) {
+                *sum = prev + pattern_bits(p);
+            }
+        }
+        tables
+    }
+
+    /// The `weighted_gather` charge (Fig. 8 stage 3) of a tuple with
+    /// per-mask popcounts `ones` against each of the blocks `lo..hi`:
+    /// `Σ_b Σ_{mask ≥ 1} ones[mask]·bits_b[mask]`. `Q` is q fixed at
+    /// compile time, or 0 to read it from `ones.len()`.
+    #[inline]
+    pub(crate) fn gather<const Q: usize>(&self, ones: &[u8], lo: usize, hi: usize) -> u64 {
+        let n = if Q == 0 { ones.len() } else { 1 << Q };
+        let q = n.trailing_zeros();
+        let rows = |b: usize| &self.gather_prefix[b << q..][..n];
+        let widths = rows(lo).iter().zip(rows(hi)).map(|(&below, &upto)| upto - below);
+        ones[..n].iter().zip(widths).map(|(&ones, w)| u64::from(ones) * u64::from(w)).sum()
+    }
+}
 
 /// Entry capacity in operands — sized for serving working sets (a few
 /// tenants' moduli/bases), not for unbounded churn.
@@ -48,8 +111,8 @@ const CAPACITY: usize = 64;
 /// One resident cache entry: the digest's key material (verified on every
 /// hit — a digest collision must never alias two operands, bit-exactness
 /// is the §IV-B contract) plus the shared tables — the hoisted Fig. 9b
-/// outputs one [`crate::accelerator::Accelerator::multiply`] call replays
-/// across its output windows.
+/// outputs and gather prefix one [`crate::accelerator::Accelerator::
+/// multiply`] call replays across its output windows.
 struct Entry {
     q: u32,
     limb_bits: u32,
@@ -139,45 +202,30 @@ fn lock_cache() -> std::sync::MutexGuard<'static, CacheInner> {
     cache().lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// FNV-1a 64-bit over the operand limbs and the (q, L) configuration — the cache key. Collisions are tolerated (the entry
-/// stores its key material and is verified on hit), they just cost a
-/// rebuild.
+/// The cache key: the operand limbs and (q, L) mixed a word at a time by
+/// rotate, xor and an odd multiplier. Collisions are tolerated (the entry
+/// stores its key material and is verified on hit), they cost a rebuild.
 fn digest(operand: &[Limb], q: u32, limb_bits: u32) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |word: u64| {
-        for byte in word.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    mix(operand.len() as u64);
-    for &w in operand {
-        mix(w);
-    }
-    mix(u64::from(q));
-    mix(u64::from(limb_bits));
-    h
+    let mix = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    let head = [operand.len() as u64, u64::from(q), u64::from(limb_bits)];
+    head.iter().chain(operand).fold(0, |h, &w| mix(h, w))
 }
 
 fn entry_matches(e: &Entry, operand: &[Limb], q: u32, limb_bits: u32) -> bool {
     e.q == q && e.limb_bits == limb_bits && e.operand == operand
 }
 
-/// Looks up the per-block Sliced64 tables for `operand` under (q, L),
-/// generating and inserting them via `build` on a miss — the Fig. 8
-/// Converter output, reused across invocations like ARCHITECT reuses
-/// iterative-kernel state.
+/// Looks up the Sliced64 tables for the multiplicand `x` under (q, L),
+/// building and inserting them on a miss — the Fig. 8 Converter output,
+/// reused across invocations like ARCHITECT reuses iterative-kernel
+/// state.
 ///
-/// `operand` is the multiplicand's canonical limb representation (the
-/// key material; stored to guard against digest collisions). With the
-/// cache disabled this is exactly `Arc::new(build())` — no shared state
-/// is read or written.
-pub fn fetch_or_build(
-    operand: &[Limb],
-    q: u32,
-    limb_bits: u32,
-    build: impl FnOnce() -> PatternTables,
-) -> Arc<PatternTables> {
+/// `x`'s canonical limbs are the key material, stored to guard against
+/// digest collisions. With the cache disabled this is exactly a fresh
+/// build — no shared state is read or written.
+pub fn fetch_or_build(x: &Nat, q: u32, limb_bits: u32) -> Arc<PatternTables> {
+    let build = || PatternTables::build(x, crate::cast::usize_from(u64::from(q)), limb_bits);
+    let operand = x.limbs();
     if !enabled() {
         return Arc::new(build());
     }

@@ -22,9 +22,9 @@ pub fn to_limb_vector(x: &Nat, limb_bits: u32) -> Vec<Nat> {
 /// view of an operand, where element `i` is the same L-bit value
 /// [`to_limb_vector`] yields as a `Nat` (`limb_bits ≤ 64` required).
 ///
-/// The scalar kernels stream these limbs bit by bit; the sliced kernels
-/// consume whole words, so the decomposition itself must not round-trip
-/// through per-limb big integers.
+/// The structural multiply reads these words straight from the operand's
+/// own limbs with `extract_bits`, without building this vector; the tests
+/// use it as the reference for that reading.
 pub fn to_limb_words(x: &Nat, limb_bits: u32) -> Vec<Limb> {
     debug_assert!((1..=64).contains(&limb_bits), "word view needs L in 1..=64");
     let count = x.bit_len().div_ceil(u64::from(limb_bits)).max(1);
