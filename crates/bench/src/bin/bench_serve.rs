@@ -23,8 +23,10 @@
 //!
 //! A final fixed-modulus section measures the pattern-table cache on a
 //! repeated-operand structural workload (one modulus, many
-//! multiplicands — the RSA/zkcm shape the cache exists for) and records
-//! the observed hit rate next to cached and uncached throughput.
+//! multiplicands — the RSA/zkcm shape the cache exists for): cached and
+//! uncached runs are timed in shared rounds, each run setting the cache
+//! switch before it starts, and the JSON records both run times, the
+//! per-round cached speedup and the observed hit rate.
 
 use apc_bench::{
     fmt_seconds, header, quantile, sample, sample_rounds, Report, Sample, BENCH_FLOOR_SECONDS,
@@ -283,35 +285,43 @@ fn main() {
     let structural_jobs = 48usize;
     let modulus = &operands[0].0;
     apc_trace::set_enabled(true);
-    let run_structural = || {
+    let run_structural = |cached: bool| {
+        pattern_cache::set_enabled(cached);
         let device = cambricon_p::mpapca::Device::new_default();
         for i in 0..structural_jobs {
             std::hint::black_box(device.mul_structural(modulus, &operands[i % operands.len()].1));
         }
     };
+    pattern_cache::clear();
+    // The uncached runs record no lookup, so the counters below count the
+    // cached runs alone.
+    let before = pattern_cache::counters();
+    let rounds = sample_rounds(
+        2.0 * BENCH_FLOOR_SECONDS,
+        &mut [&mut || run_structural(true), &mut || run_structural(false)],
+    );
+    let after = pattern_cache::counters();
     pattern_cache::set_enabled(true);
     pattern_cache::clear();
-    let before = pattern_cache::counters();
-    let cached = sample(BENCH_FLOOR_SECONDS, &run_structural);
-    let after = pattern_cache::counters();
     let (hits, misses) = (after.hits - before.hits, after.misses - before.misses);
     let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
-    pattern_cache::set_enabled(false);
-    let uncached = sample(BENCH_FLOOR_SECONDS, &run_structural);
-    pattern_cache::set_enabled(true);
-    pattern_cache::clear();
-    let cached_jobs_per_s = structural_jobs as f64 / cached.median;
-    let uncached_jobs_per_s = structural_jobs as f64 / uncached.median;
+    let (cached, uncached) = (rounds.sample(0), rounds.sample(1));
+    // Per round, uncached over cached time: the cached throughput gain.
+    let speedup = rounds.ratio(1, 0);
     println!();
     println!(
-        "fixed-modulus structural point: {cached_jobs_per_s:.1} jobs/s cached vs \
-         {uncached_jobs_per_s:.1} uncached ({:.2}x), hit rate {hit_rate:.3} \
-         ({hits} hits / {misses} misses)",
-        cached_jobs_per_s / uncached_jobs_per_s
+        "fixed-modulus structural point: {:.1} jobs/s cached vs {:.1} uncached ({:.2}x \
+         [{:.2}, {:.2}] per round), hit rate {hit_rate:.3} ({hits} hits / {misses} misses)",
+        structural_jobs as f64 / cached.median,
+        structural_jobs as f64 / uncached.median,
+        speedup.median,
+        speedup.q1,
+        speedup.q3
     );
     let point = [("jobs", structural_jobs.to_string())];
     report.sample("cached_structural_seconds", &point, &cached);
     report.sample("uncached_structural_seconds", &point, &uncached);
+    report.sample("cached_speedup", &point, &speedup);
     report.gauge("pattern_cache_hits", &[], hits as f64);
     report.gauge("pattern_cache_misses", &[], misses as f64);
     report.gauge("pattern_cache_hit_rate", &[], hit_rate);

@@ -1017,27 +1017,39 @@ mod tests {
 
     #[test]
     fn gather_prefix_rows_sum_the_pattern_bits_of_the_blocks_below() {
-        // Seven 128-bit blocks at q = 4, L = 32, block 3 all zero.
-        let (q, l) = (4usize, 32u32);
-        let dense = pattern(14, 0x5EED);
-        let x = &dense.low_bits(384) + &dense.shr_bits(512).shl_bits(512);
-        let tables = PatternTables::build(&x, q, l);
-        let xw = crate::transform::to_limb_words(&x, l);
-        assert_eq!(tables.generation.len(), 7);
-        let mut sum = vec![0u32; 1 << q];
-        for b in 0..=7 {
-            assert_eq!(tables.gather_prefix[b << q..][..1 << q], sum[..], "row {b}");
-            let Some(&generation) = tables.generation.get(b) else {
-                break;
-            };
-            let block = &xw[b * q..][..q];
-            let mut patterns = vec![0; 1 << q];
-            let bops = crate::converter::generate_patterns_sliced(block, u64::from(l), &mut patterns);
-            assert_eq!(generation, (b != 3).then_some(bops), "block {b}");
-            assert_eq!(tables.patterns[b << q..][..1 << q], patterns[..], "block {b}");
-            if generation.is_some() {
-                for (s, &p) in sum.iter_mut().zip(&patterns).skip(1) {
-                    *s += crate::ipu::pattern_bits(p);
+        // Seven q·L-bit blocks, block 3 all zero between dense ones and a
+        // partial top block, at q = 4 (the constant-q build copy) and q = 3
+        // (the generic one), each at L = 32, 31 and 16.
+        for (q, l) in [(4usize, 32u32), (4, 31), (4, 16), (3, 32), (3, 31), (3, 16)] {
+            let w = q as u64 * u64::from(l);
+            let top = 6 * w + w / 2 + 3;
+            let dense = pattern(16, 0x5EED).low_bits(top - 1);
+            let x = &(&dense.low_bits(3 * w) + &dense.shr_bits(4 * w).shl_bits(4 * w))
+                + &Nat::power_of_two(top - 1);
+            let tables = PatternTables::build(&x, q, l);
+            let xw = crate::transform::to_limb_words(&x, l);
+            assert!(xw.len() < 7 * q, "q={q} L={l}: the top block is partial");
+            assert_eq!(tables.generation.len(), 7, "q={q} L={l}");
+            let mut sum = vec![0u32; 1 << q];
+            for b in 0..=7 {
+                let at = format!("q={q} L={l} block {b}");
+                assert_eq!(tables.gather_prefix[b << q..][..1 << q], sum[..], "{at}");
+                let Some(&generation) = tables.generation.get(b) else {
+                    break;
+                };
+                let mut block = vec![0; q];
+                for (limb, &word) in block.iter_mut().zip(&xw[b * q..]) {
+                    *limb = word;
+                }
+                let mut patterns = vec![0; 1 << q];
+                let bops =
+                    crate::converter::generate_patterns_sliced(&block, u64::from(l), &mut patterns);
+                assert_eq!(generation, (b != 3).then_some(bops), "{at}");
+                assert_eq!(tables.patterns[b << q..][..1 << q], patterns[..], "{at}");
+                if generation.is_some() {
+                    for (s, &p) in sum.iter_mut().zip(&patterns).skip(1) {
+                        *s += crate::ipu::pattern_bits(p);
+                    }
                 }
             }
         }

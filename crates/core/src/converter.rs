@@ -147,6 +147,16 @@ pub fn generate_patterns_sliced(xs: &[Limb], element_bits: u64, values: &mut [Li
     let q = xs.len();
     debug_assert!(q <= 16, "sliced pattern table addressability");
     debug_assert_eq!(values.len(), 1 << q, "one word per subset");
+    sum_subsets(xs, values);
+    let cost = |(r, &v): (usize, &Limb)| generation_cost(r, bit_len(v), element_bits);
+    values.iter().enumerate().skip(1).map(cost).sum()
+}
+
+/// `values[s] = Σ_{i ∈ s} xs[i]` for every subset s, summed in doubling
+/// order, `values[2^i + m] = values[m] + xs[i]`: one word add per
+/// composite subset, as in [`generate_patterns_sliced`].
+#[inline]
+pub(crate) fn sum_subsets(xs: &[Limb], values: &mut [Limb]) {
     values[0] = 0;
     for (i, &x) in xs.iter().enumerate() {
         let (lower, upper) = values.split_at_mut(1 << i);
@@ -154,10 +164,14 @@ pub fn generate_patterns_sliced(xs: &[Limb], element_bits: u64, values: &mut [Li
             *v = rest + x;
         }
     }
-    let cost = |(r, &v): (usize, &Limb)| {
-        u64::from(r.trailing_zeros()) * u64::from(bit_len(v)).max(element_bits)
-    };
-    values.iter().enumerate().skip(2).step_by(2).map(cost).sum()
+}
+
+/// The bops pattern r ≥ 1 of `bits` bits costs the reuse tree as the
+/// accumulating side of its tz(r) composites: `tz(r)·max(bits,
+/// element_bits)` (see [`generate_patterns_sliced`]).
+#[inline]
+pub(crate) fn generation_cost(r: usize, bits: u32, element_bits: u64) -> u64 {
+    u64::from(r.trailing_zeros()) * u64::from(bits).max(element_bits)
 }
 
 #[cfg(test)]

@@ -151,13 +151,22 @@ impl Indicators {
     /// index bits equal m, so every entry is written before it is read —
     /// 2^(q+1) − 2 word ops for up to 64 bitflow steps, the "64 bitflow
     /// steps per u64 op" collapse — and then the 2^q popcounts, taken once
-    /// per split over the whole word.
-    #[inline]
+    /// per split over the whole word. Up to q = 4 the network and counts
+    /// are built in a fixed 16-word local, which stays in registers, and
+    /// copied into the scratch once; above that they are built in place.
+    /// Always inlined, so the walk's constant q reaches the local's loops.
+    #[inline(always)]
     pub fn split(&mut self, ys: &[Limb]) {
         // Lengths follow `ys`, so a caller with a constant q gets loops
         // with constant trip counts.
-        debug_assert_eq!(self.words.len(), 1 << ys.len(), "one index word per pattern input");
-        let (ind, ones) = (&mut self.words[..1 << ys.len()], &mut self.ones[..1 << ys.len()]);
+        let n = 1 << ys.len();
+        debug_assert_eq!(self.words.len(), n, "one index word per pattern input");
+        let mut local = ([0; 16], [0; 16]);
+        let (ind, ones) = if n <= 16 {
+            (&mut local.0[..n], &mut local.1[..n])
+        } else {
+            (&mut self.words[..n], &mut self.ones[..n])
+        };
         let active = low_mask(u32::try_from(self.index_bits).unwrap_or(LIMB_BITS));
         ind[0] = active;
         let mut half = 1usize;
@@ -169,8 +178,12 @@ impl Indicators {
             }
             half <<= 1;
         }
-        for (n, &w) in ones.iter_mut().zip(ind.iter()) {
-            *n = u8::try_from(w.count_ones()).unwrap_or(u8::MAX);
+        for (count, &w) in ones.iter_mut().zip(ind.iter()) {
+            *count = u8::try_from(w.count_ones()).unwrap_or(u8::MAX);
+        }
+        if n <= 16 {
+            self.words[..n].copy_from_slice(&local.0[..n]);
+            self.ones[..n].copy_from_slice(&local.1[..n]);
         }
     }
 
@@ -313,7 +326,8 @@ mod tests {
         // One scratch per (q, L) serves every tuple in turn, as in a
         // window walk: dense, sparse and all-zero index words, then dense
         // again after the all-zero tuple. The counts are charged as the
-        // structural walk charges one reader of a tuple.
+        // structural walk charges one reader of a tuple. q runs on both
+        // sides of the split's register-local bound (q ≤ 4).
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move || {
             state ^= state << 13;

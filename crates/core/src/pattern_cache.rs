@@ -5,17 +5,16 @@
 //! operand only — never of the index operand y — so a caller that
 //! multiplies by the same x repeatedly (a fixed RSA modulus, a shared
 //! zkcm base) regenerates identical tables on every call. This module
-//! memoizes them behind an operand digest, with `apc_sim::Lru`
-//! replacement. An entry is one flat [`PatternTables`]: the blocks'
-//! pattern words and generation bops and their gather prefix, so a hit
-//! skips the prefix too, and a miss builds it in one pass with no
-//! allocation per block. The digest mixes a word at a time; every hit
-//! still compares the stored operand and (q, L) in full, so a collision
-//! costs a rebuild, never a wrong table.
+//! memoizes them in 64 slots under an operand digest, with exact LRU
+//! replacement (the smallest use stamp goes). An entry is one flat
+//! [`PatternTables`]: the blocks' pattern words and generation bops and
+//! their gather prefix, so a hit skips the prefix too, and a miss builds
+//! it in one pass with no allocation per block. The digest mixes a word
+//! at a time; every hit still compares the stored operand and (q, L) in
+//! full, so a collision costs a rebuild, never a wrong table.
 //!
 //! It serves only the Sliced64 engine; the Scalar engine is the §IV-B
-//! oracle and always regenerates. The (q, L) pair in the key already
-//! decides the engine, so the key carries no engine tag.
+//! oracle and always regenerates. (q, L) in the key decides the engine.
 //!
 //! **The cache is host-side only.** Like the Sliced64 engine, it changes
 //! which host instructions run, never the modeled machine: every executed
@@ -25,22 +24,20 @@
 //! StageCycles`] and [`crate::bops::BopsTally`] — enforced by the tier-1
 //! `tests/cache_gate.rs`.
 //!
-//! The cache starts enabled and holds at most 64 operands; [`set_enabled`]
-//! flips it at runtime (tests compare both states in one process).
+//! The cache starts enabled; [`set_enabled`] flips it at runtime (tests
+//! compare both states in one process).
 //! Hit/miss/insert/eviction counters are recorded only while
 //! `apc_trace::enabled()` is set — the observability layer's
 //! zero-perturbation contract extends to the cache: with tracing off the
 //! hot path performs no shared-cacheline writes.
 
-use crate::converter::generate_patterns_sliced;
+use crate::converter::{generation_cost, sum_subsets};
 use crate::ipu::pattern_bits;
-use apc_bignum::limb::{extract_bits, Limb};
+use apc_bignum::limb::{bit_len, extract_bits, Limb};
 use apc_bignum::Nat;
-use apc_sim::lru::Lru;
 use apc_trace::export::Metric;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The Sliced64 Converter tables (Fig. 8) of one operand under (q, L),
 /// built in one pass over its limbs into flat vectors.
@@ -60,8 +57,20 @@ pub struct PatternTables {
 
 impl PatternTables {
     /// The tables of `x`, cut into L-bit Eq. 1 limbs read straight from
-    /// its machine words and grouped into q-limb pattern blocks.
+    /// its machine words and grouped into q-limb pattern blocks. q = 4, the
+    /// §IV-B optimum and the default, runs a copy with q constant-folded.
     pub(crate) fn build(x: &Nat, q: usize, limb_bits: u32) -> Self {
+        if q == 4 {
+            Self::build_q::<4>(x, q, limb_bits)
+        } else {
+            Self::build_q::<0>(x, q, limb_bits)
+        }
+    }
+
+    /// [`PatternTables::build`] with `Q` = q fixed at compile time, or 0 to
+    /// read q from the argument.
+    fn build_q<const Q: usize>(x: &Nat, q: usize, limb_bits: u32) -> Self {
+        let q = if Q == 0 { q } else { Q };
         let (lb, n) = (u64::from(limb_bits), 1usize << q);
         let blocks = crate::cast::usize_from(x.bit_len().div_ceil(lb).div_ceil(q as u64));
         let mut tables = PatternTables {
@@ -75,17 +84,20 @@ impl PatternTables {
                 *limb = extract_bits(x.limbs(), ((b * q + j) as u64) * lb, limb_bits);
             }
             let (below, above) = tables.gather_prefix.split_at_mut((b + 1) << q);
-            let (prev, row) = (&below[b << q..], &mut above[..n]);
+            let (prev, row) = (&below[b << q..][..n], &mut above[..n]);
             if block[..q].iter().all(|&v| v == 0) {
                 row.copy_from_slice(prev);
                 tables.generation.push(None);
                 continue;
             }
             let patterns = &mut tables.patterns[b << q..][..n];
-            tables.generation.push(Some(generate_patterns_sliced(&block[..q], lb, patterns)));
-            for ((sum, &prev), &p) in row.iter_mut().zip(prev).zip(patterns.iter()).skip(1) {
-                *sum = prev + pattern_bits(p);
+            sum_subsets(&block[..q], patterns);
+            let mut bops = 0;
+            for (r, (sum, &p)) in row.iter_mut().zip(&*patterns).enumerate().skip(1) {
+                bops += generation_cost(r, bit_len(p), lb);
+                *sum = prev[r] + pattern_bits(p);
             }
+            tables.generation.push(Some(bops));
         }
         tables
     }
@@ -108,21 +120,22 @@ impl PatternTables {
 /// tenants' moduli/bases), not for unbounded churn.
 const CAPACITY: usize = 64;
 
-/// One resident cache entry: the digest's key material (verified on every
-/// hit — a digest collision must never alias two operands, bit-exactness
-/// is the §IV-B contract) plus the shared tables — the hoisted Fig. 9b
-/// outputs and gather prefix one [`crate::accelerator::Accelerator::
-/// multiply`] call replays across its output windows.
+/// One resident entry: digest, last-use stamp, key material (verified on
+/// every hit: a collision must never alias two operands, §IV-B) and the
+/// tables one [`crate::accelerator::Accelerator::multiply`] call replays.
 struct Entry {
+    digest: u64,
+    stamp: u64,
     q: u32,
     limb_bits: u32,
     operand: Vec<Limb>,
     tables: Arc<PatternTables>,
 }
 
+/// At most [`CAPACITY`] entries; the smallest stamp of `clock` is the LRU.
 struct CacheInner {
-    lru: Lru,
-    entries: HashMap<u64, Entry>,
+    slots: Vec<Entry>,
+    clock: u64,
 }
 
 /// Counter snapshot for reports and the tier-1 gates (§VII measurement
@@ -144,12 +157,7 @@ impl CacheCounters {
     /// Hits over lookups, 0 when nothing was looked up (the §VII
     /// repeated-operand reuse ratio the bench reports).
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
+        self.hits as f64 / (self.hits + self.misses).max(1) as f64
     }
 }
 
@@ -186,20 +194,11 @@ pub fn set_enabled(on: bool) {
     CACHE_SWITCH.store(on, Ordering::Release);
 }
 
-fn cache() -> &'static Mutex<CacheInner> {
-    static CACHE: OnceLock<Mutex<CacheInner>> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        Mutex::new(CacheInner {
-            lru: Lru::new(CAPACITY),
-            entries: HashMap::with_capacity(CAPACITY),
-        })
-    })
-}
+static CACHE: Mutex<CacheInner> = Mutex::new(CacheInner { slots: Vec::new(), clock: 0 });
 
 fn lock_cache() -> std::sync::MutexGuard<'static, CacheInner> {
-    // Poison only means a panicking thread released the lock mid-way; all
-    // transitions below leave the lru/entries pair consistent, so recover.
-    cache().lock().unwrap_or_else(PoisonError::into_inner)
+    // Poison only means a panicking thread let go mid-way; recover.
+    CACHE.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The cache key: the operand limbs and (q, L) mixed a word at a time by
@@ -209,10 +208,6 @@ fn digest(operand: &[Limb], q: u32, limb_bits: u32) -> u64 {
     let mix = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
     let head = [operand.len() as u64, u64::from(q), u64::from(limb_bits)];
     head.iter().chain(operand).fold(0, |h, &w| mix(h, w))
-}
-
-fn entry_matches(e: &Entry, operand: &[Limb], q: u32, limb_bits: u32) -> bool {
-    e.q == q && e.limb_bits == limb_bits && e.operand == operand
 }
 
 /// Looks up the Sliced64 tables for the multiplicand `x` under (q, L),
@@ -230,14 +225,16 @@ pub fn fetch_or_build(x: &Nat, q: u32, limb_bits: u32) -> Arc<PatternTables> {
         return Arc::new(build());
     }
     let key = digest(operand, q, limb_bits);
+    let find = |slots: &[Entry]| slots.iter().position(|e| e.digest == key);
     {
         let mut inner = lock_cache();
-        if let Some(e) = inner.entries.get(&key) {
-            if entry_matches(e, operand, q, limb_bits) {
-                let tables = Arc::clone(&e.tables);
-                inner.lru.touch(key);
+        inner.clock += 1;
+        let stamp = inner.clock;
+        if let Some(e) = find(&inner.slots).map(|i| &mut inner.slots[i]) {
+            if e.q == q && e.limb_bits == limb_bits && e.operand == operand {
+                e.stamp = stamp;
                 record(&HITS);
-                return tables;
+                return Arc::clone(&e.tables);
             }
             // Digest collision with different key material: fall through
             // to a rebuild that replaces the resident entry.
@@ -247,23 +244,29 @@ pub fn fetch_or_build(x: &Nat, q: u32, limb_bits: u32) -> Arc<PatternTables> {
     // different operands never serialize on each other's Converter work.
     record(&MISSES);
     let tables = Arc::new(build());
-    let entry = Entry {
-        q,
-        limb_bits,
-        operand: operand.to_vec(),
-        tables: Arc::clone(&tables),
-    };
+    let (operand, shared) = (operand.to_vec(), Arc::clone(&tables));
     let mut inner = lock_cache();
-    let (resident, evicted) = inner.lru.touch_evicting(key);
-    if let Some(victim) = evicted {
-        inner.entries.remove(&victim);
-        record(&EVICTIONS);
-    }
-    // `resident` means a racing builder (or a collided entry) already
-    // holds this digest; either way the freshest tables win.
-    let _ = resident;
-    inner.entries.insert(key, entry);
+    inner.clock += 1;
+    let stamp = inner.clock;
+    let entry = Entry { digest: key, stamp, q, limb_bits, operand, tables: shared };
+    // The entry under this digest (a racing builder's or a collided one) is
+    // replaced, the freshest tables win; else a full table evicts its LRU.
+    let replaced = match find(&inner.slots) {
+        Some(i) => Some(std::mem::replace(&mut inner.slots[i], entry)),
+        None if inner.slots.len() < CAPACITY => {
+            inner.slots.push(entry);
+            None
+        }
+        None => {
+            record(&EVICTIONS);
+            let oldest = inner.slots.iter_mut().min_by_key(|e| e.stamp);
+            oldest.map(|oldest| std::mem::replace(oldest, entry))
+        }
+    };
     record(&INSERTS);
+    // The displaced entry's vectors are freed after the lock is released.
+    drop(inner);
+    drop(replaced);
     tables
 }
 
@@ -273,17 +276,14 @@ pub fn fetch_or_build(x: &Nat, q: u32, limb_bits: u32) -> Arc<PatternTables> {
 /// hook for an arch-config change (the Fig. 9a (q, L) pair is part of
 /// every key, so stale entries can only miss — clearing just frees them).
 pub fn clear() {
-    let mut inner = lock_cache();
-    inner.entries.clear();
-    inner.lru = Lru::new(CAPACITY);
+    // Freed after the lock is released, at the end of the call.
+    let _entries = std::mem::take(&mut lock_cache().slots);
 }
 
-/// Resident entry count — one per cached Fig. 8 table set (the gates'
-/// consistency check: the LRU and the entry map must shadow each other).
+/// Resident entry count — one per cached Fig. 8 table set, at most 64
+/// (the gates' capacity check).
 pub fn len() -> usize {
-    let inner = lock_cache();
-    debug_assert_eq!(inner.lru.len(), inner.entries.len());
-    inner.entries.len()
+    lock_cache().slots.len()
 }
 
 /// Counter snapshot (monotone since process start; subtract two

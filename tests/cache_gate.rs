@@ -8,11 +8,11 @@
 //!    same products, same `DeviceStats` (cycles, stage attribution, bops,
 //!    PE passes). The cache is host-side only, like the Sliced64 engine;
 //!    it must never leak into the modeled machine.
-//! 2. **LRU consistency under concurrent submit** — hammering the cache
-//!    from many threads with more distinct operands than its capacity
-//!    must keep the resident set bounded, keep the LRU and the entry map
-//!    shadowing each other, evict (not wedge), and never corrupt a
-//!    result.
+//! 2. **Exact LRU replacement** — the 64-slot table evicts the least
+//!    recently used operand, with exact hit/miss/insert/eviction counts;
+//!    and hammering it from many threads with more distinct operands than
+//!    its capacity must keep the resident set bounded, evict (not wedge),
+//!    and never corrupt a result.
 //!
 //! The sharded admission queue's conservation test lives in
 //! `tests/serve_gate.rs`.
@@ -122,6 +122,40 @@ fn cache_disabled_touches_no_shared_state() {
 }
 
 #[test]
+fn eviction_takes_the_least_recently_used_operand() {
+    let _guard = CacheGuard::set(true);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x1A0);
+    let operands: Vec<Nat> = (0..65).map(|_| random_nat(&mut rng, 1024)).collect();
+    // Fetches operand i and says whether that lookup hit.
+    let fetch = |i: usize| {
+        let hits = pattern_cache::counters().hits;
+        drop(pattern_cache::fetch_or_build(&operands[i], 4, 32));
+        pattern_cache::counters().hits > hits
+    };
+    let before = pattern_cache::counters();
+    assert!((0..64).all(|i| !fetch(i)), "64 distinct operands all miss");
+    assert_eq!(pattern_cache::len(), 64, "64 distinct operands fill the table");
+    // Touch the first again: the second is now the least recently used,
+    // so the 65th operand evicts it, and re-fetching it evicts the third.
+    assert!(fetch(0), "the first operand is resident");
+    assert!(!fetch(64), "the 65th operand is new");
+    assert!(!fetch(1), "the second operand was the one evicted");
+    assert!(fetch(0), "the first operand, touched before, is still resident");
+    assert!(!fetch(2), "re-fetching the second evicted the third");
+    let after = pattern_cache::counters();
+    let delta = (
+        after.hits - before.hits,
+        after.misses - before.misses,
+        after.inserts - before.inserts,
+        after.evictions - before.evictions,
+    );
+    // Hits: the two touches of the first operand. Misses and inserts: 64
+    // cold fills, the 65th, the second and the third. Evictions: three.
+    assert_eq!(delta, (2, 67, 67, 3), "(hits, misses, inserts, evictions)");
+    assert_eq!(pattern_cache::len(), 64, "the resident set stays at capacity");
+}
+
+#[test]
 fn concurrent_submitters_evict_without_corrupting_the_lru() {
     let _guard = CacheGuard::set(true);
     let before = pattern_cache::counters();
@@ -143,8 +177,7 @@ fn concurrent_submitters_evict_without_corrupting_the_lru() {
         }
     });
     let delta_evictions = pattern_cache::counters().evictions - before.evictions;
-    // len() debug-asserts that the LRU and the entry map shadow each
-    // other; the bound below is the capacity contract.
+    // The bound below is the capacity contract.
     assert!(pattern_cache::len() <= 64, "resident set exceeded capacity");
     assert!(
         delta_evictions > 0,
