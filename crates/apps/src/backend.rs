@@ -15,7 +15,6 @@
 use apc_baselines::cpu as cpu_model;
 use apc_bignum::{Int, Nat};
 use apc_serve::{Job, JobOutput, JobSpec, ServeHandle};
-use apc_trace::{HistogramSnapshot, Log2Histogram};
 use cambricon_p::stats::OpClass;
 use cambricon_p::Device;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -48,13 +47,9 @@ struct ClassTally {
 /// concurrent application threads.
 #[derive(Debug)]
 pub struct Session {
-    kind: BackendKind,
     device: Option<Device>,
     serve: Option<ServeHandle>,
     tallies: Mutex<[ClassTally; N_CLASSES]>,
-    // Instant-domain span over every kernel operator the session ran
-    // (lock-free; recorded alongside the wall tally).
-    kernel_ns: Log2Histogram,
 }
 
 /// Summary of a session's accumulated work.
@@ -103,11 +98,9 @@ impl Session {
     /// A software (CPU-baseline) session.
     pub fn software() -> Session {
         Session {
-            kind: BackendKind::Software,
             device: None,
             serve: None,
             tallies: Mutex::new(Default::default()),
-            kernel_ns: Log2Histogram::new(),
         }
     }
 
@@ -119,11 +112,9 @@ impl Session {
     /// A Cambricon-P session with a custom device.
     pub fn with_device(device: Device) -> Session {
         Session {
-            kind: BackendKind::CambriconP,
             device: Some(device),
             serve: None,
             tallies: Mutex::new(Default::default()),
-            kernel_ns: Log2Histogram::new(),
         }
     }
 
@@ -136,17 +127,19 @@ impl Session {
     /// bit-identical to direct execution.
     pub fn with_serve(serve: ServeHandle) -> Session {
         Session {
-            kind: BackendKind::CambriconP,
             device: Some(Device::new(serve.arch().clone())),
             serve: Some(serve),
             tallies: Mutex::new(Default::default()),
-            kernel_ns: Log2Histogram::new(),
         }
     }
 
     /// Which backend this session uses.
     pub fn kind(&self) -> BackendKind {
-        self.kind
+        if self.device.is_some() {
+            BackendKind::CambriconP
+        } else {
+            BackendKind::Software
+        }
     }
 
     /// The wrapped device, if any.
@@ -159,13 +152,6 @@ impl Session {
         self.serve.as_ref()
     }
 
-    /// Snapshot of the per-operator kernel wall-time span histogram
-    /// (Instant domain, nanoseconds). Counts one entry per tallied
-    /// operator, whichever engine executed it.
-    pub fn kernel_latency(&self) -> HistogramSnapshot {
-        self.kernel_ns.snapshot()
-    }
-
     /// The one place lock poisoning on the tally mutex is handled: a
     /// poisoned lock only means another thread panicked mid-tally, and
     /// every tally transition is single-step, so the counters stay
@@ -175,9 +161,6 @@ impl Session {
     }
 
     fn tally(&self, class: OpClass, wall: f64, modeled: f64) {
-        let ns = wall * 1e9;
-        self.kernel_ns
-            .record(if ns.is_finite() && ns >= 0.0 { ns as u64 } else { 0 });
         let mut t = self.lock_tallies();
         #[expect(
             clippy::expect_used,
@@ -417,7 +400,7 @@ impl Session {
             None => (0.0, cpu_model::energy_joules(modeled)),
         };
         SessionReport {
-            kind: self.kind,
+            kind: self.kind(),
             wall_seconds: wall,
             // For device sessions the tallies hold device-service seconds
             // (serve offloads), not Xeon-model seconds.
@@ -569,20 +552,6 @@ mod tests {
             r.device_seconds > 0.0,
             "fallback work must be accounted on the local device"
         );
-    }
-
-    #[test]
-    fn kernel_latency_counts_one_span_per_tallied_operator() {
-        let s = Session::software();
-        let a = Nat::power_of_two(512) - Nat::one();
-        let b = Nat::from(12345u64);
-        let _ = s.mul(&a, &b);
-        let _ = s.divrem(&a, &b);
-        let _ = s.add(&a, &b);
-        let h = s.kernel_latency();
-        let ops: u64 = s.report().by_class.iter().map(|(_, n, _)| n).sum();
-        assert_eq!(h.count, ops, "one span per tallied operator");
-        assert!(h.count >= 3);
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //!
 //! The paper re-implemented both "with the same technology and the same
 //! theoretical throughput" as Cambricon-P and compared area and power; we
-//! carry exactly those reported figures, plus simple structural scaling
-//! models for the ablation benches.
+//! carry exactly those reported figures.
 
 use crate::SystemProfile;
 
@@ -31,27 +30,6 @@ pub fn bit_tactical_profile() -> SystemProfile {
     }
 }
 
-/// Why DS/P costs more at the same throughput: digit-serial multipliers
-/// process w-digit groups without pattern reuse, so at digit width `w`
-/// each MAC lane needs a w×w partial-product array, while Cambricon-P's
-/// BIPS shares one pattern table across 32 IPUs. Relative area per lane,
-/// normalized to BIPS = 1.
-pub fn dsp_relative_area_per_lane(digit_bits: u32) -> f64 {
-    // Partial-product cells ∝ w², against BIPS's shared 2^q pattern adders
-    // amortized over N_IPU lanes (q = 4, N_IPU = 32).
-    let pp_cells = f64::from(digit_bits) * f64::from(digit_bits);
-    let bips_cells = f64::from(digit_bits) * (1.0 + 11.0 / 32.0);
-    pp_cells / bips_cells
-}
-
-/// Bit-Tactical exploits only bit-sparsity (zero-skipping); on random
-/// operands half the bits are ones, so its expected MAC work relative to
-/// dense bit-serial is ~0.5 — against BIPS's λ ≈ 0.37 *and* BIPS keeps
-/// a simpler front-end (no per-bit scheduling crossbar).
-pub fn bit_tactical_expected_work_ratio() -> f64 {
-    0.5
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -66,11 +44,5 @@ mod tests {
         assert!((dsp.power_w / 3.64 - 2.53).abs() < 0.03);
         assert!((bt.area_mm2 / 1.89 - 3.76).abs() < 0.05);
         assert!((bt.power_w / 3.64 - 5.02).abs() < 0.03);
-    }
-
-    #[test]
-    fn structural_models_favor_bips() {
-        assert!(dsp_relative_area_per_lane(32) > 2.0);
-        assert!(bit_tactical_expected_work_ratio() > 0.37);
     }
 }

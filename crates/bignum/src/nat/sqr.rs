@@ -5,42 +5,11 @@
 //! paper's RSA analysis leans on it: "RSA is composed of Montgomery
 //! reductions … and squares" (§VII-C).
 
-use super::mul::{MulAlgorithm, Thresholds};
 use super::Nat;
 use crate::limb::{adc, mul_add_carry, shl_step, Limb};
 
 /// Most limbs a square takes the dedicated basecase at.
 pub(crate) const SQR_BASECASE_LIMIT: usize = 32;
-
-impl Nat {
-    /// Squares `self` via the dedicated squaring path.
-    ///
-    /// ```
-    /// use apc_bignum::Nat;
-    /// let a = Nat::power_of_two(1000) - Nat::from(3u64);
-    /// assert_eq!(a.square_fast(), &a * &a);
-    /// ```
-    pub fn square_fast(&self) -> Nat {
-        sqr(self, &Thresholds::default())
-    }
-}
-
-/// Squaring dispatch: the dedicated basecase up to
-/// [`SQR_BASECASE_LIMIT`] limbs, the general ladder above (its
-/// allocation-free Karatsuba beats a squaring split that allocates at
-/// every node). The ladder's own squaring shortcut goes straight to
-/// [`sqr_basecase`], so the two never call each other in a loop.
-pub(crate) fn sqr(a: &Nat, th: &Thresholds) -> Nat {
-    match a.limb_len() {
-        0 => Nat::zero(),
-        1 => {
-            let v = u128::from(a.limbs()[0]);
-            Nat::from(v * v)
-        }
-        n if n <= SQR_BASECASE_LIMIT => sqr_basecase(a.limbs()),
-        _ => super::mul::mul_dispatch(a, a, MulAlgorithm::Auto, th),
-    }
-}
 
 /// Basecase squaring using the cross-product doubling trick:
 /// a² = 2·Σ_{i<j} aᵢaⱼ·B^{i+j} + Σ aᵢ²·B^{2i}.
@@ -117,18 +86,10 @@ mod tests {
     }
 
     #[test]
-    fn ladder_square_matches_mul() {
-        for n in [33usize, 64, 95, 200, 500] {
-            let a = pattern(n, 7);
-            assert_eq!(a.square_fast(), &a * &a, "n={n}");
-        }
-    }
-
-    #[test]
     fn square_of_edge_values() {
-        assert!(Nat::zero().square_fast().is_zero());
-        assert_eq!(Nat::one().square_fast(), Nat::one());
+        assert!(Nat::zero().square().is_zero());
+        assert_eq!(Nat::one().square(), Nat::one());
         let p = Nat::power_of_two(4096);
-        assert_eq!(p.square_fast(), Nat::power_of_two(8192));
+        assert_eq!(p.square(), Nat::power_of_two(8192));
     }
 }

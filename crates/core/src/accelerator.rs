@@ -669,31 +669,19 @@ impl Accelerator {
             pe_slots: schedule.pe_slots,
         }
     }
-}
 
-/// Outcome of a structural addition over the chained GUs (§V-C).
-#[derive(Debug, Clone)]
-pub struct AddOutcome {
-    /// The computed sum.
-    pub sum: Nat,
-    /// L-bit sections processed by the chained Gather Units.
-    pub sections: usize,
-    /// Structural cycles.
-    pub cycles: u64,
-}
-
-impl Accelerator {
     /// Long addition through the chained Gather Units: "MPApca scatters
     /// and maps the addends into different PEs to perform parallel
     /// addition, and leverages the chained Gather Units to deal carries
     /// afterward" (§V-C). Each PE adds one L-bit limb pair; the
     /// carry-select chain resolves all inter-limb carries in one wave.
-    pub fn add(&self, a: &Nat, b: &Nat) -> AddOutcome {
+    /// Only the sum is modeled: [`crate::Device::add`] owns the cycle
+    /// cost of a long addition.
+    pub fn add(&self, a: &Nat, b: &Nat) -> Nat {
         let l = self.config.limb_bits;
         let xs = to_limb_vector(a, l);
         let ys = to_limb_vector(b, l);
-        let n = xs.len().max(ys.len());
-        let partials: Vec<Nat> = (0..n)
+        let partials: Vec<Nat> = (0..xs.len().max(ys.len()))
             .map(|i| {
                 let x = xs.get(i).cloned().unwrap_or_else(Nat::zero);
                 let y = ys.get(i).cloned().unwrap_or_else(Nat::zero);
@@ -702,41 +690,7 @@ impl Accelerator {
             .collect();
         let g = crate::gu::gather_carry_parallel(&partials, l);
         debug_assert!(g.carry_domain <= 2, "additions keep 1-bit carries");
-        // All limb adds run concurrently across PEs; the select wave and
-        // streaming dominate.
-        let lanes = (self.config.n_pe * self.config.n_ipu) as u64;
-        let cycles = (n as u64).div_ceil(lanes) * u64::from(l)
-            + self.config.pipeline_fill_cycles;
-        AddOutcome {
-            sum: g.value,
-            sections: g.sections,
-            cycles,
-        }
-    }
-
-    /// Long subtraction (`a − b`): the subtrahend's bitflows are inverted
-    /// and an initial carry is injected at the start of the GU chain
-    /// (§V-C). Implemented as the two's-complement identity
-    /// `a − b = a + ~b + 1` over the padded limb width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b > a`.
-    pub fn sub(&self, a: &Nat, b: &Nat) -> AddOutcome {
-        assert!(b <= a, "structural subtraction underflow");
-        let l = self.config.limb_bits;
-        let width = a.bit_len().max(b.bit_len()).div_ceil(u64::from(l)).max(1)
-            * u64::from(l);
-        // ~b over `width` bits, plus the injected initial carry.
-        let mask = Nat::power_of_two(width) - Nat::one();
-        let inverted = &mask - b;
-        let raw = self.add(a, &inverted.add_limb(1));
-        // Discard the wrap-around bit at 2^width.
-        AddOutcome {
-            sum: raw.sum.low_bits(width),
-            sections: raw.sections,
-            cycles: raw.cycles,
-        }
+        g.value
     }
 }
 
@@ -825,34 +779,12 @@ mod tests {
         for (al, bl) in [(1usize, 1usize), (5, 3), (40, 40), (100, 7)] {
             let a = pattern(al, al as u64 + 1);
             let b = pattern(bl, bl as u64 + 2);
-            let out = acc.add(&a, &b);
-            assert_eq!(out.sum, &a + &b, "{al}+{bl}");
-            assert!(out.cycles > 0);
+            assert_eq!(acc.add(&a, &b), &a + &b, "{al}+{bl}");
         }
         // Worst-case carry chain: all-ones + 1 ripples end to end — the
         // exact pattern carry-select parallelizes.
         let ones = Nat::power_of_two(4096) - Nat::one();
-        let out = acc.add(&ones, &Nat::one());
-        assert_eq!(out.sum, Nat::power_of_two(4096));
-    }
-
-    #[test]
-    fn structural_sub_matches_oracle() {
-        let acc = Accelerator::new_default();
-        let a = pattern(30, 5);
-        let b = pattern(20, 7);
-        let (hi, lo) = if a >= b { (a, b) } else {
-            let c = pattern(30, 5);
-            (c, pattern(20, 7))
-        };
-        let out = acc.sub(&hi, &lo);
-        assert_eq!(out.sum, &hi - &lo);
-        // Borrow ripple: 2^k − 1.
-        let out = acc.sub(&Nat::power_of_two(2048), &Nat::one());
-        assert_eq!(out.sum, Nat::power_of_two(2048) - Nat::one());
-        // a − a = 0.
-        let x = pattern(10, 9);
-        assert!(acc.sub(&x, &x).sum.is_zero());
+        assert_eq!(acc.add(&ones, &Nat::one()), Nat::power_of_two(4096));
     }
 
     #[test]

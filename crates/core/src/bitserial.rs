@@ -53,42 +53,6 @@ impl SerialAdder {
     pub fn carry(&self) -> bool {
         self.carry
     }
-
-    /// Clears the carry between operations (Fig. 10 reset).
-    pub fn reset(&mut self) {
-        self.carry = false;
-    }
-}
-
-/// A bit-serial subtractor (`a − b`): full subtractor plus borrow
-/// flip-flop. This is the §V-C subtraction datapath: in hardware the
-/// subtrahend's flow is inverted and an initial carry injected; the
-/// explicit borrow form here is equivalent.
-#[derive(Debug, Clone, Default)]
-pub struct SerialSubtractor {
-    borrow: bool,
-}
-
-impl SerialSubtractor {
-    /// A new §V-C subtractor with cleared borrow.
-    pub fn new() -> Self {
-        SerialSubtractor::default()
-    }
-
-    /// One clock edge of the §V-C subtract datapath: consumes one bit of
-    /// each operand, emits one difference bit.
-    #[inline]
-    pub fn step(&mut self, a: bool, b: bool) -> bool {
-        let diff = a ^ b ^ self.borrow;
-        self.borrow = (!a && b) || (!(a ^ b) && self.borrow);
-        diff
-    }
-
-    /// Whether a §V-C borrow is pending (nonzero ⇒ the running difference
-    /// went negative).
-    pub fn borrow(&self) -> bool {
-        self.borrow
-    }
 }
 
 /// A fixed-depth delay line (shift register of bits) — the 2^L weighting
@@ -114,16 +78,6 @@ impl DelayLine {
         // The pop only sees an empty FIFO at depth 0, where passing the
         // input through is the exact zero-delay semantics.
         self.fifo.pop_front().unwrap_or(input)
-    }
-
-    /// Random access into the Fig. 10 line: `tap(0)` is the newest bit.
-    pub fn tap(&self, age: usize) -> bool {
-        let len = self.fifo.len();
-        if age < len {
-            self.fifo[len - 1 - age]
-        } else {
-            false
-        }
     }
 }
 
@@ -254,12 +208,6 @@ impl ClockedIpu {
         self.carry = sum >> 1;
         out
     }
-
-    /// Drains one output bit after the inputs have ended (feed zeros into
-    /// the Fig. 9c pipeline).
-    pub fn drain(&mut self) -> bool {
-        self.step(&vec![false; 1 << self.q], &vec![false; self.q])
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -378,27 +326,6 @@ mod tests {
         }
         assert_eq!(out, 0x19D9C);
         assert!(!fa.carry());
-    }
-
-    #[test]
-    fn serial_subtractor_subtracts() {
-        let mut fs = SerialSubtractor::new();
-        let a = stream_value(1000, 12);
-        let b = stream_value(377, 12);
-        let mut out = 0u64;
-        for i in 0..12 {
-            if fs.step(a[i], b[i]) {
-                out |= 1 << i;
-            }
-        }
-        assert_eq!(out, 623);
-        assert!(!fs.borrow());
-        // Underflow leaves a pending borrow.
-        let mut fs = SerialSubtractor::new();
-        for i in 0..4 {
-            fs.step(stream_value(2, 4)[i], stream_value(5, 4)[i]);
-        }
-        assert!(fs.borrow());
     }
 
     #[test]

@@ -8,30 +8,6 @@
 //! `q·p_x·p_y` for the straightforward bit-serial scheme, i.e. a ratio
 //! λ = (1 + (2^q − 1)/p_y)/q with minimum 0.367 at q = 4 for p_y = 32.
 
-/// bops cost of one addition, per the §IV-B definition.
-pub fn bops_add(p_x: u64, p_y: u64) -> u64 {
-    p_x.max(p_y)
-}
-
-/// bops cost of one multiplication, per the §IV-B definition.
-pub fn bops_mul(p_x: u64, p_y: u64) -> u64 {
-    p_x * p_y
-}
-
-/// Analytic bops of a q-element inner product under BIPS (the §IV-B upper
-/// bound of the benefit analysis).
-pub fn bips_bops(q: u32, p_x: u64, p_y: u64) -> u64 {
-    let patterns = ((1u64 << q) - u64::from(q) - 1) * p_x;
-    let gather = p_y * (p_x + u64::from(q));
-    patterns + gather
-}
-
-/// Analytic bops of the straightforward bit-serial scheme (§IV-B, Fig. 6b)
-/// for the same inner product.
-pub fn bit_serial_bops(q: u32, p_x: u64, p_y: u64) -> u64 {
-    u64::from(q) * p_x * p_y
-}
-
 /// The §IV-B bops ratio λ(q) for `p_x, p_y ≫ q`:
 /// λ = (1 + (2^q − 1)/p_y) / q.
 ///
@@ -124,18 +100,6 @@ mod tests {
     }
 
     #[test]
-    fn analytic_bops_relation() {
-        // The exact expression counts 2^q − q − 1 pattern adders (the
-        // singletons are free), so it sits slightly *below* the paper's
-        // (2^q − 1)-based λ approximation — never above it.
-        let (q, px, py) = (4u32, 1024u64, 32u64);
-        let ratio = bips_bops(q, px, py) as f64 / bit_serial_bops(q, px, py) as f64;
-        let approx = lambda(q, py as f64);
-        assert!(ratio <= approx + 1e-9, "ratio={ratio} approx={approx}");
-        assert!((ratio - approx).abs() < 0.05, "ratio={ratio} approx={approx}");
-    }
-
-    #[test]
     fn tally_merge_and_lambda() {
         let mut t = BopsTally {
             pattern_generation: 10,
@@ -148,11 +112,5 @@ mod tests {
         assert_eq!(t.total(), 60);
         assert_eq!(t.bit_serial_reference, 200);
         assert!((t.measured_lambda() - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bops_primitives() {
-        assert_eq!(bops_add(32, 8), 32);
-        assert_eq!(bops_mul(32, 8), 256);
     }
 }

@@ -120,12 +120,6 @@ pub fn generate_patterns(xs: &[Nat], element_bits: u64) -> Result<Patterns, Mode
     Ok(patterns)
 }
 
-/// Number of adders a q-input Converter instantiates (2^q − q − 1), per
-/// the §V-B2 benefit analysis.
-pub fn converter_adder_count(q: u32) -> u64 {
-    (1u64 << q) - u64::from(q) - 1
-}
-
 /// The 2^q subset-sum patterns of Fig. 8 as raw machine words, written
 /// into `values` (2^q words), returning the `pattern_generation` bops —
 /// the bitsliced Converter.
@@ -204,13 +198,6 @@ mod tests {
         assert_eq!(p.get(0b1100).to_u64(), Some(16));
         // 2^4 − 4 − 1 = 11 additions, each counted at ≥ element width.
         assert!(p.tally().pattern_generation >= 11 * 4); // elements are 4 bits
-    }
-
-    #[test]
-    fn adder_count_formula() {
-        assert_eq!(converter_adder_count(2), 1);
-        assert_eq!(converter_adder_count(4), 11);
-        assert_eq!(converter_adder_count(6), 57);
     }
 
     #[test]

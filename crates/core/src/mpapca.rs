@@ -1,14 +1,14 @@
 //! MPApca — the Cambricon-P runtime library (§V-C).
 //!
 //! MPApca realizes the essential operators (addition, subtraction,
-//! multiplication, bit-shifts) plus high-level operators (inner product,
-//! division, square root, Montgomery exponentiation) on the device, and —
-//! like GMP — selects fast multiplication algorithms at runtime by
-//! comparing operand bitwidths against tuned thresholds. Because the
-//! hardware multiplies monolithically up to `max_monolithic_bits`, the
-//! schoolbook range disappears entirely and every fast-algorithm threshold
-//! is *delayed* relative to GMP's (§VII-B) — that delay is the source of
-//! the big speedups in Figure 11.
+//! multiplication, bit-shifts) plus high-level operators (polynomial
+//! convolution, division, square root, Montgomery exponentiation) on the
+//! device, and — like GMP — selects fast multiplication algorithms at
+//! runtime by comparing operand bitwidths against tuned thresholds.
+//! Because the hardware multiplies monolithically up to
+//! `max_monolithic_bits`, the schoolbook range disappears entirely and
+//! every fast-algorithm threshold is *delayed* relative to GMP's (§VII-B)
+//! — that delay is the source of the big speedups in Figure 11.
 //!
 //! [`Device`] is the application-facing handle: results are bit-exact
 //! (computed with the `apc_bignum` oracle, which the structural model in
@@ -152,11 +152,6 @@ impl Device {
         self.lock_stats().cycles
     }
 
-    /// Clears the accumulated statistics (§VII-B accounting).
-    pub fn reset_stats(&self) {
-        *self.lock_stats() = DeviceStats::default();
-    }
-
     /// Seconds of device time accumulated so far (§VII-A clock).
     pub fn seconds(&self) -> f64 {
         self.lock_stats().seconds(&self.config)
@@ -226,11 +221,6 @@ impl Device {
         r
     }
 
-    /// Squaring — same cost model as multiplication (§V-C).
-    pub fn square(&self, a: &Nat) -> Nat {
-        self.mul(a, &a.clone())
-    }
-
     /// Long multiplication through the *structural* Fig. 9a pipeline
     /// (Converter → IPUs → GU → Adder Tree) instead of the analytic cycle
     /// model: the result is bit-exact like [`Device::mul`], but the cycles
@@ -252,21 +242,6 @@ impl Device {
             (a.bit_len() + b.bit_len() + out.product.bit_len()) / 8,
         );
         out.product
-    }
-
-    /// Arbitrary-precision inner product — the device's native primitive
-    /// (§V-C): all element products run as one batch across the PE array.
-    pub fn inner_product(&self, xs: &[Nat], ys: &[Nat]) -> Nat {
-        assert_eq!(xs.len(), ys.len(), "inner product arity mismatch");
-        let mut acc = Nat::zero();
-        let mut cycles = 0;
-        for (x, y) in xs.iter().zip(ys) {
-            cycles += self.mul_cycles(x.bit_len(), y.bit_len());
-            acc = &acc + &(x * y.clone());
-        }
-        cycles += self.linear_cycles(acc.bit_len());
-        self.record(OpClass::InnerProduct, cycles, acc.bit_len() / 4);
-        acc
     }
 
     /// Polynomial convolution of two coefficient vectors — one of the
@@ -652,8 +627,6 @@ mod tests {
         assert_eq!(s.ops_for(OpClass::AddSub), 1);
         assert_eq!(s.ops_for(OpClass::Shift), 1);
         assert!(s.cycles_for(OpClass::Mul) >= 17);
-        d.reset_stats();
-        assert_eq!(d.stats().cycles, 0);
     }
 
     #[test]

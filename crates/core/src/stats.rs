@@ -62,37 +62,6 @@ impl OpClass {
     }
 }
 
-/// Pipeline stages of the bitflow datapath (Fig. 9a: Converter → IPUs →
-/// Gather Unit → Adder Tree), for per-stage busy-cycle attribution — the
-/// software analogue of the per-stage hardware counters a bit-serial
-/// design needs to be tunable (the paper's §VII utilization analysis).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Stage {
-    /// Pattern generation from q-limb blocks (§IV-B Converter).
-    Converter,
-    /// Inner-product units indexing the pattern table (§IV-B IPU).
-    Ipu,
-    /// The Gather Unit collapsing strided partial flows (§V-B GU).
-    Gu,
-    /// The Adder Tree summing across PEs per window (Fig. 9a AT).
-    AdderTree,
-}
-
-impl Stage {
-    /// All stages in pipeline order (Fig. 9a, left to right).
-    pub const ALL: [Stage; 4] = [Stage::Converter, Stage::Ipu, Stage::Gu, Stage::AdderTree];
-
-    /// Stable display name (Fig. 9a block labels).
-    pub fn name(self) -> &'static str {
-        match self {
-            Stage::Converter => "Converter",
-            Stage::Ipu => "IPU",
-            Stage::Gu => "GU",
-            Stage::AdderTree => "AdderTree",
-        }
-    }
-}
-
 /// Busy cycles attributed to each pipeline stage (§VII utilization
 /// analysis). These are *occupancy* counters for concurrent pipeline
 /// stages — like hardware stage counters, they may individually approach
@@ -111,16 +80,6 @@ pub struct StageCycles {
 }
 
 impl StageCycles {
-    /// Busy cycles for one stage (§VII utilization analysis).
-    pub fn for_stage(&self, stage: Stage) -> u64 {
-        match stage {
-            Stage::Converter => self.converter,
-            Stage::Ipu => self.ipu,
-            Stage::Gu => self.gu,
-            Stage::AdderTree => self.adder_tree,
-        }
-    }
-
     /// Adds another attribution into this one (§VII-B accounting).
     pub fn merge(&mut self, other: &StageCycles) {
         self.converter += other.converter;
@@ -364,8 +323,8 @@ mod tests {
             3,
             4,
         );
-        assert_eq!(now.stage_cycles.for_stage(Stage::Converter), 16);
-        assert_eq!(now.stage_cycles.for_stage(Stage::AdderTree), 6);
+        assert_eq!(now.stage_cycles.converter, 16);
+        assert_eq!(now.stage_cycles.adder_tree, 6);
         assert_eq!(now.pe_passes, 8);
         assert_eq!(now.pe_slots, 12);
         assert!((now.pe_utilization() - 8.0 / 12.0).abs() < 1e-12);
@@ -397,8 +356,5 @@ mod tests {
     #[test]
     fn utilization_of_an_idle_device_is_zero() {
         assert_eq!(DeviceStats::default().pe_utilization(), 0.0);
-        for stage in Stage::ALL {
-            assert!(!stage.name().is_empty());
-        }
     }
 }

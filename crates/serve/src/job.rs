@@ -60,16 +60,6 @@ impl Job {
         }
     }
 
-    /// Short display name for reports and benches.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            Job::Mul { .. } => "mul",
-            Job::Div { .. } => "div",
-            Job::Sqrt { .. } => "sqrt",
-            Job::ModExp { .. } => "modexp",
-        }
-    }
-
     /// Widest operand in bits — the width [`crate::operand_bucket`]
     /// classes and admission checks against its ceiling.
     pub fn operand_bits(&self) -> u64 {

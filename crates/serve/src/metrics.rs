@@ -221,11 +221,6 @@ impl MetricsSnapshot {
         class_index(class).map_or(0, |i| self.cycles_by_class[i])
     }
 
-    /// Completed jobs for one operation class.
-    pub fn jobs_for(&self, class: OpClass) -> u64 {
-        class_index(class).map_or(0, |i| self.jobs_by_class[i])
-    }
-
     /// The snapshot as a flat metric list, ready for either exporter.
     /// Counters first, then the gauge, then the six histograms; per-class
     /// counters carry a `class` label (plus one `unattributed` variant).
@@ -391,7 +386,10 @@ mod tests {
         assert_eq!((s.batches, s.batched_jobs, s.inline_jobs), (3, 3, 1));
         assert_eq!(s.cycles_for(OpClass::Mul), 100);
         assert_eq!(s.cycles_for(OpClass::Div), 40);
-        assert_eq!(s.jobs_for(OpClass::Mul), 1);
+        assert_eq!(
+            class_index(OpClass::Mul).map(|i| s.jobs_by_class[i]),
+            Some(1)
+        );
     }
 
     #[test]
@@ -407,9 +405,9 @@ mod tests {
         let s = m.snapshot();
         assert_eq!(s.cycles_by_class.len(), OpClass::ALL.len());
         assert_eq!(s.jobs_by_class.len(), OpClass::ALL.len());
-        for class in OpClass::ALL {
+        for (i, class) in OpClass::ALL.into_iter().enumerate() {
             assert_eq!(s.cycles_for(class), 10, "{}", class.name());
-            assert_eq!(s.jobs_for(class), 1);
+            assert_eq!(s.jobs_by_class[i], 1);
         }
         assert_eq!(s.cycles_unattributed, 0);
         assert_eq!(s.jobs_unattributed, 0);

@@ -68,15 +68,6 @@ impl Log2Histogram {
         s.sum = self.sum.load(Ordering::Relaxed);
         s
     }
-
-    /// Zeroes every bucket and the count/sum.
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A plain-value copy of a [`Log2Histogram`] — comparable, mergeable,
@@ -131,15 +122,6 @@ impl HistogramSnapshot {
     /// Whether no samples were recorded.
     pub fn is_empty(&self) -> bool {
         self.count == 0
-    }
-
-    /// Mean recorded value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
     }
 
     /// Upper-bound estimate of the `q`-quantile (0 ≤ q ≤ 1): the
@@ -226,13 +208,11 @@ mod tests {
         assert_eq!(s.quantile(0.5), 1023);
         // p99 is the largest sample's bucket.
         assert_eq!(s.quantile(0.99), (1 << 20) - 1);
-        assert!(s.mean() > 0.0);
     }
 
     #[test]
     fn quantile_of_empty_is_zero() {
         assert_eq!(HistogramSnapshot::default().quantile(0.5), 0);
-        assert_eq!(HistogramSnapshot::default().mean(), 0.0);
     }
 
     #[test]
@@ -252,15 +232,6 @@ mod tests {
         assert_eq!(merged.delta_since(&a), b);
         assert_eq!(merged.delta_since(&b), a);
         assert_eq!(a.delta_since(&a), HistogramSnapshot::default());
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let _guard = crate::testutil::flag_guard();
-        let h = Log2Histogram::new();
-        h.record(42);
-        h.reset();
-        assert_eq!(h.snapshot(), HistogramSnapshot::default());
     }
 
     #[test]

@@ -51,6 +51,7 @@ pub mod scan;
 pub mod summary;
 
 use std::fmt;
+use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Machine-readable identifier of a lint rule.
@@ -208,13 +209,58 @@ pub fn lint_tree(root: &Path) -> Result<Vec<Violation>, LintError> {
     Ok(violations)
 }
 
-/// Returns the workspace root this binary was compiled in (two levels up
-/// from `crates/xtask`).
+/// Returns the root of the workspace being built: the nearest directory
+/// at or above the package directory whose `Cargo.toml` has a
+/// `[workspace]` table. The package directory is `CARGO_MANIFEST_DIR` as
+/// cargo sets it at run time (so `cargo run` and `cargo test` check the
+/// tree they were started in, even one copied with its `target/`), else
+/// the directory this crate was compiled in.
 pub fn default_workspace_root() -> PathBuf {
-    let manifest_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    manifest_dir
-        .parent()
-        .and_then(Path::parent)
+    let start = std::env::var_os("CARGO_MANIFEST_DIR")
+        .map_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")), PathBuf::from);
+    workspace_root_from(&start).unwrap_or(start)
+}
+
+/// The nearest directory at or above `start` whose `Cargo.toml` has a
+/// `[workspace]` table.
+fn workspace_root_from(start: &Path) -> Option<PathBuf> {
+    start
+        .ancestors()
+        .find(|dir| {
+            fs::read_to_string(dir.join("Cargo.toml"))
+                .is_ok_and(|manifest| manifest.lines().any(|line| line.trim() == "[workspace]"))
+        })
         .map(Path::to_path_buf)
-        .unwrap_or(manifest_dir)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn compiled_root() -> PathBuf {
+        let xtask_dir = Path::new(env!("CARGO_MANIFEST_DIR"));
+        xtask_dir
+            .join("../..")
+            .canonicalize()
+            .expect("the workspace root exists")
+    }
+
+    #[test]
+    fn the_walk_from_the_xtask_package_stops_at_the_workspace_root() {
+        let from_xtask = workspace_root_from(Path::new(env!("CARGO_MANIFEST_DIR")))
+            .expect("crates/xtask sits inside the workspace");
+        assert_eq!(
+            from_xtask.canonicalize().expect("root exists"),
+            compiled_root()
+        );
+    }
+
+    #[test]
+    fn the_walk_from_the_root_package_is_the_root_itself() {
+        let root = compiled_root();
+        assert_eq!(workspace_root_from(&root), Some(root.clone()));
+        // A directory below the root without a manifest of its own walks
+        // up past it.
+        assert_eq!(workspace_root_from(&root.join("crates")), Some(root));
+    }
 }

@@ -1,15 +1,114 @@
-//! Cross-crate property-based tests: the device model must agree with the
+//! Cross-crate property-based tests: every functional unit of the
+//! architecture model and the device built from them must agree with the
 //! software substrate on arbitrary inputs, and the substrate must satisfy
 //! the algebraic laws of ℕ.
 
 use cambricon_p_repro::apc_bignum::Nat;
 use cambricon_p_repro::cambricon_p::accelerator::Accelerator;
+use cambricon_p_repro::cambricon_p::converter::generate_patterns;
 use cambricon_p_repro::cambricon_p::gu::{gather_carry_parallel, gather_reference};
+use cambricon_p_repro::cambricon_p::ipu::{
+    bit_indexed_inner_product, plain_bit_serial_inner_product,
+};
+use cambricon_p_repro::cambricon_p::pe::pe_pass;
+use cambricon_p_repro::cambricon_p::transform::{convolve, recompose, to_limb_vector};
 use cambricon_p_repro::cambricon_p::Device;
 use proptest::prelude::*;
 
 fn arb_nat(max_limbs: usize) -> impl Strategy<Value = Nat> {
     prop::collection::vec(any::<u64>(), 0..=max_limbs).prop_map(Nat::from_limbs)
+}
+
+fn arb_limb32() -> impl Strategy<Value = Nat> {
+    any::<u32>().prop_map(|v| Nat::from(u64::from(v)))
+}
+
+fn inner_product_oracle(xs: &[Nat], ys: &[Nat]) -> Nat {
+    xs.iter()
+        .zip(ys)
+        .fold(Nat::zero(), |acc, (x, y)| &acc + &(x * y.clone()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn converter_patterns_are_subset_sums(
+        xs in prop::collection::vec(arb_limb32(), 1..=4)
+    ) {
+        let p = generate_patterns(&xs, 32).expect("valid inputs");
+        for mask in 0..p.len() {
+            let mut expect = Nat::zero();
+            for (i, x) in xs.iter().enumerate() {
+                if mask & (1 << i) != 0 {
+                    expect = &expect + x;
+                }
+            }
+            prop_assert_eq!(p.get(mask), &expect);
+        }
+    }
+
+    #[test]
+    fn bips_equals_oracle_and_plain_scheme(
+        xs in prop::collection::vec(arb_limb32(), 2..=4),
+        seed in any::<u64>(),
+    ) {
+        // Build ys of the same arity from the seed.
+        let ys: Vec<Nat> = (0..xs.len())
+            .map(|i| Nat::from(u64::from((seed.rotate_left(i as u32 * 13)) as u32)))
+            .collect();
+        let p = generate_patterns(&xs, 32).expect("valid inputs");
+        let bips = bit_indexed_inner_product(&p, &ys, 32);
+        let plain = plain_bit_serial_inner_product(&xs, &ys, 32, true);
+        let oracle = inner_product_oracle(&xs, &ys);
+        prop_assert_eq!(&bips.value, &oracle);
+        prop_assert_eq!(&plain.value, &oracle);
+        // BIPS never does MORE weighted-gather work than the zero-skipping
+        // plain scheme (pattern reuse only removes additions).
+        prop_assert!(bips.tally.weighted_gather <= plain.tally.weighted_gather);
+    }
+
+    #[test]
+    fn canonical_gather_has_one_bit_carries(
+        parts in prop::collection::vec(any::<u32>(), 1..=32)
+    ) {
+        // 2L-bit partials at L = 16: Eq. 2's canonical shape.
+        let nats: Vec<Nat> = parts.iter().map(|&v| Nat::from(u64::from(v))).collect();
+        let g = gather_carry_parallel(&nats, 16);
+        prop_assert!(g.carry_domain <= 2, "carry domain {}", g.carry_domain);
+    }
+
+    #[test]
+    fn pe_pass_is_inner_products_at_stride(
+        x0 in arb_limb32(), x1 in arb_limb32(),
+        seed in any::<u64>(),
+    ) {
+        let block = vec![x0, x1];
+        let ys: Vec<Vec<Nat>> = (0..4)
+            .map(|k| {
+                vec![
+                    Nat::from(u64::from((seed.rotate_left(k * 7)) as u16)),
+                    Nat::from(u64::from((seed.rotate_right(k * 11)) as u16)),
+                ]
+            })
+            .collect();
+        let r = pe_pass(&block, &ys, 32).expect("valid inputs");
+        for (k, y) in ys.iter().enumerate() {
+            prop_assert_eq!(&r.per_ipu[k], &inner_product_oracle(&block, y));
+        }
+        prop_assert_eq!(&r.gathered, &gather_reference(&r.per_ipu, 32));
+    }
+
+    #[test]
+    fn equation_one_random_operands(a_limbs in prop::collection::vec(any::<u64>(), 1..=12),
+                                    b_limbs in prop::collection::vec(any::<u64>(), 1..=12)) {
+        let a = Nat::from_limbs(a_limbs);
+        let b = Nat::from_limbs(b_limbs);
+        let xs = to_limb_vector(&a, 32);
+        let ys = to_limb_vector(&b, 32);
+        let ips = convolve(&xs, &ys);
+        prop_assert_eq!(recompose(&ips, 32), &a * &b);
+    }
 }
 
 proptest! {
@@ -40,10 +139,13 @@ proptest! {
     }
 
     #[test]
-    fn gather_unit_is_exact(parts in prop::collection::vec(any::<u64>(), 0..20)) {
+    fn gather_unit_is_exact(
+        parts in prop::collection::vec(any::<u64>(), 0..=24),
+        l in 1u32..=48,
+    ) {
         let nats: Vec<Nat> = parts.iter().map(|&v| Nat::from(v)).collect();
-        let g = gather_carry_parallel(&nats, 32);
-        prop_assert_eq!(g.value, gather_reference(&nats, 32));
+        let g = gather_carry_parallel(&nats, l);
+        prop_assert_eq!(g.value, gather_reference(&nats, l));
     }
 
     #[test]
